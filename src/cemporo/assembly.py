@@ -197,8 +197,43 @@ class OperatorSet:
         return nodes, out
 
 
+class _Restricted:
+    """A global interior form, sliced to the patch's unknowns when first read.
+
+    `rows` and `cols` name the index attributes of the patch ("u_index" or
+    "p_index"). The slice is stored on the instance, which then shadows this
+    descriptor.
+    """
+
+    def __init__(self, rows, cols):
+        self.rows = rows
+        self.cols = cols
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, po, owner=None):
+        if po is None:
+            return self
+        rows, cols = getattr(po, self.rows), getattr(po, self.cols)
+        mat = getattr(po.ops, self.name)[rows][:, cols].tocsc()
+        po.__dict__[self.name] = mat
+        return mat
+
+
 class PatchOperators:
-    """Interior-unknown restrictions of the assembled forms to one patch."""
+    """Interior-unknown restrictions of the assembled forms to one patch.
+
+    Each form is sliced from the global one on first access only; a patch
+    solver reads two of the six.
+    """
+
+    stiff_u = _Restricted("u_index", "u_index")
+    stiff_p = _Restricted("p_index", "p_index")
+    mass_p = _Restricted("p_index", "p_index")
+    aux_u = _Restricted("u_index", "u_index")
+    aux_p = _Restricted("p_index", "p_index")
+    coupling = _Restricted("p_index", "u_index")
 
     def __init__(self, ops, patch):
         if patch.n_interior == 0:
@@ -212,12 +247,6 @@ class PatchOperators:
             raise AssertionError("patch interior node missing from global interior set")
         self.u_index = np.column_stack(
             [2 * self.p_index, 2 * self.p_index + 1]).ravel()
-        self.stiff_u = ops.stiff_u[self.u_index][:, self.u_index].tocsc()
-        self.stiff_p = ops.stiff_p[self.p_index][:, self.p_index].tocsc()
-        self.mass_p = ops.mass_p[self.p_index][:, self.p_index].tocsc()
-        self.aux_u = ops.aux_u[self.u_index][:, self.u_index].tocsc()
-        self.aux_p = ops.aux_p[self.p_index][:, self.p_index].tocsc()
-        self.coupling = ops.coupling[self.p_index][:, self.u_index].tocsc()
 
     @property
     def n_u(self):

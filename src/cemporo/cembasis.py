@@ -8,8 +8,9 @@ the patch; the penalized solve is performed in sparse bordered form
 
     [[A, U], [U^T, -I]] [psi, y] = [rhs, 0],   U = M_patch R_patch,
 
-with one step of iterative refinement. Factorizations are cached per patch
-rectangle, so a patch covering the whole domain is factorized once.
+with one step of iterative refinement. The offline basis factorizes each
+distinct patch rectangle once, solves every column seeded in it and frees the
+factorization before the next one is built.
 """
 
 import json
@@ -66,6 +67,11 @@ class PatchSolver:
             self.A @ psi + self.U @ (self.U.T @ psi) - rhs))
 
 
+def _rectangle(patch):
+    """Key of a patch's cell rectangle; patches with equal keys are equal."""
+    return patch.cells[0], patch.cells[-1], patch.cells.size
+
+
 class _SolverCache:
     def __init__(self, ops, aux):
         self.ops = ops
@@ -73,7 +79,7 @@ class _SolverCache:
         self._store = {}
 
     def get(self, patch, family):
-        key = (family, patch.cells[0], patch.cells[-1], patch.cells.size)
+        key = (family,) + _rectangle(patch)
         if key not in self._store:
             self._store[key] = PatchSolver(self.ops, self.aux, patch, family)
         return self._store[key]
@@ -83,7 +89,9 @@ class MultiscaleSpace:
     """Columns of the reduced displacement and pressure spaces.
 
     Basis matrices act from coarse coefficients to interior fine unknowns.
-    Provenance rows record where every column came from.
+    Provenance rows record where every column came from. `append` is the only
+    change a space undergoes after construction, so a space's columns are
+    always a prefix of its later columns.
     """
 
     def __init__(self, ops, aux, layers):
@@ -134,15 +142,10 @@ class MultiscaleSpace:
             fh.write("\n")
 
 
-def build_element_basis(ops, aux, family, element, layers, cache=None):
-    """Zero-extended basis columns seeded by one element's auxiliary modes.
-
-    Returns (columns, origins) with one column per auxiliary mode of the
-    element, each a full-length interior-dof vector.
-    """
-    cache = cache or _SolverCache(ops, aux)
-    patch = oversample_element(ops.grid, element, layers)
-    solver = cache.get(patch, family)
+def _element_columns(ops, aux, solver, element, layers):
+    """Solve the columns seeded by one element's auxiliary modes on the
+    solver's patch; returns (columns, origins) as `build_element_basis`."""
+    family = solver.family
     count = aux.n_u if family == "u" else aux.n_p
     n_full = ops.dofs.n_u if family == "u" else ops.dofs.n_p
     base = element * count
@@ -160,21 +163,43 @@ def build_element_basis(ops, aux, family, element, layers, cache=None):
     return cols, orig
 
 
-def build_offline_basis(ops, aux, layers, cache=None):
-    """One basis function per auxiliary eigenfunction, patches of given depth."""
+def build_element_basis(ops, aux, family, element, layers, cache=None):
+    """Zero-extended basis columns seeded by one element's auxiliary modes.
+
+    Returns (columns, origins) with one column per auxiliary mode of the
+    element, each a full-length interior-dof vector.
+    """
+    cache = cache or _SolverCache(ops, aux)
+    patch = oversample_element(ops.grid, element, layers)
+    return _element_columns(ops, aux, cache.get(patch, family), element,
+                            layers)
+
+
+def build_offline_basis(ops, aux, layers):
+    """One basis function per auxiliary eigenfunction, patches of given depth.
+
+    Elements whose patches share a rectangle share one factorization, which
+    is freed as soon as their columns are solved.
+    """
     if layers < 0:
         raise ValueError("layers must be nonnegative")
     grid = ops.grid
     space = MultiscaleSpace(ops, aux, layers)
-    cache = cache or _SolverCache(ops, aux)
+    patches = [oversample_element(grid, e, layers)
+               for e in range(grid.n_coarse_cells)]
+    groups = {}
+    for e, patch in enumerate(patches):
+        groups.setdefault(_rectangle(patch), []).append(e)
     for family in ("u", "p"):
-        cols, orig = [], []
-        for e in range(grid.n_coarse_cells):
-            ecols, eorig = build_element_basis(ops, aux, family, e, layers,
-                                               cache)
-            cols.extend(ecols)
-            orig.extend(eorig)
-        space.append(family, cols, orig)
+        per_element = [None] * grid.n_coarse_cells
+        for elements in groups.values():
+            solver = PatchSolver(ops, aux, patches[elements[0]], family)
+            for e in elements:
+                per_element[e] = _element_columns(ops, aux, solver, e, layers)
+            # free this factorization before the next one is built
+            del solver
+        space.append(family, [c for cols, _ in per_element for c in cols],
+                     [o for _, orig in per_element for o in orig])
     return space
 
 
@@ -184,17 +209,47 @@ def build_global_basis_oracle(ops, aux):
     return build_offline_basis(ops, aux, layers)
 
 
-class CoarseOperators:
-    """Dense projections of the fine forms onto a multiscale space."""
+def _project(A, R_row, R_col, old=None):
+    """Dense R_row^T A R_col.
 
-    def __init__(self, ops, space):
+    `old` is the projection onto leading columns of R_row and R_col; only
+    the rectangles of the appended rows and columns are then computed. Every
+    entry is the same sum, in the same order, as in the full sparse product,
+    so the result is bit for bit the full one. Both new rectangles are
+    computed, because the full product of a symmetric form is not bit
+    symmetric.
+    """
+    if old is None:
+        return (R_row.T @ (A @ R_col)).toarray()
+    m, n = old.shape
+    out = np.empty((R_row.shape[1], R_col.shape[1]))
+    out[:m, :n] = old
+    if out.shape[1] > n:
+        out[:, n:] = (R_row.T @ (A @ R_col[:, n:])).toarray()
+    if out.shape[0] > m and n:
+        out[m:, :n] = (R_row[:, m:].T @ (A @ R_col[:, :n])).toarray()
+    return out
+
+
+class CoarseOperators:
+    """Dense projections of the fine forms onto a multiscale space.
+
+    `previous`, if given, holds the projections onto an earlier state of the
+    same space; its blocks are kept and bordered with the appended columns.
+    """
+
+    def __init__(self, ops, space, previous=None):
         Ru, Rp = space.basis_u, space.basis_p
         self.space = space
-        self.stiff_u = (Ru.T @ (ops.stiff_u @ Ru)).toarray()
-        self.stiff_p = (Rp.T @ (ops.stiff_p @ Rp)).toarray()
-        self.mass_p = (Rp.T @ (ops.mass_p @ Rp)).toarray()
-        self.coupling = (Rp.T @ (ops.coupling @ Ru)).toarray()
+        self.stiff_u = _project(ops.stiff_u, Ru, Ru,
+                                getattr(previous, "stiff_u", None))
+        self.stiff_p = _project(ops.stiff_p, Rp, Rp,
+                                getattr(previous, "stiff_p", None))
+        self.mass_p = _project(ops.mass_p, Rp, Rp,
+                               getattr(previous, "mass_p", None))
+        self.coupling = _project(ops.coupling, Rp, Ru,
+                                 getattr(previous, "coupling", None))
 
 
-def galerkin_project(ops, space):
-    return CoarseOperators(ops, space)
+def galerkin_project(ops, space, previous=None):
+    return CoarseOperators(ops, space, previous)

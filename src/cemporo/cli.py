@@ -22,7 +22,7 @@ from .assembly import assemble_operators
 from .spectral import build_aux_basis, spectral_diagnostics
 from .cembasis import build_offline_basis
 from .timestepping import (TimeGrid, NumericalFailure, run, FineSolver,
-                           CoarseSolver, fine_initial_state, save_snapshots)
+                           CoarseSolver, fine_initial_state)
 from .online import Enricher, OnlineConfig
 from .report import (EnrichmentHistory, energy_errors,
                      export_field_snapshots)

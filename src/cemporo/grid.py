@@ -30,12 +30,13 @@ class GridPair:
         self.refinement = int(refinement)
         self.nfx = self.ncx * self.refinement
         self.nfy = self.ncy * self.refinement
-        self.H = 1.0 / self.ncx
-        self.h = self.H / self.refinement
         self.Hx = 1.0 / self.ncx
         self.Hy = 1.0 / self.ncy
         self.hx = self.Hx / self.refinement
         self.hy = self.Hy / self.refinement
+        # mesh sizes: the larger cell side of each grid
+        self.H = max(self.Hx, self.Hy)
+        self.h = max(self.hx, self.hy)
 
         self.n_coarse_cells = self.ncx * self.ncy
         self.n_coarse_nodes = (self.ncx + 1) * (self.ncy + 1)

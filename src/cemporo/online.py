@@ -182,8 +182,12 @@ class Enricher:
         full[solver.index] = psi
         return full
 
-    def _filter_and_append(self, space, family, columns, origins):
-        """Energy near-dependence filter, then append survivors in order."""
+    def _filter_and_append(self, space, family, columns, origins, gram):
+        """Energy near-dependence filter, then append survivors in order.
+
+        `gram` is the stiffness projected onto the family's current columns;
+        it is not modified.
+        """
         ops = self.ops
         if family == "u":
             R = space.basis_u
@@ -191,7 +195,7 @@ class Enricher:
         else:
             R = space.basis_p
             A = ops.stiff_p
-        G = (R.T @ (A @ R)).toarray()
+        G = gram
         acc_cols, acc_orig = [], []
         rms2 = float(np.mean(np.diag(G))) if G.size else 1.0
         for col, orig in zip(columns, origins):
@@ -242,8 +246,12 @@ class Enricher:
                    "region": int(self.regions[i]), "level": int(state.n),
                    "iteration": int(level_k), "layers": cfg.layers}
                   for i in sel_p]
-        added_u = self._filter_and_append(space, "u", cols_u, orig_u)
-        added_p = self._filter_and_append(space, "p", cols_p, orig_p)
+        # the solver's projections are current: each family's columns
+        # change only in its own append below
+        added_u = self._filter_and_append(space, "u", cols_u, orig_u,
+                                          solver.co.stiff_u)
+        added_p = self._filter_and_append(space, "p", cols_p, orig_p,
+                                          solver.co.stiff_p)
 
         if added_u or added_p:
             solver.set_space(space)
@@ -304,8 +312,3 @@ def compute_indicators(ops, aux, pou, config, tau, state, prev, load):
     res = compute_residuals(ops, tau, state, prev, load)
     return enr.compute_indicators(res)
 
-
-def build_online_basis(ops, aux, pou, config, res, regions):
-    """Online columns for explicit regions from a given residual snapshot."""
-    enr = Enricher(ops, aux, pou, config)
-    return [enr.build_online_column(f, r, res) for f, r in regions]

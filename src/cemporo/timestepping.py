@@ -13,7 +13,6 @@ between steps.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,8 +55,6 @@ class State:
     n: int
     u: np.ndarray
     p: np.ndarray
-    coarse_u: Optional[np.ndarray] = None
-    coarse_p: Optional[np.ndarray] = None
     space_tag: str = "fine"
 
 
@@ -132,8 +129,11 @@ class CoarseSolver:
         self.set_space(space)
 
     def set_space(self, space):
+        """Project onto `space`. Handed the current space again, after
+        `append` grew it, only the appended rows and columns are projected."""
+        previous = self.co if space is self.space else None
         self.space = space
-        self.co = galerkin_project(self.ops, space)
+        self.co = galerkin_project(self.ops, space, previous)
         co = self.co
         self.block = np.vstack([
             np.hstack([co.stiff_u, -co.coupling.T]),
@@ -163,7 +163,7 @@ class CoarseSolver:
         p = space.basis_p @ pc
         uc = self._lstsq(self.co.stiff_u, self.co.coupling.T @ pc)
         u = space.basis_u @ uc
-        return State(0, u, p, uc, pc, self._tag())
+        return State(0, u, p, self._tag())
 
     def step(self, prev, load, n):
         """Advance one step; previous-step data is read from the fine lifts."""
@@ -175,8 +175,7 @@ class CoarseSolver:
         sol = self._lstsq(self.block, rhs)
         uc = sol[:self.n_u]
         pc = sol[self.n_u:]
-        return State(n, space.basis_u @ uc, space.basis_p @ pc,
-                     uc, pc, self._tag())
+        return State(n, space.basis_u @ uc, space.basis_p @ pc, self._tag())
 
 
 def initial_state(ops, p0, space=None, tau=None):

@@ -2,11 +2,13 @@
 
 import json
 import os
+import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from cemporo import cembasis
 from cemporo.assembly import assemble_operators
 from cemporo.cembasis import (MultiscaleSpace, PatchSolver,
                               build_element_basis, build_global_basis_oracle,
@@ -65,6 +67,38 @@ def test_offline_columns_satisfy_defining_equation(setup):
             psi = np.asarray(basis[:, j].todense()).ravel()[solver.index]
             res = solver.residual(psi, rhs)
             assert res <= 1e-12 * np.linalg.norm(rhs)
+
+
+# on 4x4 cells, 2 layers give 3 distinct patch intervals per direction;
+# the oracle's patches are all the whole domain
+@pytest.mark.parametrize("layers, factorizations", [(2, 18), (None, 2)])
+def test_offline_factors_one_per_rectangle_then_freed(setup, monkeypatch,
+                                                      layers, factorizations):
+    """One factorization per distinct (family, patch rectangle), each freed
+    before the next is built, and the columns of the per-element
+    construction."""
+    grid, ops, aux = setup
+    built = []
+    alive_before = []
+
+    class Recorded(PatchSolver):
+        def __init__(self, ops, aux, patch, family):
+            alive_before.append(sum(ref() is not None for _, ref in built))
+            super().__init__(ops, aux, patch, family)
+            built.append(((family, tuple(patch.cells)), weakref.ref(self)))
+
+    monkeypatch.setattr(cembasis, "PatchSolver", Recorded)
+    space = (build_global_basis_oracle(ops, aux) if layers is None
+             else build_offline_basis(ops, aux, layers))
+    keys = [key for key, _ in built]
+    assert len(keys) == len(set(keys)) == factorizations
+    assert alive_before == [0] * factorizations
+    assert all(ref() is None for _, ref in built)
+    for family, basis in (("u", space.basis_u), ("p", space.basis_p)):
+        for e in (0, 5, grid.n_coarse_cells - 1):
+            cols, _ = build_element_basis(ops, aux, family, e, space.layers)
+            assert np.array_equal(basis[:, 2 * e:2 * e + 2].toarray(),
+                                  np.column_stack(cols))
 
 
 def test_basis_dimensions_and_origins(setup):

@@ -21,6 +21,13 @@ def test_counts_square():
     assert g.h == pytest.approx(0.01)
 
 
+def test_mesh_sizes_take_the_larger_side():
+    g = build_grids(4, 2, 3)
+    assert (g.Hx, g.Hy) == (0.25, 0.5)
+    assert g.H == 0.5
+    assert g.h == g.hy == pytest.approx(0.5 / 3)
+
+
 def test_counts_rectangular():
     g = build_grids(1, 1, 4)
     assert g.n_coarse_cells == 1

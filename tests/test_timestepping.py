@@ -5,7 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from cemporo.assembly import assemble_load, assemble_operators
-from cemporo.cembasis import build_global_basis_oracle, build_offline_basis
+from cemporo import cembasis
+from cemporo.cembasis import (build_element_basis, build_global_basis_oracle,
+                              build_offline_basis, galerkin_project)
 from cemporo.grid import build_grids, partition_of_unity
 from cemporo.material import MaterialField, synth_channels
 from cemporo.online import compute_residuals
@@ -141,6 +143,37 @@ def test_coarse_step_galerkin_orthogonality(setup):
         scale = np.linalg.norm(load)
         npt.assert_allclose(ru, 0.0, atol=1e-10 * scale)
         npt.assert_allclose(rp, 0.0, atol=1e-10 * scale)
+
+
+def test_set_space_borders_appended_columns_exactly(setup, monkeypatch):
+    """Re-projecting an appended-to space only borders the old blocks, and
+    gives bit for bit what a projection from scratch gives."""
+    _, ops = setup
+    aux = build_aux_basis(ops, 2)
+    space = build_offline_basis(ops, aux, 1)
+    tau = 0.1
+    solver = CoarseSolver(ops, space, tau)
+    bordered = []
+    project = cembasis._project
+
+    def recording(A, R_row, R_col, old=None):
+        bordered.append(old is not None)
+        return project(A, R_row, R_col, old)
+
+    monkeypatch.setattr(cembasis, "_project", recording)
+    for element, families in ((3, ("u",)), (4, ("p",)), (5, ("u", "p"))):
+        for family in families:
+            space.append(family, *build_element_basis(ops, aux, family,
+                                                      element, 2))
+        del bordered[:]
+        solver.set_space(space)
+        assert bordered == [True] * 4
+        fresh = galerkin_project(ops, space)
+        for name in ("stiff_u", "stiff_p", "mass_p", "coupling"):
+            assert np.array_equal(getattr(solver.co, name),
+                                  getattr(fresh, name)), (families, name)
+        assert np.array_equal(solver.block,
+                              CoarseSolver(ops, space, tau).block), families
 
 
 def test_coarse_initial_state_projection(setup):
