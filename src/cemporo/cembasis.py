@@ -4,23 +4,46 @@ Each auxiliary eigenfunction of a coarse cell seeds one basis function,
 computed on the oversampled patch around the cell with zero trace on the
 patch boundary. The local system couples the stiffness with a rank-k penalty
 built from the weighted mass applied to every auxiliary eigenvector living on
-the patch; the penalized solve is performed in sparse bordered form
+the patch,
 
-    [[A, U], [U^T, -I]] [psi, y] = [rhs, 0],   U = M_patch R_patch,
+    (A + U U^T) psi = rhs,   U = M_patch R_patch,
 
-with one step of iterative refinement. The offline basis factorizes each
-distinct patch rectangle once, solves every column seeded in it and frees the
-factorization before the next one is built.
+and is solved through the Woodbury identity: the SPD patch stiffness A is
+factorized alone with a symmetric ordering, the k x k capacitance
+C = I + U^T A^-1 U by Cholesky, and
+
+    psi = z - A^-1 U C^-1 U^T z,   z = A^-1 rhs,
+
+followed by one step of iterative refinement on the defining equation. The
+offline basis factorizes each distinct patch rectangle once, solves every
+column seeded in it and frees the factorization before the next one is built.
 """
 
 import json
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import oversample_element
 from .assembly import restrict
+
+
+# columns of A^-1 U held at once while the capacitance is formed
+_CAPACITANCE_BLOCK = 32
+
+
+def spd_factor(A):
+    """Sparse LU of a symmetric positive definite matrix.
+
+    A symmetric fill-reducing ordering with diagonal pivots keeps L and U on
+    the pattern of a Cholesky factor of A; an SPD matrix needs no pivoting
+    for stability.
+    """
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
 
 
 class PatchSolver:
@@ -42,24 +65,26 @@ class PatchSolver:
             self.U = (po.aux_p @ R).tocsc()
             self.index = po.p_index
         self.aux_cols = cols
-        n = self.A.shape[0]
-        k = self.U.shape[1]
-        bordered = sp.bmat(
-            [[self.A, self.U],
-             [self.U.T, -sp.identity(k, format="csc")]], format="csc")
-        self.n = n
-        self.k = k
-        self.lu = spla.splu(bordered)
+        self.n, self.k = self.U.shape
+        self.lu = spd_factor(self.A)
+        cap = np.identity(self.k)
+        for j in range(0, self.k, _CAPACITANCE_BLOCK):
+            block = self.lu.solve(
+                self.U[:, j:j + _CAPACITANCE_BLOCK].toarray())
+            cap[:, j:j + _CAPACITANCE_BLOCK] += self.U.T @ block
+        self.cap = sla.cho_factor(cap)
+
+    def _apply(self, b):
+        """(A + U U^T)^-1 b by the Woodbury identity."""
+        z = self.lu.solve(b)
+        y = sla.cho_solve(self.cap, self.U.T @ z)
+        return z - self.lu.solve(self.U @ y)
 
     def solve(self, rhs):
         """Solve the penalized system for a patch-local right-hand side."""
-        b = np.concatenate([rhs, np.zeros(self.k)])
-        x = self.lu.solve(b)
+        x = self._apply(rhs)
         # one refinement pass keeps the variational residual at round-off
-        r1 = rhs - self.A @ x[:self.n] - self.U @ x[self.n:]
-        r2 = x[self.n:] - self.U.T @ x[:self.n]
-        x += self.lu.solve(np.concatenate([r1, -r2]))
-        return x[:self.n]
+        return x + self._apply(rhs - self.A @ x - self.U @ (self.U.T @ x))
 
     def residual(self, psi, rhs):
         """Norm of A psi + U U^T psi - rhs, the defining equation of the solve."""

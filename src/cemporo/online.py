@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .grid import oversample_element, oversample_neighborhood
 from .assembly import restrict
-from .cembasis import PatchSolver
+from .cembasis import PatchSolver, spd_factor
 
 
 @dataclass
@@ -118,13 +117,13 @@ class Enricher:
             po = restrict(self.ops, self._region_patch(region, 0))
             mat = po.stiff_u if family == "u" else po.stiff_p
             index = po.u_index if family == "u" else po.p_index
-            self._riesz[key] = (spla.splu(mat.tocsc()), index)
+            self._riesz[key] = (spd_factor(mat), index)
         return self._riesz[key]
 
     def _global_riesz_solver(self, family):
         if family not in self._global_riesz:
             mat = self.ops.stiff_u if family == "u" else self.ops.stiff_p
-            self._global_riesz[family] = spla.splu(mat.tocsc())
+            self._global_riesz[family] = spd_factor(mat)
         return self._global_riesz[family]
 
     def _localizer(self, family, region):

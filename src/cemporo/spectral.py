@@ -159,11 +159,6 @@ def build_aux_basis(ops, n_u, n_p=None):
     return AuxBasis(ops, n_u, n_p)
 
 
-class _PiCache:
-    def __init__(self):
-        self.solve = None
-
-
 def project_pi(aux, family, v):
     """Orthogonal projection onto the auxiliary space in the weighted mass product.
 
@@ -175,27 +170,26 @@ def project_pi(aux, family, v):
     if family == "u":
         R = aux.R_u
         M = ops.aux_u
-        key = "_pi_cache_u"
+        key = "_pi_solve_u"
     elif family == "p":
         R = aux.R_p
         M = ops.aux_p
-        key = "_pi_cache_p"
+        key = "_pi_solve_p"
     else:
         raise ValueError("family must be 'u' or 'p'")
-    cache = getattr(aux, key, None)
-    if cache is None:
-        cache = _PiCache()
+    solve = getattr(aux, key, None)
+    if solve is None:
         gram = (R.T @ (M @ R)).toarray()
         try:
             fac = sla.cho_factor(gram)
-            cache.solve = lambda b: sla.cho_solve(fac, b)
+            solve = lambda b: sla.cho_solve(fac, b)
         except np.linalg.LinAlgError:
             # redundant auxiliary sets (full local dimension) make the Gram
             # singular; the projection onto the span is still well defined
             pinv = np.linalg.pinv(gram, rcond=1e-12)
-            cache.solve = lambda b: pinv @ b
-        setattr(aux, key, cache)
-    coeff = cache.solve(R.T @ (M @ v))
+            solve = lambda b: pinv @ b
+        setattr(aux, key, solve)
+    coeff = solve(R.T @ (M @ v))
     return R @ coeff
 
 

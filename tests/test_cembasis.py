@@ -178,11 +178,22 @@ def test_galerkin_projection_matrices(setup):
     assert w.min() > 0.0
 
 
-def test_patch_solver_refinement_accuracy(setup):
+# element 5 of 4x4 cells has its full 3x3 one-layer patch; element 0 sits in
+# a corner, so its patch is clipped to 2x2 cells
+@pytest.mark.parametrize("element, cells", [(5, 9), (0, 4)])
+@pytest.mark.parametrize("family", ["u", "p"])
+def test_patch_solver_refinement_accuracy(setup, family, element, cells):
     grid, ops, aux = setup
-    patch = oversample_element(grid, 5, 1)
-    solver = PatchSolver(ops, aux, patch, "p")
+    patch = oversample_element(grid, element, 1)
+    assert patch.cells.size == cells
+    solver = PatchSolver(ops, aux, patch, family)
+    # the factor holds the patch stiffness alone; the penalty enters by Woodbury
+    assert solver.lu.shape == (solver.n, solver.n)
     rng = np.random.default_rng(3)
     rhs = rng.normal(size=solver.n)
     psi = solver.solve(rhs)
     assert solver.residual(psi, rhs) <= 1e-12 * np.linalg.norm(rhs)
+    U = solver.U.toarray()
+    expected = np.linalg.solve(solver.A.toarray() + U @ U.T, rhs)
+    npt.assert_allclose(psi, expected, rtol=0,
+                        atol=1e-10 * np.linalg.norm(expected))
