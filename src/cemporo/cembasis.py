@@ -8,21 +8,22 @@ the patch,
 
     (A + U U^T) psi = rhs,   U = M_patch R_patch,
 
-and is solved through the Woodbury identity: the SPD patch stiffness A is
-factorized alone with a symmetric ordering, the k x k capacitance
-C = I + U^T A^-1 U by Cholesky, and
+and is solved through the bordered matrix
 
-    psi = z - A^-1 U C^-1 U^T z,   z = A^-1 rhs,
+    K = [[A, U], [U^T, -I]],   K [psi; y] = [rhs; 0],
 
-followed by one step of iterative refinement on the defining equation. The
-offline basis factorizes each distinct patch rectangle once, solves every
-column seeded in it and frees the factorization before the next one is built.
+which is symmetric quasi-definite (A is SPD, -I negative definite): every
+symmetric permutation of K has a factorization with diagonal pivots, so K is
+factorized once with a symmetric fill-reducing ordering and no pivoting.
+Each solve is followed by one step of iterative refinement on the defining
+equation. The offline basis factorizes each distinct patch rectangle once,
+solves every column seeded in it and frees the factorization before the next
+one is built.
 """
 
 import json
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -30,16 +31,13 @@ from .grid import oversample_element
 from .assembly import restrict
 
 
-# columns of A^-1 U held at once while the capacitance is formed
-_CAPACITANCE_BLOCK = 32
-
-
 def spd_factor(A):
-    """Sparse LU of a symmetric positive definite matrix.
+    """Sparse LU of a symmetric positive definite or quasi-definite matrix.
 
     A symmetric fill-reducing ordering with diagonal pivots keeps L and U on
-    the pattern of a Cholesky factor of A; an SPD matrix needs no pivoting
-    for stability.
+    the pattern of a Cholesky factor of A. An SPD matrix needs no pivoting
+    for stability, and a quasi-definite one has a factorization with
+    diagonal pivots under every symmetric ordering.
     """
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0,
@@ -66,19 +64,12 @@ class PatchSolver:
             self.index = po.p_index
         self.aux_cols = cols
         self.n, self.k = self.U.shape
-        self.lu = spd_factor(self.A)
-        cap = np.identity(self.k)
-        for j in range(0, self.k, _CAPACITANCE_BLOCK):
-            block = self.lu.solve(
-                self.U[:, j:j + _CAPACITANCE_BLOCK].toarray())
-            cap[:, j:j + _CAPACITANCE_BLOCK] += self.U.T @ block
-        self.cap = sla.cho_factor(cap)
+        self.lu = spd_factor(sp.bmat(
+            [[self.A, self.U], [self.U.T, -sp.identity(self.k)]]))
 
     def _apply(self, b):
-        """(A + U U^T)^-1 b by the Woodbury identity."""
-        z = self.lu.solve(b)
-        y = sla.cho_solve(self.cap, self.U.T @ z)
-        return z - self.lu.solve(self.U @ y)
+        """(A + U U^T)^-1 b, the leading block of K^-1 [b; 0]."""
+        return self.lu.solve(np.concatenate([b, np.zeros(self.k)]))[:self.n]
 
     def solve(self, rhs):
         """Solve the penalized system for a patch-local right-hand side."""
@@ -95,19 +86,6 @@ class PatchSolver:
 def _rectangle(patch):
     """Key of a patch's cell rectangle; patches with equal keys are equal."""
     return patch.cells[0], patch.cells[-1], patch.cells.size
-
-
-class _SolverCache:
-    def __init__(self, ops, aux):
-        self.ops = ops
-        self.aux = aux
-        self._store = {}
-
-    def get(self, patch, family):
-        key = (family,) + _rectangle(patch)
-        if key not in self._store:
-            self._store[key] = PatchSolver(self.ops, self.aux, patch, family)
-        return self._store[key]
 
 
 class MultiscaleSpace:
@@ -188,16 +166,15 @@ def _element_columns(ops, aux, solver, element, layers):
     return cols, orig
 
 
-def build_element_basis(ops, aux, family, element, layers, cache=None):
+def build_element_basis(ops, aux, family, element, layers):
     """Zero-extended basis columns seeded by one element's auxiliary modes.
 
     Returns (columns, origins) with one column per auxiliary mode of the
     element, each a full-length interior-dof vector.
     """
-    cache = cache or _SolverCache(ops, aux)
     patch = oversample_element(ops.grid, element, layers)
-    return _element_columns(ops, aux, cache.get(patch, family), element,
-                            layers)
+    return _element_columns(ops, aux, PatchSolver(ops, aux, patch, family),
+                            element, layers)
 
 
 def build_offline_basis(ops, aux, layers):

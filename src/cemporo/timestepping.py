@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_load
-from .cembasis import galerkin_project
+from .cembasis import galerkin_project, spd_factor
 
 
 class NumericalFailure(RuntimeError):
@@ -73,9 +73,9 @@ def _nodal_pressure_load(ops, p0):
 def fine_initial_state(ops, p0):
     """Mass projection of the initial pressure, then the balancing elastic solve."""
     load = _nodal_pressure_load(ops, p0)
-    mass = (ops.field.biot_modulus * ops.mass_p).tocsc()
-    p = spla.splu(mass).solve(load)
-    elastic = spla.splu(ops.stiff_u.tocsc())
+    mass = ops.field.biot_modulus * ops.mass_p
+    p = spd_factor(mass).solve(load)
+    elastic = spd_factor(ops.stiff_u)
     rhs = ops.coupling.T @ p
     u = elastic.solve(rhs)
     u += elastic.solve(rhs - ops.stiff_u @ u)

@@ -54,13 +54,15 @@ def test_global_patch_matches_dense_solve(setup):
 def test_offline_columns_satisfy_defining_equation(setup):
     grid, ops, aux = setup
     space = build_offline_basis(ops, aux, 1)
-    from cemporo.cembasis import _SolverCache
-    cache = _SolverCache(ops, aux)
     for family, basis, origin in (("u", space.basis_u, space.origin_u),
                                   ("p", space.basis_p, space.origin_p)):
+        solver = None
         for j, org in enumerate(origin):
             patch = oversample_element(grid, org["element"], org["layers"])
-            solver = cache.get(patch, family)
+            # columns of one element are consecutive: reuse its solver
+            if solver is None or not np.array_equal(solver.patch.cells,
+                                                    patch.cells):
+                solver = PatchSolver(ops, aux, patch, family)
             pos = int(np.searchsorted(solver.aux_cols,
                                       org["element"] * 2 + org["mode"]))
             rhs = np.asarray(solver.U[:, pos].todense()).ravel()
@@ -187,8 +189,10 @@ def test_patch_solver_refinement_accuracy(setup, family, element, cells):
     patch = oversample_element(grid, element, 1)
     assert patch.cells.size == cells
     solver = PatchSolver(ops, aux, patch, family)
-    # the factor holds the patch stiffness alone; the penalty enters by Woodbury
-    assert solver.lu.shape == (solver.n, solver.n)
+    # one factor of the bordered quasi-definite matrix [[A, U], [U^T, -I]],
+    # with the same symmetric permutation on rows and columns: no pivoting
+    assert solver.lu.shape == (solver.n + solver.k, solver.n + solver.k)
+    assert np.array_equal(solver.lu.perm_r, solver.lu.perm_c)
     rng = np.random.default_rng(3)
     rhs = rng.normal(size=solver.n)
     psi = solver.solve(rhs)
