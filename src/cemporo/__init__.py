@@ -10,19 +10,17 @@ from .grid import (GridPair, Patch, PartitionOfUnity, build_grids,
                    partition_of_unity)
 from .material import MaterialField, lame_from_E, load_field, save_field, \
     synth_channels
-from .assembly import (OperatorSet, DofMap, assemble_operators,
-                       assemble_load, restrict, export_operator)
+from .assembly import OperatorSet, DofMap, assemble_operators, assemble_load
 from .spectral import (AuxBasis, solve_local_spectral, build_aux_basis,
                        project_pi, spectral_diagnostics, SpectralDiagnostics)
 from .cembasis import (MultiscaleSpace, PatchSolver, build_offline_basis,
                        build_element_basis, build_global_basis_oracle,
                        galerkin_project)
 from .timestepping import (TimeGrid, State, FineSolver, CoarseSolver,
-                           NumericalFailure, initial_state,
-                           fine_initial_state, run, save_snapshots)
+                           NumericalFailure, fine_initial_state, run)
 from .online import (ResidualSet, IndicatorSet, OnlineConfig, Enricher,
                      compute_residuals, select_regions)
-from .report import (EnrichmentHistory, energy_errors, export_history,
+from .report import (EnrichmentHistory, energy_errors,
                      export_field_snapshots, render_percent)
 
 __version__ = "0.1.0"

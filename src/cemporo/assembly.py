@@ -40,12 +40,20 @@ class DofMap:
         """Positions of the given fine nodes in the interior ordering (-1 if absent)."""
         return self._node_pos[np.asarray(nodes)]
 
-    def u_positions(self, nodes):
-        """Interleaved interior displacement positions for the given nodes."""
+    def index(self, nodes, family):
+        """Interior positions of the family's unknowns at the given fine nodes.
+
+        Pressure has one unknown per node ("p"), displacement the interleaved
+        pair ("u"). A local solve reads its forms as `form[idx][:, idx]`.
+        """
         p = self.node_positions(nodes)
+        if p.size == 0:
+            raise ValueError("patch has no interior unknowns")
         if np.any(p < 0):
             raise ValueError("node is not an interior unknown")
-        return np.column_stack([2 * p, 2 * p + 1]).ravel()
+        if family == "u":
+            return np.column_stack([2 * p, 2 * p + 1]).ravel()
+        return p
 
     def restrict_p(self, full):
         return np.asarray(full)[self.p_nodes]
@@ -143,7 +151,6 @@ class OperatorSet:
         udofs = np.empty((nc, 8), dtype=np.int64)
         udofs[:, 0::2] = 2 * nodes
         udofs[:, 1::2] = 2 * nodes + 1
-        self._cell_udofs = udofs
         self.stiff_u_full = self._scalar_csr(self.cell_stiff_u, udofs, 2 * nn)
         self.aux_u_full = self._scalar_csr(self.cell_aux_u, udofs, 2 * nn)
         rows = np.repeat(nodes, 8, axis=1).ravel()
@@ -166,13 +173,13 @@ class OperatorSet:
         cols = np.tile(cell_dofs, (1, k)).ravel()
         return sp.csr_matrix((cell_mats.ravel(), (rows, cols)), shape=(n, n))
 
-    def local_matrices(self, cells, names=("stiff_u", "stiff_p", "aux_u", "aux_p")):
-        """Assemble the named forms over a subset of fine cells, all their nodes.
+    def local_matrices(self, cells):
+        """Assemble the stiffness and spectral weight forms over a subset of
+        fine cells, all their nodes.
 
         Returns (nodes, mats) where nodes are the global fine nodes in
         ascending order and each matrix uses that local numbering (pressure
-        forms size len(nodes), displacement forms twice that, coupling
-        shaped pressure x displacement).
+        forms size len(nodes), displacement forms twice that).
         """
         cells = np.asarray(cells)
         cell_nodes = self._cell_nodes[cells]
@@ -183,78 +190,13 @@ class OperatorSet:
         uloc[:, 0::2] = 2 * loc
         uloc[:, 1::2] = 2 * loc + 1
         out = {}
-        for name in names:
+        for name in ("stiff_u", "stiff_p", "aux_u", "aux_p"):
             mats = getattr(self, "cell_" + name)[cells]
-            if name in ("stiff_p", "mass_p", "aux_p"):
+            if name.endswith("_p"):
                 out[name] = self._scalar_csr(mats, loc, nl).toarray()
-            elif name == "coupling":
-                rows = np.repeat(loc, 8, axis=1).ravel()
-                cols = np.tile(uloc, (1, 4)).ravel()
-                out[name] = sp.csr_matrix(
-                    (mats.ravel(), (rows, cols)), shape=(nl, 2 * nl)).toarray()
             else:
                 out[name] = self._scalar_csr(mats, uloc, 2 * nl).toarray()
         return nodes, out
-
-
-class _Restricted:
-    """A global interior form, sliced to the patch's unknowns when first read.
-
-    `rows` and `cols` name the index attributes of the patch ("u_index" or
-    "p_index"). The slice is stored on the instance, which then shadows this
-    descriptor.
-    """
-
-    def __init__(self, rows, cols):
-        self.rows = rows
-        self.cols = cols
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, po, owner=None):
-        if po is None:
-            return self
-        rows, cols = getattr(po, self.rows), getattr(po, self.cols)
-        mat = getattr(po.ops, self.name)[rows][:, cols].tocsc()
-        po.__dict__[self.name] = mat
-        return mat
-
-
-class PatchOperators:
-    """Interior-unknown restrictions of the assembled forms to one patch.
-
-    Each form is sliced from the global one on first access only; a patch
-    solver reads two of the six.
-    """
-
-    stiff_u = _Restricted("u_index", "u_index")
-    stiff_p = _Restricted("p_index", "p_index")
-    mass_p = _Restricted("p_index", "p_index")
-    aux_u = _Restricted("u_index", "u_index")
-    aux_p = _Restricted("p_index", "p_index")
-    coupling = _Restricted("p_index", "u_index")
-
-    def __init__(self, ops, patch):
-        if patch.n_interior == 0:
-            raise ValueError("patch has no interior unknowns")
-        self.ops = ops
-        self.patch = patch
-        self.nodes = patch.interior_fine_nodes
-        d = ops.dofs
-        self.p_index = d.node_positions(self.nodes)
-        if np.any(self.p_index < 0):
-            raise AssertionError("patch interior node missing from global interior set")
-        self.u_index = np.column_stack(
-            [2 * self.p_index, 2 * self.p_index + 1]).ravel()
-
-    @property
-    def n_u(self):
-        return self.u_index.size
-
-    @property
-    def n_p(self):
-        return self.p_index.size
 
 
 def assemble_operators(grid, field, pou):
@@ -291,14 +233,3 @@ def assemble_load(grid, source, t=0.0):
     np.add.at(out, grid.fine_cell_nodes(), cellwise)
     return out
 
-
-def restrict(ops, patch):
-    return PatchOperators(ops, patch)
-
-
-def export_operator(ops, name, path):
-    """Matrix Market dump of one interior-restricted operator."""
-    from scipy.io import mmwrite
-    if not hasattr(ops, name):
-        raise ValueError("unknown operator '%s'" % name)
-    mmwrite(path, sp.coo_matrix(getattr(ops, name)))

@@ -21,14 +21,11 @@ solves every column seeded in it and frees the factorization before the next
 one is built.
 """
 
-import json
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import oversample_element
-from .assembly import restrict
 
 
 def spd_factor(A):
@@ -48,20 +45,17 @@ class PatchSolver:
     """Penalized local solver for one family on one patch."""
 
     def __init__(self, ops, aux, patch, family):
-        po = restrict(ops, patch)
+        idx = ops.dofs.index(patch.interior_fine_nodes, family)
         self.patch = patch
         self.family = family
+        self.index = idx
         cols = aux.columns_in_cells(family, patch.cells)
         if family == "u":
-            self.A = po.stiff_u
-            R = aux.R_u[po.u_index][:, cols]
-            self.U = (po.aux_u @ R).tocsc()
-            self.index = po.u_index
+            stiff, weight, R = ops.stiff_u, ops.aux_u, aux.R_u
         else:
-            self.A = po.stiff_p
-            R = aux.R_p[po.p_index][:, cols]
-            self.U = (po.aux_p @ R).tocsc()
-            self.index = po.p_index
+            stiff, weight, R = ops.stiff_p, ops.aux_p, aux.R_p
+        self.A = stiff[idx][:, idx].tocsc()
+        self.U = (weight[idx][:, idx].tocsc() @ R[idx][:, cols]).tocsc()
         self.aux_cols = cols
         self.n, self.k = self.U.shape
         self.lu = spd_factor(sp.bmat(
@@ -130,19 +124,6 @@ class MultiscaleSpace:
         out.origin_u = list(self.origin_u)
         out.origin_p = list(self.origin_p)
         return out
-
-    def save(self, stem):
-        """Binary dump of both basis matrices plus a provenance manifest."""
-        np.savez(stem + "_basis.npz",
-                 u_data=self.basis_u.data, u_indices=self.basis_u.indices,
-                 u_indptr=self.basis_u.indptr, u_shape=self.basis_u.shape,
-                 p_data=self.basis_p.data, p_indices=self.basis_p.indices,
-                 p_indptr=self.basis_p.indptr, p_shape=self.basis_p.shape)
-        with open(stem + "_basis.json", "w") as fh:
-            json.dump({"layers": self.layers,
-                       "origin_u": self.origin_u,
-                       "origin_p": self.origin_p}, fh, indent=1)
-            fh.write("\n")
 
 
 def _element_columns(ops, aux, solver, element, layers):

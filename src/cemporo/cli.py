@@ -17,12 +17,11 @@ import sys
 import numpy as np
 
 from .grid import build_grids, partition_of_unity
-from .material import MaterialField, load_field, save_field, synth_channels
+from .material import load_field, save_field, synth_channels
 from .assembly import assemble_operators
 from .spectral import build_aux_basis, spectral_diagnostics
 from .cembasis import build_offline_basis
-from .timestepping import (TimeGrid, NumericalFailure, run, FineSolver,
-                           CoarseSolver, fine_initial_state)
+from .timestepping import TimeGrid, NumericalFailure, run
 from .online import Enricher, OnlineConfig
 from .report import (EnrichmentHistory, energy_errors,
                      export_field_snapshots)
@@ -160,11 +159,15 @@ def build_field(cfg, grid, seed_override=None):
     else:
         syn = mat["synth"]
         seed = syn["seed"] if seed_override is None else seed_override
-        field = synth_channels(
-            grid, syn["background"], syn["contrast"],
-            n_channels=syn["n_channels"], n_inclusions=syn["n_inclusions"],
-            seed=seed, poisson=sc["poisson"], alpha=sc["alpha"],
-            biot_modulus=sc["biot_modulus"], viscosity=sc["viscosity"])
+        try:
+            field = synth_channels(
+                grid, syn["background"], syn["contrast"],
+                n_channels=syn["n_channels"],
+                n_inclusions=syn["n_inclusions"], seed=seed,
+                poisson=sc["poisson"], alpha=sc["alpha"],
+                biot_modulus=sc["biot_modulus"], viscosity=sc["viscosity"])
+        except ValueError as err:
+            raise ConfigError("material.synth: %s" % err)
     return field
 
 
@@ -202,24 +205,16 @@ class Experiment:
             self.reference = run(self.ops, self.time_grid, self.source,
                                  self.p0)
 
-    def online_config(self, overrides=None):
-        onl = dict(self.cfg["online"])
-        if overrides:
-            onl.update(overrides)
-        return OnlineConfig(theta=onl["theta"], gamma=onl["gamma"],
-                            layers=onl["layers"], strategy=onl["strategy"],
-                            iterations=onl["iterations"], tol=onl["tol"],
-                            eps=onl["eps"])
-
     def run_multiscale(self, overrides=None):
         """Multiscale trajectory on a copy of the offline space.
 
-        Returns (states, history rows, final space size tuple)."""
-        cfg = self.cfg
-        onl = dict(cfg["online"])
-        if overrides:
-            onl.update(overrides)
-        ocfg = self.online_config(overrides)
+        `overrides` replace entries of the online configuration. Returns
+        (states, history rows, final space)."""
+        onl = dict(self.cfg["online"], **(overrides or {}))
+        ocfg = OnlineConfig(theta=onl["theta"], gamma=onl["gamma"],
+                            layers=onl["layers"], strategy=onl["strategy"],
+                            iterations=onl["iterations"], tol=onl["tol"],
+                            eps=onl["eps"])
         steps = schedule_steps(onl["schedule"], self.time_grid.n_steps)
         space = self.space.copy()
         enricher = Enricher(self.ops, self.aux, self.pou, ocfg)
@@ -312,20 +307,9 @@ def cmd_compare(cfg, out_dir, seed_override=None):
     for variant in variants:
         overrides = {k: v for k, v in variant.items() if k != "name"}
         _, rows, _ = exp.run_multiscale(overrides)
-        for row in rows:
-            row = dict(row)
-            row["variant"] = variant["name"]
-            merged.append(row)
+        merged += [dict(row, variant=variant["name"]) for row in rows]
     path = os.path.join(out_dir, "compare.csv")
-    with open(path, "w", newline="") as fh:
-        import csv as _csv
-        from .report import HISTORY_COLUMNS, _format_value
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["variant"] + HISTORY_COLUMNS)
-        for row in merged:
-            writer.writerow([row["variant"]] +
-                            [_format_value(c, row.get(c, np.nan))
-                             for c in HISTORY_COLUMNS])
+    EnrichmentHistory(merged).to_csv(path)
     sys.stdout.write("wrote %s (%d rows)\n" % (path, len(merged)))
     return 0
 

@@ -104,12 +104,6 @@ class GridPair:
         fj = np.arange(cy0 * r, (cy1 + 1) * r + 1)
         return np.sort((fj[:, None] * (self.nfx + 1) + fi[None, :]).ravel())
 
-    def is_boundary_fine_node(self, nodes):
-        nodes = np.asarray(nodes)
-        i = nodes % (self.nfx + 1)
-        j = nodes // (self.nfx + 1)
-        return (i == 0) | (i == self.nfx) | (j == 0) | (j == self.nfy)
-
     def cells_touching_coarse_node(self, m):
         """Coarse cells having coarse node m as a corner (the node neighborhood)."""
         i = m % (self.ncx + 1)

@@ -133,6 +133,10 @@ def synth_channels(grid, background, contrast, n_channels=4, n_inclusions=8,
             axis = k % 2
             span = grid.nfy if axis == 0 else grid.nfx
             other = grid.nfx if axis == 0 else grid.nfy
+            if other < 4:
+                raise ValueError(
+                    "random channels need at least 4 fine cells a side; the "
+                    "fine grid is %d x %d" % (grid.nfx, grid.nfy))
             pos = int(rng.integers(span // 8, span - span // 8))
             thick = int(rng.integers(1, max(2, span // 25) + 1))
             start = int(rng.integers(0, other // 4))

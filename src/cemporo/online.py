@@ -14,7 +14,6 @@ from typing import Optional
 import numpy as np
 
 from .grid import oversample_element, oversample_neighborhood
-from .assembly import restrict
 from .cembasis import PatchSolver, spd_factor
 
 
@@ -68,7 +67,7 @@ def select_regions(indicators, bulk):
     Regions are ordered by descending indicator with ascending-index
     tie-break; the count is the smallest m whose excluded tail satisfies
     sum_{i>m} eta_i^2 < bulk * sum_i eta_i^2. bulk = 0 selects every region
-    with a nonzero indicator.
+    with a nonzero indicator, and no bulk selects a region with a zero one.
     """
     eta = np.asarray(indicators, dtype=float)
     if np.any(eta < 0.0):
@@ -82,7 +81,9 @@ def select_regions(indicators, bulk):
         return order[eta[order] > 0.0]
     tail = total - np.cumsum(sq)
     m = int(np.searchsorted(-tail, -bulk * total, side="right")) + 1
-    m = min(m, eta.size)
+    # the rounded tail can stay above a tiny threshold past the last
+    # nonzero indicator
+    m = min(m, np.count_nonzero(eta))
     return order[:m]
 
 
@@ -114,10 +115,10 @@ class Enricher:
     def _riesz_solver(self, family, region):
         key = (family, region)
         if key not in self._riesz:
-            po = restrict(self.ops, self._region_patch(region, 0))
-            mat = po.stiff_u if family == "u" else po.stiff_p
-            index = po.u_index if family == "u" else po.p_index
-            self._riesz[key] = (spd_factor(mat), index)
+            patch = self._region_patch(region, 0)
+            idx = self.ops.dofs.index(patch.interior_fine_nodes, family)
+            mat = self.ops.stiff_u if family == "u" else self.ops.stiff_p
+            self._riesz[key] = (spd_factor(mat[idx][:, idx]), idx)
         return self._riesz[key]
 
     def _global_riesz_solver(self, family):
@@ -303,11 +304,4 @@ class Enricher:
                 if cfg.eps is not None and abs(prev_eta - row["eta"]) <= cfg.eps:
                     break
         return state
-
-
-def compute_indicators(ops, aux, pou, config, tau, state, prev, load):
-    """Convenience wrapper for one-off indicator evaluation."""
-    enr = Enricher(ops, aux, pou, config)
-    res = compute_residuals(ops, tau, state, prev, load)
-    return enr.compute_indicators(res)
 

@@ -34,9 +34,19 @@ def render_percent(x, digits=2):
 
 
 def _format_value(col, v):
+    if col == "variant":
+        return str(v)
     if col in _INT_COLUMNS:
         return "%d" % int(v)
     return "%.6g" % float(v)
+
+
+def _parse_value(col, text):
+    if col == "variant":
+        return text
+    if col in _INT_COLUMNS:
+        return int(text)
+    return float(text)
 
 
 class EnrichmentHistory:
@@ -64,15 +74,22 @@ class EnrichmentHistory:
         return True
 
     def to_csv(self, path_or_buf):
-        """Six-significant-digit CSV, one row per (level, iteration)."""
+        """Six-significant-digit CSV, one row per (level, iteration).
+
+        Rows that carry a `variant` name, as `cemporo compare` makes, get it
+        as a leading column.
+        """
+        columns = HISTORY_COLUMNS
+        if any("variant" in row for row in self.rows):
+            columns = ["variant"] + HISTORY_COLUMNS
         own = isinstance(path_or_buf, str)
         fh = open(path_or_buf, "w", newline="") if own else path_or_buf
         try:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(HISTORY_COLUMNS)
+            writer.writerow(columns)
             for row in self.rows:
                 writer.writerow([_format_value(c, row.get(c, np.nan))
-                                 for c in HISTORY_COLUMNS])
+                                 for c in columns])
         finally:
             if own:
                 fh.close()
@@ -84,27 +101,26 @@ class EnrichmentHistory:
         try:
             reader = csv.reader(fh)
             header = next(reader)
-            if header != HISTORY_COLUMNS:
+            if header not in (HISTORY_COLUMNS, ["variant"] + HISTORY_COLUMNS):
                 raise ValueError("unrecognized history header: %r" % header)
-            rows = []
-            for parts in reader:
-                if not parts:
-                    continue
-                row = {}
-                for col, val in zip(HISTORY_COLUMNS, parts):
-                    row[col] = int(val) if col in _INT_COLUMNS else float(val)
-                rows.append(row)
-            return cls(rows)
+            return cls([{col: _parse_value(col, val)
+                         for col, val in zip(header, parts)}
+                        for parts in reader if parts])
         finally:
             if own:
                 fh.close()
 
     def to_text(self):
-        """Terminal table with percent-rendered errors."""
+        """Terminal table with percent-rendered errors; a line names each
+        variant where its rows begin."""
         out = io.StringIO()
         out.write("level iter    dof_u    dof_p     err_u     err_p"
                   "        eta  added\n")
+        variant = None
         for r in self.rows:
+            if r.get("variant", variant) != variant:
+                variant = r["variant"]
+                out.write("variant %s\n" % variant)
             eu = r.get("err_u", np.nan)
             ep = r.get("err_p", np.nan)
             out.write("%5d %4d %8d %8d %9s %9s %10.4g %3d+%d\n" % (
@@ -114,13 +130,6 @@ class EnrichmentHistory:
                 r.get("eta", np.nan),
                 r.get("added_u", 0), r.get("added_p", 0)))
         return out.getvalue()
-
-
-def export_history(history, path):
-    if isinstance(history, list):
-        history = EnrichmentHistory(history)
-    history.to_csv(path)
-    return history
 
 
 def export_field_snapshots(ops, state, stem):

@@ -10,7 +10,6 @@ down the multiscale basis.
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 
 def _fix_signs(vecs):

@@ -104,9 +104,6 @@ class FineSolver:
             except RuntimeError as err:
                 raise NumericalFailure("fine step factorization failed: %s" % err)
 
-    def initial_state(self, p0):
-        return fine_initial_state(self.ops, p0)
-
     def step(self, prev, load, n):
         self._factorize()
         ops = self.ops
@@ -178,15 +175,6 @@ class CoarseSolver:
         return State(n, space.basis_u @ uc, space.basis_p @ pc, self._tag())
 
 
-def initial_state(ops, p0, space=None, tau=None):
-    """Initial condition in the fine space or projected onto a multiscale space."""
-    state = fine_initial_state(ops, p0)
-    if space is None:
-        return state
-    return CoarseSolver(ops, space, tau if tau is not None else 1.0
-                        ).initial_state(state.p)
-
-
 def run(ops, time_grid, source, p0, space=None, hook=None, solver=None):
     """March the full trajectory.
 
@@ -197,10 +185,9 @@ def run(ops, time_grid, source, p0, space=None, hook=None, solver=None):
     if solver is None:
         solver = (FineSolver(ops, time_grid.tau) if space is None
                   else CoarseSolver(ops, space, time_grid.tau))
+    state = fine_initial_state(ops, p0)
     if isinstance(solver, CoarseSolver):
-        state = solver.initial_state(fine_initial_state(ops, p0).p)
-    else:
-        state = solver.initial_state(p0)
+        state = solver.initial_state(state.p)
     states = [state]
     for n in range(1, time_grid.n_steps + 1):
         load = ops.dofs.restrict_p(
@@ -211,18 +198,3 @@ def run(ops, time_grid, source, p0, space=None, hook=None, solver=None):
         states.append(new)
     return states
 
-
-def save_snapshots(states, stem):
-    """Binary trajectory dump with a small manifest."""
-    import json
-    arrays = {}
-    manifest = []
-    for k, st in enumerate(states):
-        arrays["u_%d" % k] = st.u
-        arrays["p_%d" % k] = st.p
-        manifest.append({"level": st.n, "space": st.space_tag,
-                         "n_u": int(st.u.size), "n_p": int(st.p.size)})
-    np.savez(stem + "_states.npz", **arrays)
-    with open(stem + "_states.json", "w") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")

@@ -5,11 +5,12 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
-from cemporo.assembly import (DofMap, assemble_load, assemble_operators,
-                              export_operator, restrict)
+from cemporo.assembly import DofMap, assemble_load, assemble_operators
+from cemporo.cembasis import PatchSolver
 from cemporo.grid import Patch, build_grids, oversample_element, \
     partition_of_unity
 from cemporo.material import MaterialField, synth_channels
+from cemporo.spectral import build_aux_basis
 
 # 3-point Gauss-Legendre on [0,1]: the polynomial forms are integrated
 # exactly by both this and the module's 2-point rule, so agreement across
@@ -207,18 +208,29 @@ def test_dofmap_roundtrip():
     npt.assert_array_equal(d.restrict_u(d.extend_u(u)), u)
     # boundary nodes carry no interior position
     assert d.node_positions([0])[0] == -1
-    with pytest.raises(ValueError):
-        d.u_positions([0])
+    with pytest.raises(ValueError, match="not an interior unknown"):
+        d.index([0], "u")
+    with pytest.raises(ValueError, match="no interior unknowns"):
+        d.index(np.array([], dtype=np.int64), "p")
+    # displacement positions interleave the pressure position of each node
+    nodes = grid.interior_fine_nodes[[4, 0, 7]]
+    p = d.index(nodes, "p")
+    npt.assert_array_equal(d.p_nodes[p], nodes)
+    npt.assert_array_equal(d.index(nodes, "u"),
+                           np.column_stack([2 * p, 2 * p + 1]).ravel())
 
 
 def test_patch_restriction_submatrix(setup):
     grid, _, _, ops = setup
     patch = oversample_element(grid, 0, 1)
-    po = restrict(ops, patch)
-    sub = ops.stiff_p[np.ix_(po.p_index, po.p_index)].toarray()
-    npt.assert_array_equal(po.stiff_p.toarray(), sub)
-    subu = ops.stiff_u[np.ix_(po.u_index, po.u_index)].toarray()
-    npt.assert_array_equal(po.stiff_u.toarray(), subu)
+    aux = build_aux_basis(ops, 1)
+    for family, form in (("p", ops.stiff_p), ("u", ops.stiff_u)):
+        index = ops.dofs.index(patch.interior_fine_nodes, family)
+        sub = form[np.ix_(index, index)].toarray()
+        # the patch solver's stiffness is the slice of the global form
+        solver = PatchSolver(ops, aux, patch, family)
+        npt.assert_array_equal(solver.index, index)
+        npt.assert_array_equal(solver.A.toarray(), sub)
 
 
 def test_disjoint_patch_union_is_block_diagonal():
@@ -228,21 +240,9 @@ def test_disjoint_patch_union_is_block_diagonal():
     a = oversample_element(grid, 0, 0)
     b = oversample_element(grid, 15, 0)
     union = Patch(grid, np.concatenate([a.cells, b.cells]), "union", 0, 0)
-    po_a = restrict(ops, a)
-    po_b = restrict(ops, b)
-    po_u = restrict(ops, union)
-    merged = sp.block_diag([po_a.stiff_p, po_b.stiff_p]).toarray()
-    npt.assert_array_equal(po_u.stiff_p.toarray(), merged)
-    npt.assert_array_equal(po_u.p_index,
-                           np.concatenate([po_a.p_index, po_b.p_index]))
-
-
-def test_export_operator_roundtrip(tmp_path, setup):
-    from scipy.io import mmread
-    _, _, _, ops = setup
-    path = str(tmp_path / "stiff_p.mtx")
-    export_operator(ops, "stiff_p", path)
-    back = mmread(path)
-    npt.assert_allclose(back.toarray(), ops.stiff_p.toarray(), atol=0)
-    with pytest.raises(ValueError):
-        export_operator(ops, "not_a_matrix", str(tmp_path / "x.mtx"))
+    idx_a, idx_b, idx_u = (ops.dofs.index(q.interior_fine_nodes, "p")
+                           for q in (a, b, union))
+    merged = sp.block_diag([ops.stiff_p[idx_a][:, idx_a],
+                            ops.stiff_p[idx_b][:, idx_b]]).toarray()
+    npt.assert_array_equal(ops.stiff_p[idx_u][:, idx_u].toarray(), merged)
+    npt.assert_array_equal(idx_u, np.concatenate([idx_a, idx_b]))

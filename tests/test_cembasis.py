@@ -1,7 +1,5 @@
 """Multiscale basis construction: patch solves, decay, projections."""
 
-import json
-import os
 import weakref
 
 import numpy as np
@@ -10,9 +8,9 @@ import pytest
 
 from cemporo import cembasis
 from cemporo.assembly import assemble_operators
-from cemporo.cembasis import (MultiscaleSpace, PatchSolver,
-                              build_element_basis, build_global_basis_oracle,
-                              build_offline_basis, galerkin_project)
+from cemporo.cembasis import (PatchSolver, build_element_basis,
+                              build_global_basis_oracle, build_offline_basis,
+                              galerkin_project)
 from cemporo.grid import build_grids, oversample_element, partition_of_unity
 from cemporo.material import synth_channels
 from cemporo.spectral import build_aux_basis
@@ -152,19 +150,6 @@ def test_space_copy_is_independent(setup):
     clone.append("p", [np.zeros(ops.dofs.n_p)], [{"kind": "online"}])
     assert clone.n_p == space.n_p + 1
     assert space.origin_p[-1]["kind"] == "offline"
-
-
-def test_space_save(tmp_path, setup):
-    _, ops, aux = setup
-    space = build_offline_basis(ops, aux, 1)
-    stem = str(tmp_path / "space")
-    space.save(stem)
-    data = np.load(stem + "_basis.npz")
-    assert tuple(data["u_shape"]) == (ops.dofs.n_u, space.n_u)
-    with open(stem + "_basis.json") as fh:
-        manifest = json.load(fh)
-    assert manifest["layers"] == 1
-    assert len(manifest["origin_p"]) == space.n_p
 
 
 def test_galerkin_projection_matrices(setup):

@@ -137,6 +137,17 @@ def test_exit_code_bad_threads(tmp_path):
     assert rc == 1
 
 
+def test_exit_code_grid_too_small_for_field(tmp_path, capsys):
+    cfg = {"mesh": {"ncx": 2, "ncy": 2, "refinement": 1}}
+    resolve_config(cfg)  # the mesh itself is valid
+    for command in ("run", "make-field"):
+        rc = main([command, "--config", _write(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "2 x 2" in err
+
+
 def test_exit_code_numerical_failure(tmp_path, capsys):
     cfg = dict(TINY, snapshots=False, reference=False)
     cfg["online"] = {"layers": 1, "iterations": 0, "schedule": "none"}
@@ -221,6 +232,12 @@ def test_compare_command(tmp_path, capsys):
     assert len(lines) == 5  # two variants, two rows each
     assert sum(1 for ln in lines if ln.startswith("eager,")) == 2
     assert sum(1 for ln in lines if ln.startswith("picky,")) == 2
+    # report reads what compare writes
+    capsys.readouterr()
+    assert main(["report", "--history", str(out / "compare.csv")]) == 0
+    text = capsys.readouterr().out
+    assert "variant eager" in text and "variant picky" in text
+    assert len(text.strip().split("\n")) == 7  # header, 2 names, 4 rows
 
 
 def test_compare_rejects_missing_variants(tmp_path):

@@ -113,3 +113,24 @@ def test_synth_rejects_bad_parameters():
         synth_channels(g, 0.0, 10.0)
     with pytest.raises(ValueError):
         synth_channels(g, 1.0, 0.5)
+
+
+def test_synth_rejects_grid_too_small_for_channels():
+    # a random channel starts in the first quarter of the other side, which
+    # needs at least 4 fine cells
+    g = build_grids(2, 2, 1)
+    with pytest.raises(ValueError, match="2 x 2"):
+        synth_channels(g, 1.0, 10.0, seed=0)
+    # explicit or no channels draw nothing across
+    synth_channels(g, 1.0, 10.0, n_channels=0, n_inclusions=0)
+    synth_channels(g, 1.0, 10.0, n_inclusions=0, channels=[(0, 1, 1, 0, 2)])
+
+
+def test_synth_seeded_fields_unchanged():
+    # high-contrast cells of seeded fields, recorded before the grid check
+    g = build_grids(2, 2, 2)  # 4 x 4 fine cells, the smallest drawable grid
+    f = synth_channels(g, 1.0, 100.0, n_channels=1, n_inclusions=2, seed=5)
+    assert np.flatnonzero(f.E > 1.0).tolist() == [0, 4, 8, 9, 10, 12, 13, 14]
+    f = synth_channels(build_grids(5, 5, 4), 1.0, 1e4, seed=3)
+    high = np.flatnonzero(f.E > 1.0)
+    assert (high.size, int(high.sum())) == (87, 16113)

@@ -3,15 +3,15 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cemporo.assembly import assemble_load, assemble_operators
 from cemporo.cembasis import PatchSolver, build_offline_basis
 from cemporo.grid import (build_grids, oversample_element,
                           oversample_neighborhood, partition_of_unity)
-from cemporo.material import synth_channels
-from cemporo.online import (Enricher, OnlineConfig, compute_indicators,
+from cemporo.material import MaterialField, synth_channels
+from cemporo.online import (Enricher, OnlineConfig, ResidualSet,
                             compute_residuals, select_regions)
 from cemporo.spectral import build_aux_basis
 from cemporo.timestepping import CoarseSolver, TimeGrid, run
@@ -132,6 +132,9 @@ def test_select_regions_bulk_property(values, bulk):
                 max_size=30),
        st.floats(0.0, 1.0, allow_nan=False),
        st.floats(0.0, 1.0, allow_nan=False))
+# a tiny bulk once selected the zero indicators as well
+@example([0.0, 0.0, 0.0, 0.0, 181.0, 181.0, 444.0, 2.9], 0.0,
+         2.225073858507e-311)
 def test_select_regions_monotone_in_bulk(values, b1, b2):
     lo, hi = min(b1, b2), max(b1, b2)
     eta = np.asarray(values)
@@ -161,8 +164,9 @@ def test_indicator_regions_by_strategy(setup):
     for strategy, expected in (
             ("neighborhood", ops.grid.interior_coarse_nodes),
             ("element", np.arange(ops.grid.n_coarse_cells))):
-        ind = compute_indicators(ops, aux, pou, OnlineConfig(strategy=strategy),
-                                 tg.tau, coarse[1], coarse[0], loads[1])
+        res = compute_residuals(ops, tg.tau, coarse[1], coarse[0], loads[1])
+        ind = Enricher(ops, aux, pou,
+                       OnlineConfig(strategy=strategy)).compute_indicators(res)
         npt.assert_array_equal(ind.regions, expected)
         assert ind.eta_u.shape == expected.shape
         assert np.all(ind.eta_u >= 0) and np.all(ind.eta_p >= 0)
@@ -269,6 +273,66 @@ def test_adaptive_loop_history_and_tolerance(setup):
                              history=hist2)
     assert len(hist2) == 1
     assert out is states2[1]
+
+
+def test_adaptive_loop_stagnation_guard_stops_fixed_loop(setup):
+    ops, aux, pou, space, tg, fine, loads = setup
+    solver = CoarseSolver(ops, space.copy(), tg.tau)
+    states = run(ops, tg, _source, _p0, solver=solver)
+    res = compute_residuals(ops, tg.tau, states[1], states[0], loads[1])
+    eta0 = sum(Enricher(ops, aux, pou, OnlineConfig()).global_norms(res))
+    # no change of eta can exceed eps, so the first iteration stagnates
+    enr = Enricher(ops, aux, pou, OnlineConfig(
+        theta=0.5, gamma=0.5, layers=1, iterations=5, eps=10 * eta0))
+    history = []
+    enr.adaptive_loop(solver, states[1], states[0], loads[1], history=history)
+    assert [row["iteration"] for row in history] == [0, 1]
+    assert history[0]["eta"] == pytest.approx(eta0, rel=1e-12)
+    assert history[1]["added_u"] + history[1]["added_p"] > 0
+
+
+def test_adaptive_loop_tolerance_loop_iterates_to_tol(setup):
+    ops, aux, pou, space, tg, fine, loads = setup
+
+    def loop(cfg):
+        solver = CoarseSolver(ops, space.copy(), tg.tau)
+        states = run(ops, tg, _source, _p0, solver=solver)
+        history = []
+        Enricher(ops, aux, pou, cfg).adaptive_loop(
+            solver, states[1], states[0], loads[1], history=history)
+        return [row["eta"] for row in history]
+
+    fixed = loop(OnlineConfig(theta=0.5, gamma=0.5, layers=1, iterations=2))
+    tol = 0.5 * (fixed[0] + min(fixed[1:]))
+    eps = 1e-12 * fixed[0]
+    etas = loop(OnlineConfig(theta=0.5, gamma=0.5, layers=1, iterations=5,
+                             tol=tol, eps=eps))
+    # the tolerance loop follows the fixed one and stops at the first
+    # iterate inside tol + eps
+    assert len(etas) >= 2
+    assert etas == fixed[:len(etas)]
+    assert etas[-1] <= tol + eps
+    assert all(eta > tol + eps for eta in etas[:-1])
+
+
+def test_patch_without_interior_unknowns_is_rejected():
+    # with one fine cell per coarse cell, a zero-layer element patch is a
+    # single fine cell and has no interior node
+    grid = build_grids(2, 2, 1)
+    ones = np.ones(grid.n_fine_cells)
+    field = MaterialField(grid, ones, ones, 0.2, 0.9, 1.0, 1.0)
+    pou = partition_of_unity(grid)
+    ops = assemble_operators(grid, field, pou)
+    aux = build_aux_basis(ops, 1)
+    patch = oversample_element(grid, 0, 0)
+    assert patch.n_interior == 0
+    for family in ("u", "p"):
+        with pytest.raises(ValueError, match="no interior unknowns"):
+            PatchSolver(ops, aux, patch, family)
+    enr = Enricher(ops, aux, pou, OnlineConfig(strategy="element"))
+    res = ResidualSet(1, np.ones(ops.dofs.n_u), np.ones(ops.dofs.n_p))
+    with pytest.raises(ValueError, match="no interior unknowns"):
+        enr.compute_indicators(res)
 
 
 def test_config_validation():

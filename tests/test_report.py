@@ -9,7 +9,7 @@ import pytest
 from cemporo.assembly import assemble_operators
 from cemporo.grid import build_grids, partition_of_unity
 from cemporo.material import MaterialField
-from cemporo.report import (EnrichmentHistory, energy_errors, export_history,
+from cemporo.report import (EnrichmentHistory, energy_errors,
                             export_field_snapshots, render_percent)
 from cemporo.timestepping import State
 
@@ -131,9 +131,24 @@ def test_history_to_text():
 
 def test_export_history_accepts_plain_rows(tmp_path):
     path = str(tmp_path / "out.csv")
-    hist = export_history(_rows(), path)
+    hist = EnrichmentHistory(_rows())
+    hist.to_csv(path)
     assert isinstance(hist, EnrichmentHistory)
     assert EnrichmentHistory.from_csv(path) == hist
+
+
+def test_variant_rows_roundtrip(tmp_path):
+    rows = [dict(r, variant=name)
+            for name in ("fast", "slow, careful") for r in _rows()]
+    path = str(tmp_path / "compare.csv")
+    EnrichmentHistory(rows).to_csv(path)
+    with open(path) as fh:
+        assert fh.readline().startswith("variant,level,")
+    back = EnrichmentHistory.from_csv(path)
+    assert back == EnrichmentHistory(rows)
+    assert [r["variant"] for r in back.rows] == [r["variant"] for r in rows]
+    text = back.to_text()
+    assert "variant fast" in text and "variant slow, careful" in text
 
 
 def test_export_field_snapshots(tmp_path, ops):

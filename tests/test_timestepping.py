@@ -13,8 +13,7 @@ from cemporo.material import MaterialField, synth_channels
 from cemporo.online import compute_residuals
 from cemporo.spectral import build_aux_basis
 from cemporo.timestepping import (CoarseSolver, FineSolver, NumericalFailure,
-                                  State, TimeGrid, fine_initial_state,
-                                  initial_state, run, save_snapshots)
+                                  State, TimeGrid, fine_initial_state, run)
 
 
 def _source(t, x, y):
@@ -181,7 +180,7 @@ def test_coarse_initial_state_projection(setup):
     aux = build_aux_basis(ops, 2)
     space = build_offline_basis(ops, aux, 1)
     p_fine = fine_initial_state(ops, _p0).p
-    st = initial_state(ops, _p0, space=space, tau=0.1)
+    st = CoarseSolver(ops, space, 0.1).initial_state(p_fine)
     # flow-form projection: the defect is stiffness-orthogonal to the space
     defect = ops.stiff_p @ (st.p - p_fine)
     npt.assert_allclose(space.basis_p.T @ defect, 0.0,
@@ -215,13 +214,3 @@ def test_lstsq_failure_raises():
     with pytest.raises(NumericalFailure):
         CoarseSolver._lstsq(bad, np.ones(2))
 
-
-def test_save_snapshots(tmp_path, setup):
-    _, ops = setup
-    tg = TimeGrid(0.1, 2)
-    states = run(ops, tg, _source, _p0)
-    stem = str(tmp_path / "traj")
-    save_snapshots(states, stem)
-    data = np.load(stem + "_states.npz")
-    assert "p_2" in data
-    npt.assert_array_equal(data["p_2"], states[2].p)
