@@ -232,7 +232,3 @@ class CoarseOperators:
                                getattr(previous, "mass_p", None))
         self.coupling = _project(ops.coupling, Rp, Ru,
                                  getattr(previous, "coupling", None))
-
-
-def galerkin_project(ops, space, previous=None):
-    return CoarseOperators(ops, space, previous)

@@ -13,6 +13,7 @@ import copy
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -41,9 +42,8 @@ _DEFAULTS = {
                 "viscosity": 1.0},
     "time": {"tau": 0.05, "T": 1.0},
     "offline": {"modes": 2, "layers": 2},
-    "online": {"theta": 0.3, "gamma": 0.3, "layers": 2,
-               "strategy": "neighborhood", "iterations": 1,
-               "schedule": "final-step", "tol": None, "eps": None},
+    "online": dict({f.name: f.default for f in fields(OnlineConfig)},
+                   schedule="final-step"),
     "source": {"kind": "constant", "value": 1.0},
     "initial_pressure": {"kind": "bump", "scale": 100.0},
     "reference": True,
@@ -62,6 +62,31 @@ def _merge(defaults, given):
     return out
 
 
+def _reject_unknown(where, keys, known):
+    unknown = set(keys) - set(known)
+    if unknown:
+        raise ConfigError("unknown %s keys: %s"
+                          % (where, ", ".join(sorted(unknown))))
+
+
+def _online_config(section, where="online"):
+    """Check a merged online section, `schedule` included.
+
+    Returns (OnlineConfig, schedule); OnlineConfig checks its own fields."""
+    _reject_unknown(where, section, _DEFAULTS["online"])
+    sched = section["schedule"]
+    if not (sched in ("none", "final-step")
+            or (isinstance(sched, dict) and set(sched) == {"every"}
+                and isinstance(sched["every"], int) and sched["every"] > 0)):
+        raise ConfigError("%s.schedule must be 'none', 'final-step' or "
+                          "{'every': k}" % where)
+    try:
+        return OnlineConfig(**{k: v for k, v in section.items()
+                               if k != "schedule"}), sched
+    except (TypeError, ValueError) as err:
+        raise ConfigError("%s: %s" % (where, err))
+
+
 def load_config(path):
     try:
         with open(path) as fh:
@@ -76,36 +101,41 @@ def load_config(path):
 
 
 def resolve_config(raw):
-    known = set(_DEFAULTS) | {"variants"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError("unknown configuration keys: %s"
-                          % ", ".join(sorted(unknown)))
+    _reject_unknown("configuration", raw, list(_DEFAULTS) + ["variants"])
     cfg = _merge(_DEFAULTS, raw)
+    for name, default in _DEFAULTS.items():
+        if isinstance(default, dict) and not isinstance(cfg[name], dict):
+            raise ConfigError("%s must be an object" % name)
+    # material, source and initial_pressure also take keys (file, values)
+    # that have no default
+    for name in ("mesh", "scalars", "time", "offline"):
+        _reject_unknown(name, cfg[name], _DEFAULTS[name])
     mesh = cfg["mesh"]
     for key in ("ncx", "ncy", "refinement"):
-        if not isinstance(mesh.get(key), int) or mesh[key] < 1:
+        if not isinstance(mesh[key], int) or mesh[key] < 1:
             raise ConfigError("mesh.%s must be a positive integer" % key)
-    if cfg["time"]["tau"] <= 0 or cfg["time"]["T"] <= 0:
-        raise ConfigError("time.tau and time.T must be positive")
+    try:
+        TimeGrid.from_horizon(cfg["time"]["tau"], cfg["time"]["T"])
+    except (TypeError, ValueError) as err:
+        raise ConfigError("time: %s" % err)
     off = cfg["offline"]
     if not isinstance(off["modes"], int) or off["modes"] < 1:
         raise ConfigError("offline.modes must be a positive integer")
+    if off["modes"] > (mesh["refinement"] + 1) ** 2:
+        raise ConfigError("offline.modes must not exceed the %d pressure "
+                          "unknowns of a coarse cell"
+                          % (mesh["refinement"] + 1) ** 2)
     if not isinstance(off["layers"], int) or off["layers"] < 0:
         raise ConfigError("offline.layers must be a nonnegative integer")
-    onl = cfg["online"]
-    if onl["strategy"] not in ("neighborhood", "element"):
-        raise ConfigError("online.strategy must be neighborhood or element")
-    if not 0.0 <= onl["theta"] <= 1.0 or not 0.0 <= onl["gamma"] <= 1.0:
-        raise ConfigError("online.theta and online.gamma must lie in [0, 1]")
-    if not isinstance(onl["iterations"], int) or onl["iterations"] < 0:
-        raise ConfigError("online.iterations must be a nonnegative integer")
-    sched = onl["schedule"]
-    if not (sched in ("none", "final-step")
-            or (isinstance(sched, dict) and isinstance(sched.get("every"), int)
-                and sched["every"] > 0)):
-        raise ConfigError("online.schedule must be 'none', 'final-step' or "
-                          "{'every': k}")
+    _online_config(cfg["online"])
+    variants = cfg.get("variants", [])
+    if not isinstance(variants, list):
+        raise ConfigError("variants must be a list")
+    for k, variant in enumerate(variants):
+        if not isinstance(variant, dict) or "name" not in variant:
+            raise ConfigError("each variant needs at least a 'name'")
+        overrides = {key: v for key, v in variant.items() if key != "name"}
+        _online_config(dict(cfg["online"], **overrides), "variants[%d]" % k)
     if cfg["source"]["kind"] not in ("constant", "separable-sine",
                                      "time-scaled-sine", "table"):
         raise ConfigError("unknown source.kind %r" % cfg["source"]["kind"])
@@ -210,12 +240,9 @@ class Experiment:
 
         `overrides` replace entries of the online configuration. Returns
         (states, history rows, final space)."""
-        onl = dict(self.cfg["online"], **(overrides or {}))
-        ocfg = OnlineConfig(theta=onl["theta"], gamma=onl["gamma"],
-                            layers=onl["layers"], strategy=onl["strategy"],
-                            iterations=onl["iterations"], tol=onl["tol"],
-                            eps=onl["eps"])
-        steps = schedule_steps(onl["schedule"], self.time_grid.n_steps)
+        ocfg, sched = _online_config(dict(self.cfg["online"],
+                                          **(overrides or {})))
+        steps = schedule_steps(sched, self.time_grid.n_steps)
         space = self.space.copy()
         enricher = Enricher(self.ops, self.aux, self.pou, ocfg)
         rows = []
@@ -295,16 +322,12 @@ def cmd_make_field(cfg, out_stem, seed_override=None):
 
 
 def cmd_compare(cfg, out_dir, seed_override=None):
-    variants = cfg.get("variants")
-    if not variants or not isinstance(variants, list):
+    if not cfg.get("variants"):
         raise ConfigError("compare needs a nonempty 'variants' list")
-    for v in variants:
-        if not isinstance(v, dict) or "name" not in v:
-            raise ConfigError("each variant needs at least a 'name'")
     os.makedirs(out_dir, exist_ok=True)
     exp = Experiment(cfg, seed_override)
     merged = []
-    for variant in variants:
+    for variant in cfg["variants"]:
         overrides = {k: v for k, v in variant.items() if k != "name"}
         _, rows, _ = exp.run_multiscale(overrides)
         merged += [dict(row, variant=variant["name"]) for row in rows]

@@ -6,7 +6,6 @@ assembly routines.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class GridPair:
@@ -210,38 +209,13 @@ def oversample_neighborhood(grid, node, layers):
 class PartitionOfUnity:
     """Bilinear coarse hat functions sampled at fine nodes.
 
-    One column per coarse node (all of them, so the columns sum to one at
-    every fine node); `interior_nodes` lists the coarse nodes that seed
-    enrichment regions.
+    There is one hat per coarse node, boundary nodes included, so the hats
+    sum to one at every fine node.
     """
 
     def __init__(self, grid):
         self.grid = grid
-        self.interior_nodes = grid.interior_coarse_nodes
-
-        xy = grid.fine_node_xy()
-        r = grid.refinement
-        cols = []
-        rows = []
-        vals = []
-        for m in range(grid.n_coarse_nodes):
-            i = m % (grid.ncx + 1)
-            j = m // (grid.ncx + 1)
-            fi0 = max(i - 1, 0) * r
-            fi1 = min(i + 1, grid.ncx) * r
-            fj0 = max(j - 1, 0) * r
-            fj1 = min(j + 1, grid.ncy) * r
-            fi = np.arange(fi0, fi1 + 1)
-            fj = np.arange(fj0, fj1 + 1)
-            nodes = (fj[:, None] * (grid.nfx + 1) + fi[None, :]).ravel()
-            v = self._hat(m, xy[nodes, 0], xy[nodes, 1])
-            keep = v != 0.0
-            rows.append(nodes[keep])
-            cols.append(np.full(keep.sum(), m, dtype=np.int64))
-            vals.append(v[keep])
-        self.values = sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(grid.n_fine_nodes, grid.n_coarse_nodes))
+        self._xy = grid.fine_node_xy()
 
     def _hat(self, m, x, y):
         g = self.grid
@@ -253,7 +227,7 @@ class PartitionOfUnity:
 
     def vector(self, m):
         """Dense fine-nodal sample vector of hat m."""
-        return np.asarray(self.values[:, m].todense()).ravel()
+        return self._hat(m, self._xy[:, 0], self._xy[:, 1])
 
     def grad_sq_sum(self, x, y):
         """Sum over all hats of |grad chi|^2 at the given points.

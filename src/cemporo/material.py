@@ -149,8 +149,9 @@ def synth_channels(grid, background, contrast, n_channels=4, n_inclusions=8,
             E[start:end, pos:pos + thick] = high
 
     for _ in range(n_inclusions):
-        w = int(rng.integers(1, max(2, grid.nfx // 12) + 1))
-        hgt = int(rng.integers(1, max(2, grid.nfy // 12) + 1))
+        # the caps bind only on a grid one fine cell wide or high
+        w = min(int(rng.integers(1, max(2, grid.nfx // 12) + 1)), grid.nfx)
+        hgt = min(int(rng.integers(1, max(2, grid.nfy // 12) + 1)), grid.nfy)
         i0 = int(rng.integers(0, grid.nfx - w + 1))
         j0 = int(rng.integers(0, grid.nfy - hgt + 1))
         E[j0:j0 + hgt, i0:i0 + w] = high

@@ -8,6 +8,7 @@ a new basis function, and the step is re-solved in the enlarged space. All
 solves of one iteration use the residual snapshot taken at its start.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,6 +36,7 @@ class IndicatorSet:
 
 @dataclass
 class OnlineConfig:
+    """Settings of the online stage; every rule on them is checked here."""
     theta: float = 0.3
     gamma: float = 0.3
     layers: int = 2
@@ -44,10 +46,17 @@ class OnlineConfig:
     eps: Optional[float] = None
 
     def __post_init__(self):
+        optional = [v for v in (self.tol, self.eps) if v is not None]
+        if not all(isinstance(v, numbers.Real)
+                   for v in [self.theta, self.gamma] + optional):
+            raise TypeError("theta, gamma, tol and eps must be numbers")
         if not 0.0 <= self.theta <= 1.0 or not 0.0 <= self.gamma <= 1.0:
             raise ValueError("bulk tolerances must lie in [0, 1]")
         if self.strategy not in ("neighborhood", "element"):
             raise ValueError("strategy must be 'neighborhood' or 'element'")
+        if not all(isinstance(v, numbers.Integral)
+                   for v in (self.layers, self.iterations)):
+            raise TypeError("layers and iterations must be integers")
         if self.layers < 0 or self.iterations < 0:
             raise ValueError("layers and iterations must be nonnegative")
 
@@ -260,7 +269,8 @@ class Enricher:
 
     def adaptive_loop(self, solver, state, prev, load, reference=None,
                       history=None):
-        """Run the configured iterations (or the tolerance loop) at one level.
+        """Enrich and re-solve one level until the iteration cap, the
+        tolerance or stagnation of the dual norm stops the loop.
 
         Appends one record per iterate, the incoming state included, to the
         history (a list of dicts) and returns the final state.
@@ -284,24 +294,16 @@ class Enricher:
             records.append(row)
             return row
 
+        # with tol, eps defaults to 0 and iterations 0 means a cap of 100
+        eps = 0.0 if cfg.eps is None and cfg.tol is not None else cfg.eps
+        cap = cfg.iterations or (100 if cfg.tol is not None else 0)
         row = record(0, state)
-        if cfg.tol is not None:
-            k = 0
-            eps = cfg.eps if cfg.eps is not None else 0.0
-            max_iter = cfg.iterations if cfg.iterations > 0 else 100
-            while row["eta"] > cfg.tol + eps and k < max_iter:
-                k += 1
-                prev_eta = row["eta"]
-                state, au, ap = self.enrich_once(solver, state, prev, load, k)
-                row = record(k, state, au, ap)
-                if abs(prev_eta - row["eta"]) <= eps:
-                    break
-        else:
-            for k in range(1, cfg.iterations + 1):
-                prev_eta = row["eta"]
-                state, au, ap = self.enrich_once(solver, state, prev, load, k)
-                row = record(k, state, au, ap)
-                if cfg.eps is not None and abs(prev_eta - row["eta"]) <= cfg.eps:
-                    break
+        k = 0
+        while k < cap and (cfg.tol is None or row["eta"] > cfg.tol + eps):
+            k += 1
+            prev_eta = row["eta"]
+            state, au, ap = self.enrich_once(solver, state, prev, load, k)
+            row = record(k, state, au, ap)
+            if eps is not None and abs(prev_eta - row["eta"]) <= eps:
+                break
         return state
-

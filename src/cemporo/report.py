@@ -100,7 +100,9 @@ class EnrichmentHistory:
         fh = open(path_or_buf, newline="") if own else path_or_buf
         try:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("empty history file")
             if header not in (HISTORY_COLUMNS, ["variant"] + HISTORY_COLUMNS):
                 raise ValueError("unrecognized history header: %r" % header)
             return cls([{col: _parse_value(col, val)

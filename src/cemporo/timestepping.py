@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_load
-from .cembasis import galerkin_project, spd_factor
+from .cembasis import CoarseOperators, spd_factor
 
 
 class NumericalFailure(RuntimeError):
@@ -44,6 +44,8 @@ class TimeGrid:
 
     @classmethod
     def from_horizon(cls, tau, T):
+        if not tau > 0.0:
+            raise ValueError("step size must be positive")
         n = int(round(T / tau))
         if n < 1 or abs(n * tau - T) > 1e-9 * max(T, 1.0):
             raise ValueError("final time is not a positive multiple of the step size")
@@ -55,7 +57,6 @@ class State:
     n: int
     u: np.ndarray
     p: np.ndarray
-    space_tag: str = "fine"
 
 
 def _nodal_pressure_load(ops, p0):
@@ -122,7 +123,6 @@ class CoarseSolver:
         self.ops = ops
         self.tau = float(tau)
         self.space = None
-        self.generation = 0
         self.set_space(space)
 
     def set_space(self, space):
@@ -130,16 +130,12 @@ class CoarseSolver:
         `append` grew it, only the appended rows and columns are projected."""
         previous = self.co if space is self.space else None
         self.space = space
-        self.co = galerkin_project(self.ops, space, previous)
+        self.co = CoarseOperators(self.ops, space, previous)
         co = self.co
         self.block = np.vstack([
             np.hstack([co.stiff_u, -co.coupling.T]),
             np.hstack([co.coupling, co.mass_p + self.tau * co.stiff_p])])
         self.n_u = space.n_u
-        self.generation += 1
-
-    def _tag(self):
-        return "multiscale-%d" % self.generation
 
     @staticmethod
     def _lstsq(mat, rhs):
@@ -160,7 +156,7 @@ class CoarseSolver:
         p = space.basis_p @ pc
         uc = self._lstsq(self.co.stiff_u, self.co.coupling.T @ pc)
         u = space.basis_u @ uc
-        return State(0, u, p, self._tag())
+        return State(0, u, p)
 
     def step(self, prev, load, n):
         """Advance one step; previous-step data is read from the fine lifts."""
@@ -172,7 +168,7 @@ class CoarseSolver:
         sol = self._lstsq(self.block, rhs)
         uc = sol[:self.n_u]
         pc = sol[self.n_u:]
-        return State(n, space.basis_u @ uc, space.basis_p @ pc, self._tag())
+        return State(n, space.basis_u @ uc, space.basis_p @ pc)
 
 
 def run(ops, time_grid, source, p0, space=None, hook=None, solver=None):

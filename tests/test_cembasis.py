@@ -8,9 +8,9 @@ import pytest
 
 from cemporo import cembasis
 from cemporo.assembly import assemble_operators
-from cemporo.cembasis import (PatchSolver, build_element_basis,
-                              build_global_basis_oracle, build_offline_basis,
-                              galerkin_project)
+from cemporo.cembasis import (CoarseOperators, PatchSolver,
+                              build_element_basis, build_global_basis_oracle,
+                              build_offline_basis)
 from cemporo.grid import build_grids, oversample_element, partition_of_unity
 from cemporo.material import synth_channels
 from cemporo.spectral import build_aux_basis
@@ -155,7 +155,7 @@ def test_space_copy_is_independent(setup):
 def test_galerkin_projection_matrices(setup):
     _, ops, aux = setup
     space = build_offline_basis(ops, aux, 2)
-    co = galerkin_project(ops, space)
+    co = CoarseOperators(ops, space)
     R = space.basis_p.toarray()
     npt.assert_allclose(co.stiff_p, R.T @ ops.stiff_p.toarray() @ R,
                         atol=1e-12)

@@ -1,5 +1,6 @@
 """Configuration handling and the command line entry point."""
 
+import importlib.util
 import json
 import math
 import os
@@ -7,9 +8,14 @@ import os
 import numpy as np
 import pytest
 
+from cemporo import cli
 from cemporo.cli import (ConfigError, load_config, main, make_initial_pressure,
                          make_source, resolve_config, schedule_steps)
 from cemporo.report import EnrichmentHistory
+
+from conftest import FROZEN
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TINY = {
     "mesh": {"ncx": 2, "ncy": 2, "refinement": 2},
@@ -62,12 +68,69 @@ def test_resolve_config_rejects_unknown_keys():
     {"online": {"iterations": -1}},
     {"online": {"schedule": "sometimes"}},
     {"online": {"schedule": {"every": 0}}},
+    {"online": {"schedule": {"every": 2, "evrey": 1}}},
+    {"online": {"tol": "small"}},
+    {"mesh": 4},
+    {"time": {"tau": 0.0}},
+    # a 2x2 refinement-2 mesh has 9 pressure unknowns per coarse cell
+    {"mesh": {"ncx": 2, "ncy": 2, "refinement": 2}, "offline": {"modes": 200}},
+    {"variants": {"name": "solo"}},
+    {"variants": [{"theta": 0.5}]},
     {"source": {"kind": "impulse"}},
     {"initial_pressure": {"kind": "spike"}},
 ])
 def test_resolve_config_validation(patch):
     with pytest.raises(ConfigError):
         resolve_config(patch)
+
+
+# each must fail when the configuration is loaded: not in a traceback after
+# the set-up, and not by being accepted
+BAD_INPUTS = {
+    "online-layers-negative": {"online": {"layers": -1}},
+    "online-theta-string": {"online": {"theta": "0.3"}},
+    "time-not-a-multiple": {"time": {"tau": 0.3, "T": 1.0}},
+    "variant-theta-out-of-range": {"variants": [{"name": "bad",
+                                                 "theta": 1.5}]},
+    "online-layers-fraction": {"online": {"layers": 1.5}},
+    "variant-unknown-key": {"variants": [{"name": "typo", "thetta": 0.5}]},
+    "mesh-unknown-key": {"mesh": {"nxc": 4}},
+    "online-unknown-key": {"online": {"thetta": 0.5}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_inputs_are_configuration_errors(name, tmp_path, capsys,
+                                             monkeypatch):
+    patch = BAD_INPUTS[name]
+    with pytest.raises(ConfigError):
+        resolve_config(dict(TINY, **patch))
+
+    def no_experiment(*args, **kwargs):
+        raise AssertionError("operators assembled for a bad configuration")
+
+    monkeypatch.setattr(cli, "Experiment", no_experiment)
+    command = "compare" if "variants" in patch else "run"
+    rc = main([command, "--config", _write(tmp_path, dict(TINY, **patch)),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def _load_by_path(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_resolve_config_accepts_benchmark_inputs():
+    # a stricter rule must not reject the acceptance or benchmark configs
+    resolve_config(FROZEN)
+    workloads = _load_by_path("perfbench_workloads",
+                              os.path.join(ROOT, "perfbench", "workloads.py"))
+    for name in workloads.WORKLOADS:
+        resolve_config(workloads.make_config(name, 1))
 
 
 def test_load_config_errors(tmp_path):
@@ -256,6 +319,11 @@ def test_report_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "25.00%" in out and "12.50%" in out
     assert main(["report", "--history", str(tmp_path / "nope.csv")]) == 1
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["report", "--history", str(empty)]) == 1
+    assert "configuration error: cannot read history: empty history" \
+        in capsys.readouterr().err
 
 
 def test_cli_runs_artifacts(cli_runs):

@@ -126,6 +126,14 @@ def test_synth_rejects_grid_too_small_for_channels():
     synth_channels(g, 1.0, 10.0, n_inclusions=0, channels=[(0, 1, 1, 0, 2)])
 
 
+def test_synth_inclusions_fit_a_grid_one_fine_cell_across():
+    # inclusion sides are drawn up to 2 cells and capped at the grid
+    f = synth_channels(build_grids(8, 1, 1), 1.0, 10.0, n_channels=1, seed=2)
+    assert f.E.size == 8 and f.E.max() == 10.0
+    f = synth_channels(build_grids(1, 8, 1), 1.0, 10.0, n_channels=0, seed=2)
+    assert f.E.size == 8 and f.E.max() == 10.0
+
+
 def test_synth_seeded_fields_unchanged():
     # high-contrast cells of seeded fields, recorded before the grid check
     g = build_grids(2, 2, 2)  # 4 x 4 fine cells, the smallest drawable grid

@@ -221,6 +221,7 @@ def test_enrich_once_decreases_dual_norms(setup):
                    OnlineConfig(theta=0.5, gamma=0.5, layers=1))
     res0 = compute_residuals(ops, tg.tau, states[1], states[0], loads[1])
     before = sum(enr.global_norms(res0))
+    n_u, n_p = solver.space.n_u, solver.space.n_p
     state, added_u, added_p = enr.enrich_once(
         solver, states[1], states[0], loads[1], 1)
     assert added_u > 0 and added_p > 0
@@ -228,7 +229,10 @@ def test_enrich_once_decreases_dual_norms(setup):
     after = sum(enr.global_norms(res1))
     assert after < before
     # the re-solve happened in the enlarged space
-    assert state.space_tag != states[1].space_tag
+    assert (solver.space.n_u, solver.space.n_p) == (n_u + added_u,
+                                                    n_p + added_p)
+    assert solver.co.stiff_u.shape[0] == n_u + added_u
+    assert solver.co.stiff_p.shape[0] == n_p + added_p
 
 
 def test_adaptive_loop_zero_iterations(setup):
@@ -346,3 +350,11 @@ def test_config_validation():
         OnlineConfig(layers=-1)
     with pytest.raises(ValueError):
         OnlineConfig(iterations=-2)
+    with pytest.raises(TypeError):
+        OnlineConfig(layers=1.5)
+    with pytest.raises(TypeError):
+        OnlineConfig(iterations=2.0)
+    with pytest.raises(TypeError):
+        OnlineConfig(theta="0.3")
+    with pytest.raises(TypeError):
+        OnlineConfig(tol="small")

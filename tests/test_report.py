@@ -98,6 +98,11 @@ def test_history_rejects_foreign_header():
         EnrichmentHistory.from_csv(buf)
 
 
+def test_history_rejects_empty_file():
+    with pytest.raises(ValueError, match="empty history"):
+        EnrichmentHistory.from_csv(io.StringIO(""))
+
+
 def test_history_empty_roundtrip():
     buf = io.StringIO()
     EnrichmentHistory().to_csv(buf)
