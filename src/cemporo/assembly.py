@@ -4,7 +4,10 @@ Bilinear quadrilaterals, 2x2 Gauss quadrature, coefficients constant per fine
 cell. Displacement unknowns are interleaved (x-component at 2*n, y-component
 at 2*n+1 for fine node n). Assembled matrices are kept both over all nodes
 and restricted to interior (Dirichlet-eliminated) unknowns; per-cell element
-matrices are retained for local Neumann problems on coarse cells.
+matrices are retained for local Neumann problems on coarse cells. The split
+into the displacement ("u") and pressure ("p") families lives here alone:
+`layout` places a family's unknowns, and `DofMap` and `OperatorSet` answer
+for either family, rejecting any other with a ValueError.
 """
 
 import numpy as np
@@ -23,6 +26,25 @@ def _shape_values():
     return N, dNdX, dNdY
 
 
+_WIDTH = {"u": 2, "p": 1}  # unknowns per fine node
+
+
+def check_family(family):
+    """The family itself if it is "u" or "p"; otherwise a ValueError."""
+    if family not in _WIDTH:
+        raise ValueError("family must be 'u' or 'p'")
+    return family
+
+
+def layout(positions, family):
+    """Positions of the family's unknowns at the given node positions, node
+    by node: component c of node n sits at n * width + c, so the two
+    displacement components are interleaved. Works on any trailing axis."""
+    k = _WIDTH[check_family(family)]
+    pos = np.asarray(positions)
+    return (pos[..., None] * k + np.arange(k)).reshape(*pos.shape[:-1], -1)
+
+
 class DofMap:
     """Interior-unknown bookkeeping for one grid."""
 
@@ -30,8 +52,7 @@ class DofMap:
         self.grid = grid
         self.p_nodes = grid.interior_fine_nodes
         self.n_p = self.p_nodes.size
-        self.u_dofs = np.column_stack([2 * self.p_nodes,
-                                       2 * self.p_nodes + 1]).ravel()
+        self.u_dofs = layout(self.p_nodes, "u")
         self.n_u = self.u_dofs.size
         self._node_pos = np.full(grid.n_fine_nodes, -1, dtype=np.int64)
         self._node_pos[self.p_nodes] = np.arange(self.n_p)
@@ -51,9 +72,16 @@ class DofMap:
             raise ValueError("patch has no interior unknowns")
         if np.any(p < 0):
             raise ValueError("node is not an interior unknown")
-        if family == "u":
-            return np.column_stack([2 * p, 2 * p + 1]).ravel()
-        return p
+        return layout(p, family)
+
+    def size(self, family):
+        """Number of the family's interior unknowns."""
+        return self.n_p * _WIDTH[check_family(family)]
+
+    def spread(self, values, family):
+        """One value per interior node, repeated on each of the family's
+        unknowns at that node."""
+        return np.repeat(values, _WIDTH[check_family(family)])
 
     def restrict_p(self, full):
         return np.asarray(full)[self.p_nodes]
@@ -148,9 +176,7 @@ class OperatorSet:
         self.stiff_p_full = self._scalar_csr(self.cell_stiff_p, nodes, nn)
         self.mass_p_full = self._scalar_csr(self.cell_mass_p, nodes, nn)
         self.aux_p_full = self._scalar_csr(self.cell_aux_p, nodes, nn)
-        udofs = np.empty((nc, 8), dtype=np.int64)
-        udofs[:, 0::2] = 2 * nodes
-        udofs[:, 1::2] = 2 * nodes + 1
+        udofs = layout(nodes, "u")
         self.stiff_u_full = self._scalar_csr(self.cell_stiff_u, udofs, 2 * nn)
         self.aux_u_full = self._scalar_csr(self.cell_aux_u, udofs, 2 * nn)
         rows = np.repeat(nodes, 8, axis=1).ravel()
@@ -165,6 +191,14 @@ class OperatorSet:
         self.aux_u = self.aux_u_full[d.u_dofs][:, d.u_dofs].tocsr()
         self.aux_p = self.aux_p_full[d.p_nodes][:, d.p_nodes].tocsr()
         self.coupling = self.coupling_full[d.p_nodes][:, d.u_dofs].tocsr()
+
+    def stiffness(self, family):
+        """The family's stiffness form over interior unknowns."""
+        return getattr(self, "stiff_" + check_family(family))
+
+    def weight(self, family):
+        """The family's spectral weight mass over interior unknowns."""
+        return getattr(self, "aux_" + check_family(family))
 
     @staticmethod
     def _scalar_csr(cell_mats, cell_dofs, n):
@@ -185,18 +219,28 @@ class OperatorSet:
         cell_nodes = self._cell_nodes[cells]
         nodes = np.unique(cell_nodes)
         loc = np.searchsorted(nodes, cell_nodes)
-        nl = nodes.size
-        uloc = np.empty((cells.size, 8), dtype=np.int64)
-        uloc[:, 0::2] = 2 * loc
-        uloc[:, 1::2] = 2 * loc + 1
         out = {}
-        for name in ("stiff_u", "stiff_p", "aux_u", "aux_p"):
-            mats = getattr(self, "cell_" + name)[cells]
-            if name.endswith("_p"):
-                out[name] = self._scalar_csr(mats, loc, nl).toarray()
-            else:
-                out[name] = self._scalar_csr(mats, uloc, 2 * nl).toarray()
+        for family in ("u", "p"):
+            dofs = layout(loc, family)
+            for form in ("stiff", "aux"):
+                name = "%s_%s" % (form, family)
+                out[name] = self._scalar_csr(
+                    getattr(self, "cell_" + name)[cells], dofs,
+                    _WIDTH[family] * nodes.size).toarray()
         return nodes, out
+
+    def kernel(self, family, nodes):
+        """Energy kernel of the family's `local_matrices` forms on `nodes`:
+        the two translations and the rotation, which bilinear elements
+        reproduce exactly, or the constant pressure."""
+        if check_family(family) == "p":
+            return np.ones((nodes.size, 1))
+        r = self.grid.fine_node_xy(nodes)
+        r = r - r.mean(axis=0)
+        motions = np.zeros((nodes.size, 2, 3))  # node, component, motion
+        motions[:, :, :2] = np.eye(2)
+        motions[:, :, 2] = r[:, ::-1] * [-1.0, 1.0]
+        return motions.reshape(-1, 3)  # node by node, as `layout` orders
 
 
 def assemble_operators(grid, field, pou):

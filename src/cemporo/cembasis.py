@@ -18,13 +18,16 @@ factorized once with a symmetric fill-reducing ordering and no pivoting.
 Each solve is followed by one step of iterative refinement on the defining
 equation. The offline basis factorizes each distinct patch rectangle once,
 solves every column seeded in it and frees the factorization before the next
-one is built.
+one is built. Both families take this path, with their forms and columns
+from the operators and the auxiliary basis; `PatchSolver.column` builds
+offline and online columns alike.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .assembly import check_family
 from .grid import oversample_element
 
 
@@ -49,13 +52,11 @@ class PatchSolver:
         self.patch = patch
         self.family = family
         self.index = idx
+        self.size = ops.dofs.size(family)
         cols = aux.columns_in_cells(family, patch.cells)
-        if family == "u":
-            stiff, weight, R = ops.stiff_u, ops.aux_u, aux.R_u
-        else:
-            stiff, weight, R = ops.stiff_p, ops.aux_p, aux.R_p
-        self.A = stiff[idx][:, idx].tocsc()
-        self.U = (weight[idx][:, idx].tocsc() @ R[idx][:, cols]).tocsc()
+        self.A = ops.stiffness(family)[idx][:, idx].tocsc()
+        self.U = (ops.weight(family)[idx][:, idx].tocsc()
+                  @ aux.columns(family)[idx][:, cols]).tocsc()
         self.aux_cols = cols
         self.n, self.k = self.U.shape
         self.lu = spd_factor(sp.bmat(
@@ -70,6 +71,12 @@ class PatchSolver:
         x = self._apply(rhs)
         # one refinement pass keeps the variational residual at round-off
         return x + self._apply(rhs - self.A @ x - self.U @ (self.U.T @ x))
+
+    def column(self, rhs):
+        """`solve`, zero-extended to every interior unknown of the family."""
+        full = np.zeros(self.size)
+        full[self.index] = self.solve(rhs)
+        return full
 
     def residual(self, psi, rhs):
         """Norm of A psi + U U^T psi - rhs, the defining equation of the solve."""
@@ -108,14 +115,15 @@ class MultiscaleSpace:
     def n_p(self):
         return self.basis_p.shape[1]
 
+    def basis(self, family):
+        """The family's basis, basis_u or basis_p."""
+        return getattr(self, "basis_" + check_family(family))
+
     def append(self, family, columns, origins):
         cols = sp.csc_matrix(np.column_stack(columns))
-        if family == "u":
-            self.basis_u = sp.hstack([self.basis_u, cols], format="csc")
-            self.origin_u.extend(origins)
-        else:
-            self.basis_p = sp.hstack([self.basis_p, cols], format="csc")
-            self.origin_p.extend(origins)
+        setattr(self, "basis_" + family,
+                sp.hstack([self.basis(family), cols], format="csc"))
+        getattr(self, "origin_" + family).extend(origins)
 
     def copy(self):
         out = MultiscaleSpace(self.ops, self.aux, self.layers)
@@ -126,22 +134,16 @@ class MultiscaleSpace:
         return out
 
 
-def _element_columns(ops, aux, solver, element, layers):
+def _element_columns(aux, solver, element, layers):
     """Solve the columns seeded by one element's auxiliary modes on the
     solver's patch; returns (columns, origins) as `build_element_basis`."""
-    family = solver.family
-    count = aux.n_u if family == "u" else aux.n_p
-    n_full = ops.dofs.n_u if family == "u" else ops.dofs.n_p
-    base = element * count
+    count = aux.modes(solver.family)
     cols, orig = [], []
     for j in range(count):
-        pos = np.searchsorted(solver.aux_cols, base + j)
-        rhs = np.asarray(solver.U[:, pos].todense()).ravel()
-        psi = solver.solve(rhs)
-        full = np.zeros(n_full)
-        full[solver.index] = psi
-        cols.append(full)
-        orig.append({"kind": "offline", "family": family,
+        pos = np.searchsorted(solver.aux_cols, element * count + j)
+        cols.append(solver.column(
+            np.asarray(solver.U[:, pos].todense()).ravel()))
+        orig.append({"kind": "offline", "family": solver.family,
                      "element": int(element), "mode": int(j),
                      "layers": int(layers)})
     return cols, orig
@@ -154,7 +156,7 @@ def build_element_basis(ops, aux, family, element, layers):
     element, each a full-length interior-dof vector.
     """
     patch = oversample_element(ops.grid, element, layers)
-    return _element_columns(ops, aux, PatchSolver(ops, aux, patch, family),
+    return _element_columns(aux, PatchSolver(ops, aux, patch, family),
                             element, layers)
 
 
@@ -178,7 +180,7 @@ def build_offline_basis(ops, aux, layers):
         for elements in groups.values():
             solver = PatchSolver(ops, aux, patches[elements[0]], family)
             for e in elements:
-                per_element[e] = _element_columns(ops, aux, solver, e, layers)
+                per_element[e] = _element_columns(aux, solver, e, layers)
             # free this factorization before the next one is built
             del solver
         space.append(family, [c for cols, _ in per_element for c in cols],

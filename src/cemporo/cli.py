@@ -106,10 +106,15 @@ def resolve_config(raw):
     for name, default in _DEFAULTS.items():
         if isinstance(default, dict) and not isinstance(cfg[name], dict):
             raise ConfigError("%s must be an object" % name)
-    # material, source and initial_pressure also take keys (file, values)
-    # that have no default
+    # source and initial_pressure also take a key (values) that has no
+    # default
     for name in ("mesh", "scalars", "time", "offline"):
         _reject_unknown(name, cfg[name], _DEFAULTS[name])
+    _reject_unknown("material", cfg["material"], ["synth", "file"])
+    if not isinstance(cfg["material"]["synth"], dict):
+        raise ConfigError("material.synth must be an object")
+    _reject_unknown("material.synth", cfg["material"]["synth"],
+                    _DEFAULTS["material"]["synth"])
     mesh = cfg["mesh"]
     for key in ("ncx", "ncy", "refinement"):
         if not isinstance(mesh[key], int) or mesh[key] < 1:
@@ -184,21 +189,18 @@ def make_initial_pressure(cfg, grid):
 def build_field(cfg, grid, seed_override=None):
     mat = cfg["material"]
     sc = cfg["scalars"]
-    if "file" in mat:
-        field = load_field(mat["file"], grid)
-    else:
-        syn = mat["synth"]
-        seed = syn["seed"] if seed_override is None else seed_override
-        try:
-            field = synth_channels(
-                grid, syn["background"], syn["contrast"],
-                n_channels=syn["n_channels"],
-                n_inclusions=syn["n_inclusions"], seed=seed,
-                poisson=sc["poisson"], alpha=sc["alpha"],
-                biot_modulus=sc["biot_modulus"], viscosity=sc["viscosity"])
-        except ValueError as err:
-            raise ConfigError("material.synth: %s" % err)
-    return field
+    syn = mat["synth"]
+    try:
+        if "file" in mat:
+            return load_field(mat["file"], grid)
+        return synth_channels(
+            grid, syn["background"], syn["contrast"],
+            n_channels=syn["n_channels"], n_inclusions=syn["n_inclusions"],
+            seed=syn["seed"] if seed_override is None else seed_override,
+            poisson=sc["poisson"], alpha=sc["alpha"],
+            biot_modulus=sc["biot_modulus"], viscosity=sc["viscosity"])
+    except (OSError, TypeError, ValueError) as err:
+        raise ConfigError("material: %s" % err)
 
 
 def schedule_steps(sched, n_steps):

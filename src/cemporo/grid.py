@@ -123,7 +123,7 @@ class Patch:
     topological boundary and the domain boundary.
     """
 
-    def __init__(self, grid, cells, kind, seed_index, layers):
+    def __init__(self, grid, cells):
         cells = np.unique(np.asarray(cells, dtype=np.int64))
         if cells.size == 0:
             raise ValueError("patch needs at least one coarse cell")
@@ -131,9 +131,6 @@ class Patch:
             raise ValueError("coarse cell index out of range")
         self.grid = grid
         self.cells = cells
-        self.kind = kind
-        self.seed_index = int(seed_index)
-        self.layers = int(layers)
 
         member = np.zeros(grid.n_coarse_cells, dtype=bool)
         member[cells] = True
@@ -159,9 +156,6 @@ class Patch:
                 ok &= member[grid.coarse_cell_of_fine_cell(cell)]
             interior[idx] = ok
         self.interior_fine_nodes = self.fine_nodes[interior]
-
-        self.fine_cells = np.sort(np.concatenate(
-            [grid.fine_cells_of_coarse_cell(c) for c in cells]))
 
     @property
     def n_interior(self):
@@ -190,7 +184,7 @@ def oversample_element(grid, element, layers):
     ci = element % grid.ncx
     cj = element // grid.ncx
     cells = _expand_rect(grid, ci, ci, cj, cj, layers)
-    return Patch(grid, cells, "element", element, layers)
+    return Patch(grid, cells)
 
 
 def oversample_neighborhood(grid, node, layers):
@@ -203,7 +197,7 @@ def oversample_neighborhood(grid, node, layers):
     ci = seed % grid.ncx
     cj = seed // grid.ncx
     cells = _expand_rect(grid, ci.min(), ci.max(), cj.min(), cj.max(), layers)
-    return Patch(grid, cells, "neighborhood", node, layers)
+    return Patch(grid, cells)
 
 
 class PartitionOfUnity:

@@ -5,7 +5,8 @@ coarse regions (node neighborhoods by default, single coarse cells in the
 element variant). Regions are picked by a bulk criterion on local dual norms,
 one penalized patch solve per picked region turns the localized residual into
 a new basis function, and the step is re-solved in the enlarged space. All
-solves of one iteration use the residual snapshot taken at its start.
+solves of one iteration use the residual snapshot taken at its start. Both
+families run through one loop; the operators and the space answer for each.
 """
 
 import numbers
@@ -126,14 +127,14 @@ class Enricher:
         if key not in self._riesz:
             patch = self._region_patch(region, 0)
             idx = self.ops.dofs.index(patch.interior_fine_nodes, family)
-            mat = self.ops.stiff_u if family == "u" else self.ops.stiff_p
-            self._riesz[key] = (spd_factor(mat[idx][:, idx]), idx)
+            self._riesz[key] = (
+                spd_factor(self.ops.stiffness(family)[idx][:, idx]), idx)
         return self._riesz[key]
 
     def _global_riesz_solver(self, family):
         if family not in self._global_riesz:
-            mat = self.ops.stiff_u if family == "u" else self.ops.stiff_p
-            self._global_riesz[family] = spd_factor(mat)
+            self._global_riesz[family] = spd_factor(
+                self.ops.stiffness(family))
         return self._global_riesz[family]
 
     def _localizer(self, family, region):
@@ -149,10 +150,8 @@ class Enricher:
                 ci = region % grid.ncx
                 cj = region // grid.ncx
                 w[grid.fine_nodes_of_cell_rect(ci, ci, cj, cj)] = 1.0
-            wi = w[self.ops.dofs.p_nodes]
-            if family == "u":
-                wi = np.repeat(wi, 2)
-            self._localizers[key] = wi
+            d = self.ops.dofs
+            self._localizers[key] = d.spread(w[d.p_nodes], family)
         return self._localizers[key]
 
     # ---- indicators ------------------------------------------------------
@@ -183,13 +182,9 @@ class Enricher:
         """One penalized patch solve against the localized residual."""
         patch = self._region_patch(int(region), self.config.layers)
         solver = PatchSolver(self.ops, self.aux, patch, family)
-        r = res.r_u if family == "u" else res.r_p
-        rhs = (self._localizer(family, int(region)) * r)[solver.index]
-        psi = solver.solve(rhs)
-        full = np.zeros(self.ops.dofs.n_u if family == "u"
-                        else self.ops.dofs.n_p)
-        full[solver.index] = psi
-        return full
+        r = getattr(res, "r_" + family)
+        return solver.column(
+            (self._localizer(family, int(region)) * r)[solver.index])
 
     def _filter_and_append(self, space, family, columns, origins, gram):
         """Energy near-dependence filter, then append survivors in order.
@@ -197,13 +192,8 @@ class Enricher:
         `gram` is the stiffness projected onto the family's current columns;
         it is not modified.
         """
-        ops = self.ops
-        if family == "u":
-            R = space.basis_u
-            A = ops.stiff_u
-        else:
-            R = space.basis_p
-            A = ops.stiff_p
+        R = space.basis(family)
+        A = self.ops.stiffness(family)
         G = gram
         acc_cols, acc_orig = [], []
         rms2 = float(np.mean(np.diag(G))) if G.size else 1.0
@@ -239,33 +229,27 @@ class Enricher:
         cfg = self.config
         res = compute_residuals(self.ops, solver.tau, state, prev, load)
         ind = self.compute_indicators(res)
-        sel_u = select_regions(ind.eta_u, cfg.theta)
-        sel_p = select_regions(ind.eta_p, cfg.gamma)
-
         space = solver.space
-        cols_u = [self.build_online_column("u", self.regions[i], res)
-                  for i in sel_u]
-        orig_u = [{"kind": "online", "family": "u", "strategy": cfg.strategy,
-                   "region": int(self.regions[i]), "level": int(state.n),
-                   "iteration": int(level_k), "layers": cfg.layers}
-                  for i in sel_u]
-        cols_p = [self.build_online_column("p", self.regions[i], res)
-                  for i in sel_p]
-        orig_p = [{"kind": "online", "family": "p", "strategy": cfg.strategy,
-                   "region": int(self.regions[i]), "level": int(state.n),
-                   "iteration": int(level_k), "layers": cfg.layers}
-                  for i in sel_p]
+        added = []
         # the solver's projections are current: each family's columns
-        # change only in its own append below
-        added_u = self._filter_and_append(space, "u", cols_u, orig_u,
-                                          solver.co.stiff_u)
-        added_p = self._filter_and_append(space, "p", cols_p, orig_p,
-                                          solver.co.stiff_p)
+        # change only in its own append
+        for family, eta, bulk, gram in (
+                ("u", ind.eta_u, cfg.theta, solver.co.stiff_u),
+                ("p", ind.eta_p, cfg.gamma, solver.co.stiff_p)):
+            regions = self.regions[select_regions(eta, bulk)]
+            cols = [self.build_online_column(family, region, res)
+                    for region in regions]
+            orig = [{"kind": "online", "family": family,
+                     "strategy": cfg.strategy, "region": int(region),
+                     "level": int(state.n), "iteration": int(level_k),
+                     "layers": cfg.layers} for region in regions]
+            added.append(self._filter_and_append(space, family, cols, orig,
+                                                 gram))
 
-        if added_u or added_p:
+        if any(added):
             solver.set_space(space)
             state = solver.step(prev, load, state.n)
-        return state, added_u, added_p
+        return (state, *added)
 
     def adaptive_loop(self, solver, state, prev, load, reference=None,
                       history=None):

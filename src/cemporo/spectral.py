@@ -11,6 +11,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from .assembly import check_family, layout
+
 
 def _fix_signs(vecs):
     """Flip columns so the entry of largest magnitude is positive."""
@@ -64,48 +66,28 @@ def solve_local_spectral(ops, element, n_u, n_p=None, extra=4):
     Returns an ElementSpectra with all eigenvalues (ascending) and the first
     n_u / n_p eigenvectors plus `extra` spares, mass-orthonormal, signs fixed.
     """
-    grid = ops.grid
     if n_p is None:
         n_p = n_u
-    cells = grid.fine_cells_of_coarse_cell(element)
+    cells = ops.grid.fine_cells_of_coarse_cell(element)
     nodes, mats = ops.local_matrices(cells)
-    nu_dim = 2 * nodes.size
-    np_dim = nodes.size
-    if n_u < 1 or n_u > nu_dim or n_p < 1 or n_p > np_dim:
+    if n_u < 1 or n_u > 2 * nodes.size or n_p < 1 or n_p > nodes.size:
         raise ValueError("requested eigenpair count outside the local dimension")
-
-    # the energy kernels are known in closed form: the two translations and
-    # the rotation (linear fields are reproduced exactly by bilinear
-    # elements), and the constant pressure
-    xy = grid.fine_node_xy(nodes)
-    center = xy.mean(axis=0)
-    ker_u = np.zeros((nu_dim, 3))
-    ker_u[0::2, 0] = 1.0
-    ker_u[1::2, 1] = 1.0
-    ker_u[0::2, 2] = -(xy[:, 1] - center[1])
-    ker_u[1::2, 2] = xy[:, 0] - center[0]
-
-    su = 0.5 * (mats["aux_u"] + mats["aux_u"].T)
-    au = 0.5 * (mats["stiff_u"] + mats["stiff_u"].T)
-    wu, vu = _deflated_eigh(au, su, ker_u)
-    ku = min(nu_dim, n_u + extra)
-    vu = _fix_signs(vu[:, :ku])
-
-    sp_ = 0.5 * (mats["aux_p"] + mats["aux_p"].T)
-    ap = 0.5 * (mats["stiff_p"] + mats["stiff_p"].T)
-    wp, vp = _deflated_eigh(ap, sp_, np.ones((np_dim, 1)))
-    kp = min(np_dim, n_p + extra)
-    vp = _fix_signs(vp[:, :kp])
-
-    return ElementSpectra(element, nodes, wu, vu, wp, vp)
+    out = []
+    for family, count in (("u", n_u), ("p", n_p)):
+        S = mats["aux_" + family]
+        A = mats["stiff_" + family]
+        w, v = _deflated_eigh(0.5 * (A + A.T), 0.5 * (S + S.T),
+                              ops.kernel(family, nodes))
+        out += [w, _fix_signs(v[:, :min(v.shape[1], count + extra)])]
+    return ElementSpectra(element, nodes, *out)
 
 
 class AuxBasis:
     """Auxiliary space: the retained local eigenfunctions of every coarse cell.
 
     R_u / R_p hold the zero-extended eigenvectors as columns over interior
-    unknowns; aux_mass_cols_* hold the element-local weighted mass applied to
-    each eigenvector (used by the projection diagnostics).
+    unknowns, n_u / n_p the modes kept per cell; `columns(family)` and
+    `modes(family)` give them by family.
     """
 
     def __init__(self, ops, n_u, n_p=None):
@@ -119,37 +101,36 @@ class AuxBasis:
             raise ValueError("need at least one eigenfunction per family")
         self.spectra = [solve_local_spectral(ops, e, self.n_u, self.n_p)
                         for e in range(self.grid.n_coarse_cells)]
-        d = ops.dofs
-        self.R_u = self._collect(d, "u")
-        self.R_p = self._collect(d, "p")
+        self.R_u = self._collect(ops.dofs, "u")
+        self.R_p = self._collect(ops.dofs, "p")
+
+    def columns(self, family):
+        """The family's auxiliary columns, R_u or R_p."""
+        return getattr(self, "R_" + check_family(family))
+
+    def modes(self, family):
+        """Eigenfunctions kept per coarse cell for the family."""
+        return getattr(self, "n_" + check_family(family))
 
     def _collect(self, d, family):
         rows, cols, vals = [], [], []
-        count = self.n_u if family == "u" else self.n_p
+        count = self.modes(family)
         for e, spec in enumerate(self.spectra):
             pos = d.node_positions(spec.nodes)
-            keep = pos >= 0
-            if family == "u":
-                dof = np.column_stack([2 * pos[keep], 2 * pos[keep] + 1]).ravel()
-                sel = np.column_stack(
-                    [2 * np.where(keep)[0], 2 * np.where(keep)[0] + 1]).ravel()
-                vecs = spec.vecs_u[sel][:, :count]
-            else:
-                dof = pos[keep]
-                vecs = spec.vecs_p[keep][:, :count]
-            for j in range(count):
-                rows.append(dof)
-                cols.append(np.full(dof.size, e * count + j, dtype=np.int64))
-                vals.append(vecs[:, j])
-        n = d.n_u if family == "u" else d.n_p
+            keep = np.flatnonzero(pos >= 0)
+            dof = layout(pos[keep], family)
+            vecs = getattr(spec, "vecs_" + family)[layout(keep, family)]
+            rows.append(np.tile(dof, count))
+            cols.append(np.repeat(e * count + np.arange(count), dof.size))
+            vals.append(vecs[:, :count].T.ravel())
         total = self.grid.n_coarse_cells * count
         return sp.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, total))
+            shape=(d.size(family), total))
 
     def columns_in_cells(self, family, cell_set):
         """Column indices of eigenfunctions whose coarse cell lies in cell_set."""
-        count = self.n_u if family == "u" else self.n_p
+        count = self.modes(family)
         cells = np.asarray(sorted(cell_set))
         return (cells[:, None] * count + np.arange(count)[None, :]).ravel()
 
@@ -165,17 +146,9 @@ def project_pi(aux, family, v):
     (idempotent and self-adjoint in the weighted product) over the span of the
     zero-extended eigenvectors.
     """
-    ops = aux.ops
-    if family == "u":
-        R = aux.R_u
-        M = ops.aux_u
-        key = "_pi_solve_u"
-    elif family == "p":
-        R = aux.R_p
-        M = ops.aux_p
-        key = "_pi_solve_p"
-    else:
-        raise ValueError("family must be 'u' or 'p'")
+    R = aux.columns(family)
+    M = aux.ops.weight(family)
+    key = "_pi_solve_" + family
     solve = getattr(aux, key, None)
     if solve is None:
         gram = (R.T @ (M @ R)).toarray()

@@ -59,8 +59,8 @@ class State:
     p: np.ndarray
 
 
-def _nodal_pressure_load(ops, p0):
-    """Interior load vector (p0, q) for a callable or nodal initial pressure."""
+def _initial_pressure(ops, p0):
+    """Interior mass projection of a callable or nodal initial pressure."""
     if callable(p0):
         load = assemble_load(ops.grid, lambda t, x, y: p0(x, y))
     else:
@@ -68,14 +68,13 @@ def _nodal_pressure_load(ops, p0):
         if vals.size != ops.grid.n_fine_nodes:
             raise ValueError("nodal initial pressure has wrong length")
         load = ops.field.biot_modulus * (ops.mass_p_full @ vals)
-    return ops.dofs.restrict_p(load)
+    mass = ops.field.biot_modulus * ops.mass_p
+    return spd_factor(mass).solve(ops.dofs.restrict_p(load))
 
 
 def fine_initial_state(ops, p0):
     """Mass projection of the initial pressure, then the balancing elastic solve."""
-    load = _nodal_pressure_load(ops, p0)
-    mass = ops.field.biot_modulus * ops.mass_p
-    p = spd_factor(mass).solve(load)
+    p = _initial_pressure(ops, p0)
     elastic = spd_factor(ops.stiff_u)
     rhs = ops.coupling.T @ p
     u = elastic.solve(rhs)
@@ -181,10 +180,10 @@ def run(ops, time_grid, source, p0, space=None, hook=None, solver=None):
     if solver is None:
         solver = (FineSolver(ops, time_grid.tau) if space is None
                   else CoarseSolver(ops, space, time_grid.tau))
-    state = fine_initial_state(ops, p0)
-    if isinstance(solver, CoarseSolver):
-        state = solver.initial_state(state.p)
-    states = [state]
+    # a coarse run reads only the fine initial pressure
+    states = [solver.initial_state(_initial_pressure(ops, p0))
+              if isinstance(solver, CoarseSolver)
+              else fine_initial_state(ops, p0)]
     for n in range(1, time_grid.n_steps + 1):
         load = ops.dofs.restrict_p(
             assemble_load(ops.grid, source, time_grid.t(n)))

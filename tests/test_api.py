@@ -1,14 +1,22 @@
-"""The package's import surface: private names stay in their module, and
-every name the package exports resolves."""
+"""The package's import surface: private names stay in their module, every
+name the package exports resolves, and so does every name the benchmark
+traces."""
 
 import ast
 import importlib
+import importlib.util
 import os
+from collections import defaultdict
+from types import SimpleNamespace
 
 import cemporo
 
 PKG = os.path.dirname(cemporo.__file__)
 MODULES = sorted(f[:-3] for f in os.listdir(PKG) if f.endswith(".py"))
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+# traced names whose code is gone; their per-layer metrics read 0
+KNOWN_GONE = {"assembly.restrict"}
 
 
 def _imports_from(module):
@@ -40,3 +48,34 @@ def test_package_exports_resolve():
     for module in MODULES:
         if module != "__main__":  # running it runs the command line
             importlib.import_module("cemporo." + module)
+
+
+def _resolves(dotted):
+    """Whether `module.Name[.attr]` names something in the package."""
+    module, *attrs = dotted.split(".")
+    obj = importlib.import_module("cemporo." + module)
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_perfbench_traced_names_resolve(monkeypatch):
+    # a renamed function or method would silently read 0 in the per-layer
+    # metrics
+    monkeypatch.syspath_prepend(PERFBENCH)  # tracing imports pipeline
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(PERFBENCH, "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    read = defaultdict(lambda: (0, 0.0, 0.0))  # every span name it reads
+    tracer = SimpleNamespace(summary=lambda: read, enrichers=[], names=[],
+                             counters=defaultdict(float), probe_s=0.0)
+    tracing.layer_metrics(tracer, SimpleNamespace(
+        space=SimpleNamespace(n_u=0, n_p=0)))
+    names = {n for n in set(tracing.PROBES) | set(read)
+             if n.split(".")[0] in tracing.LAYERS}
+    assert "cembasis.PatchSolver.__init__" in names
+    missing = {n for n in names if not _resolves(n)}
+    assert missing <= KNOWN_GONE, sorted(missing - KNOWN_GONE)

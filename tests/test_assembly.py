@@ -218,6 +218,9 @@ def test_dofmap_roundtrip():
     npt.assert_array_equal(d.p_nodes[p], nodes)
     npt.assert_array_equal(d.index(nodes, "u"),
                            np.column_stack([2 * p, 2 * p + 1]).ravel())
+    # any family but "u" and "p" is rejected, not read as pressure
+    with pytest.raises(ValueError, match="family"):
+        d.index(nodes, "q")
 
 
 def test_patch_restriction_submatrix(setup):
@@ -231,6 +234,8 @@ def test_patch_restriction_submatrix(setup):
         solver = PatchSolver(ops, aux, patch, family)
         npt.assert_array_equal(solver.index, index)
         npt.assert_array_equal(solver.A.toarray(), sub)
+    with pytest.raises(ValueError, match="family"):
+        PatchSolver(ops, aux, patch, "q")
 
 
 def test_disjoint_patch_union_is_block_diagonal():
@@ -239,7 +244,7 @@ def test_disjoint_patch_union_is_block_diagonal():
     ops = assemble_operators(grid, field, partition_of_unity(grid))
     a = oversample_element(grid, 0, 0)
     b = oversample_element(grid, 15, 0)
-    union = Patch(grid, np.concatenate([a.cells, b.cells]), "union", 0, 0)
+    union = Patch(grid, np.concatenate([a.cells, b.cells]))
     idx_a, idx_b, idx_u = (ops.dofs.index(q.interior_fine_nodes, "p")
                            for q in (a, b, union))
     merged = sp.block_diag([ops.stiff_p[idx_a][:, idx_a],

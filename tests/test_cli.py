@@ -78,6 +78,7 @@ def test_resolve_config_rejects_unknown_keys():
     {"variants": [{"theta": 0.5}]},
     {"source": {"kind": "impulse"}},
     {"initial_pressure": {"kind": "spike"}},
+    {"material": {"synth": 3}},
 ])
 def test_resolve_config_validation(patch):
     with pytest.raises(ConfigError):
@@ -96,6 +97,9 @@ BAD_INPUTS = {
     "variant-unknown-key": {"variants": [{"name": "typo", "thetta": 0.5}]},
     "mesh-unknown-key": {"mesh": {"nxc": 4}},
     "online-unknown-key": {"online": {"thetta": 0.5}},
+    "material-unknown-key": {"material": {"fiel": "fields/channels"}},
+    # a typo must not silently draw the field from the default seed
+    "material-synth-unknown-key": {"material": {"synth": {"seedd": 3}}},
 }
 
 
@@ -209,6 +213,19 @@ def test_exit_code_grid_too_small_for_field(tmp_path, capsys):
         assert rc == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and "2 x 2" in err
+
+
+@pytest.mark.parametrize("patch", [{"material": {"file": "nope"}},
+                                   {"scalars": {"alpha": "0.9"}}])
+def test_exit_code_bad_material(tmp_path, capsys, patch):
+    # a missing field file or a non-numeric scalar fails when the field is
+    # built, as a configuration error instead of a traceback
+    cfg_path = _write(tmp_path, dict(TINY, **patch))
+    for command in ("run", "make-field"):
+        rc = main([command, "--config", cfg_path,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("configuration error: ")
 
 
 def test_exit_code_numerical_failure(tmp_path, capsys):

@@ -126,9 +126,9 @@ def test_patch_interior_nodes():
 def test_patch_rejects_bad_cells():
     g = build_grids(2, 2, 2)
     with pytest.raises(ValueError):
-        Patch(g, [], "element", 0, 0)
+        Patch(g, [])
     with pytest.raises(ValueError):
-        Patch(g, [4], "element", 4, 0)
+        Patch(g, [4])
     with pytest.raises(ValueError):
         oversample_element(g, -1, 0)
     with pytest.raises(ValueError):

@@ -208,6 +208,8 @@ def test_online_column_deterministic(setup):
     a = Enricher(ops, aux, pou, cfg).build_online_column("p", region, res)
     b = Enricher(ops, aux, pou, cfg).build_online_column("p", region, res)
     npt.assert_array_equal(a, b)
+    with pytest.raises(ValueError, match="family"):
+        Enricher(ops, aux, pou, cfg).build_online_column("q", region, res)
 
 
 # ---- the adaptive loop -----------------------------------------------------

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from cemporo.assembly import assemble_load, assemble_operators
-from cemporo import cembasis
+from cemporo import cembasis, timestepping
 from cemporo.cembasis import (CoarseOperators, build_element_basis,
                               build_global_basis_oracle, build_offline_basis)
 from cemporo.grid import build_grids, partition_of_unity
@@ -47,6 +47,23 @@ def test_time_grid():
         TimeGrid(-0.1, 5)
     with pytest.raises(ValueError):
         TimeGrid(0.1, 0)
+
+
+def test_coarse_run_skips_the_fine_elastic_solve(setup, monkeypatch):
+    # the coarse initial state reads only the fine initial pressure, whose
+    # mass projection is the one factorization of the run
+    _, ops = setup
+    aux = build_aux_basis(ops, 2)
+    space = build_offline_basis(ops, aux, 1)
+    factored = []
+
+    def counted(A):
+        factored.append(A.shape)
+        return cembasis.spd_factor(A)
+
+    monkeypatch.setattr(timestepping, "spd_factor", counted)
+    run(ops, TimeGrid(0.1, 2), _source, _p0, space=space)
+    assert factored == [(ops.dofs.n_p, ops.dofs.n_p)]
 
 
 def test_initial_state_zero_pressure(setup):
