@@ -86,9 +86,6 @@ class DofMap:
     def restrict_p(self, full):
         return np.asarray(full)[self.p_nodes]
 
-    def restrict_u(self, full):
-        return np.asarray(full)[self.u_dofs]
-
     def extend_p(self, interior):
         out = np.zeros(self.grid.n_fine_nodes)
         out[self.p_nodes] = interior

@@ -84,11 +84,6 @@ class PatchSolver:
             self.A @ psi + self.U @ (self.U.T @ psi) - rhs))
 
 
-def _rectangle(patch):
-    """Key of a patch's cell rectangle; patches with equal keys are equal."""
-    return patch.cells[0], patch.cells[-1], patch.cells.size
-
-
 class MultiscaleSpace:
     """Columns of the reduced displacement and pressure spaces.
 
@@ -98,12 +93,9 @@ class MultiscaleSpace:
     always a prefix of its later columns.
     """
 
-    def __init__(self, ops, aux, layers):
-        self.ops = ops
-        self.aux = aux
-        self.layers = layers
-        self.basis_u = sp.csc_matrix((ops.dofs.n_u, 0))
-        self.basis_p = sp.csc_matrix((ops.dofs.n_p, 0))
+    def __init__(self, n_u, n_p):
+        self.basis_u = sp.csc_matrix((n_u, 0))
+        self.basis_p = sp.csc_matrix((n_p, 0))
         self.origin_u = []
         self.origin_p = []
 
@@ -126,7 +118,7 @@ class MultiscaleSpace:
         getattr(self, "origin_" + family).extend(origins)
 
     def copy(self):
-        out = MultiscaleSpace(self.ops, self.aux, self.layers)
+        out = MultiscaleSpace(self.basis_u.shape[0], self.basis_p.shape[0])
         out.basis_u = self.basis_u.copy()
         out.basis_p = self.basis_p.copy()
         out.origin_u = list(self.origin_u)
@@ -166,15 +158,13 @@ def build_offline_basis(ops, aux, layers):
     Elements whose patches share a rectangle share one factorization, which
     is freed as soon as their columns are solved.
     """
-    if layers < 0:
-        raise ValueError("layers must be nonnegative")
     grid = ops.grid
-    space = MultiscaleSpace(ops, aux, layers)
+    space = MultiscaleSpace(ops.dofs.n_u, ops.dofs.n_p)
     patches = [oversample_element(grid, e, layers)
                for e in range(grid.n_coarse_cells)]
     groups = {}
     for e, patch in enumerate(patches):
-        groups.setdefault(_rectangle(patch), []).append(e)
+        groups.setdefault(patch.rect, []).append(e)
     for family in ("u", "p"):
         per_element = [None] * grid.n_coarse_cells
         for elements in groups.values():
@@ -194,18 +184,16 @@ def build_global_basis_oracle(ops, aux):
     return build_offline_basis(ops, aux, layers)
 
 
-def _project(A, R_row, R_col, old=None):
+def _project(A, R_row, R_col, old):
     """Dense R_row^T A R_col.
 
-    `old` is the projection onto leading columns of R_row and R_col; only
-    the rectangles of the appended rows and columns are then computed. Every
-    entry is the same sum, in the same order, as in the full sparse product,
-    so the result is bit for bit the full one. Both new rectangles are
-    computed, because the full product of a symmetric form is not bit
-    symmetric.
+    `old` is the projection onto leading columns of R_row and R_col (0 x 0
+    for a new space); only the rectangles of the appended rows and columns
+    are computed. Every entry is the same sum, in the same order, as in the
+    full sparse product, so the result is bit for bit the full one. Both new
+    rectangles are computed, because the full product of a symmetric form is
+    not bit symmetric.
     """
-    if old is None:
-        return (R_row.T @ (A @ R_col)).toarray()
     m, n = old.shape
     out = np.empty((R_row.shape[1], R_col.shape[1]))
     out[:m, :n] = old
@@ -225,12 +213,13 @@ class CoarseOperators:
 
     def __init__(self, ops, space, previous=None):
         Ru, Rp = space.basis_u, space.basis_p
+        empty = np.empty((0, 0))
         self.space = space
         self.stiff_u = _project(ops.stiff_u, Ru, Ru,
-                                getattr(previous, "stiff_u", None))
+                                getattr(previous, "stiff_u", empty))
         self.stiff_p = _project(ops.stiff_p, Rp, Rp,
-                                getattr(previous, "stiff_p", None))
+                                getattr(previous, "stiff_p", empty))
         self.mass_p = _project(ops.mass_p, Rp, Rp,
-                               getattr(previous, "mass_p", None))
+                               getattr(previous, "mass_p", empty))
         self.coupling = _project(ops.coupling, Rp, Ru,
-                                 getattr(previous, "coupling", None))
+                                 getattr(previous, "coupling", empty))

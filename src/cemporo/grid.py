@@ -2,7 +2,9 @@
 
 The fine grid refines every coarse cell by the same factor. All index maps are
 lexicographic with x running fastest, matching the node order used by the
-assembly routines.
+assembly routines. A patch is a rectangle of coarse cells: an element or a
+node neighborhood grown by whole layers of cells stays one, clipped at the
+domain boundary, so a patch is known by its four cell bounds.
 """
 
 import numpy as np
@@ -62,12 +64,6 @@ class GridPair:
         j = nodes // (self.nfx + 1)
         return np.column_stack([i * self.hx, j * self.hy])
 
-    def coarse_node_xy(self, nodes):
-        nodes = np.asarray(nodes)
-        i = nodes % (self.ncx + 1)
-        j = nodes // (self.ncx + 1)
-        return np.column_stack([i * self.Hx, j * self.Hy])
-
     def fine_cell_nodes(self, cells=None):
         """The four node indices of each fine cell, order (0,0),(1,0),(0,1),(1,1)."""
         if cells is None:
@@ -78,14 +74,6 @@ class GridPair:
         base = j * (self.nfx + 1) + i
         return np.column_stack([base, base + 1,
                                 base + self.nfx + 1, base + self.nfx + 2])
-
-    def coarse_cell_of_fine_cell(self, cells=None):
-        if cells is None:
-            cells = np.arange(self.n_fine_cells)
-        cells = np.asarray(cells)
-        i = (cells % self.nfx) // self.refinement
-        j = (cells // self.nfx) // self.refinement
-        return j * self.ncx + i
 
     def fine_cells_of_coarse_cell(self, c):
         """Fine cell indices inside coarse cell c, lexicographic."""
@@ -103,101 +91,55 @@ class GridPair:
         fj = np.arange(cy0 * r, (cy1 + 1) * r + 1)
         return np.sort((fj[:, None] * (self.nfx + 1) + fi[None, :]).ravel())
 
-    def cells_touching_coarse_node(self, m):
-        """Coarse cells having coarse node m as a corner (the node neighborhood)."""
-        i = m % (self.ncx + 1)
-        j = m // (self.ncx + 1)
-        cells = []
-        for cj in (j - 1, j):
-            for ci in (i - 1, i):
-                if 0 <= ci < self.ncx and 0 <= cj < self.ncy:
-                    cells.append(cj * self.ncx + ci)
-        return np.asarray(sorted(cells), dtype=np.int64)
-
 
 class Patch:
-    """A union of coarse cells with its fine node bookkeeping.
+    """The coarse-cell rectangle [cx0..cx1] x [cy0..cy1] with its fine node
+    bookkeeping.
 
-    Interior fine nodes are the ones with every incident fine cell inside the
-    patch and none of them missing, which excludes both the patch's own
-    topological boundary and the domain boundary.
+    Interior fine nodes lie strictly inside the rectangle, which excludes
+    both the patch's own boundary and the domain boundary.
     """
 
-    def __init__(self, grid, cells):
-        cells = np.unique(np.asarray(cells, dtype=np.int64))
-        if cells.size == 0:
-            raise ValueError("patch needs at least one coarse cell")
-        if cells.min() < 0 or cells.max() >= grid.n_coarse_cells:
-            raise ValueError("coarse cell index out of range")
-        self.grid = grid
-        self.cells = cells
-
-        member = np.zeros(grid.n_coarse_cells, dtype=bool)
-        member[cells] = True
-
-        nodes = [grid.fine_nodes_of_cell_rect(c % grid.ncx, c % grid.ncx,
-                                              c // grid.ncx, c // grid.ncx)
-                 for c in cells]
-        self.fine_nodes = np.unique(np.concatenate(nodes))
-
-        # a fine node is interior when all four incident fine cells exist and
-        # their coarse parents are patch members
-        i = self.fine_nodes % (grid.nfx + 1)
-        j = self.fine_nodes // (grid.nfx + 1)
-        inside = (i > 0) & (i < grid.nfx) & (j > 0) & (j < grid.nfy)
-        interior = np.zeros(self.fine_nodes.size, dtype=bool)
-        idx = np.where(inside)[0]
-        if idx.size:
-            ii = i[idx]
-            jj = j[idx]
-            ok = np.ones(idx.size, dtype=bool)
-            for di, dj in ((-1, -1), (0, -1), (-1, 0), (0, 0)):
-                cell = (jj + dj) * grid.nfx + (ii + di)
-                ok &= member[grid.coarse_cell_of_fine_cell(cell)]
-            interior[idx] = ok
-        self.interior_fine_nodes = self.fine_nodes[interior]
-
-    @property
-    def n_interior(self):
-        return self.interior_fine_nodes.size
-
-    def covers_domain(self):
-        return self.cells.size == self.grid.n_coarse_cells
+    def __init__(self, grid, cx0, cx1, cy0, cy1):
+        if not (0 <= cx0 <= cx1 < grid.ncx and 0 <= cy0 <= cy1 < grid.ncy):
+            raise ValueError("patch rectangle outside the coarse grid")
+        self.rect = (cx0, cx1, cy0, cy1)
+        ci = np.arange(cx0, cx1 + 1)
+        cj = np.arange(cy0, cy1 + 1)
+        self.cells = (cj[:, None] * grid.ncx + ci[None, :]).ravel()
+        r = grid.refinement
+        fi = np.arange(cx0 * r + 1, (cx1 + 1) * r)
+        fj = np.arange(cy0 * r + 1, (cy1 + 1) * r)
+        self.interior_fine_nodes = (fj[:, None] * (grid.nfx + 1)
+                                    + fi[None, :]).ravel()
 
 
 def _expand_rect(grid, cx0, cx1, cy0, cy1, layers):
-    cx0 = max(cx0 - layers, 0)
-    cy0 = max(cy0 - layers, 0)
-    cx1 = min(cx1 + layers, grid.ncx - 1)
-    cy1 = min(cy1 + layers, grid.ncy - 1)
-    ci = np.arange(cx0, cx1 + 1)
-    cj = np.arange(cy0, cy1 + 1)
-    return (cj[:, None] * grid.ncx + ci[None, :]).ravel()
+    """The patch of the rectangle grown by `layers` rings of coarse cells,
+    clipped to the grid."""
+    if layers < 0:
+        raise ValueError("layers must be nonnegative")
+    return Patch(grid, max(cx0 - layers, 0), min(cx1 + layers, grid.ncx - 1),
+                 max(cy0 - layers, 0), min(cy1 + layers, grid.ncy - 1))
 
 
 def oversample_element(grid, element, layers):
     """Coarse element plus `layers` rings of node-touching neighbours."""
     if not 0 <= element < grid.n_coarse_cells:
         raise ValueError("element index out of range")
-    if layers < 0:
-        raise ValueError("layers must be nonnegative")
     ci = element % grid.ncx
     cj = element // grid.ncx
-    cells = _expand_rect(grid, ci, ci, cj, cj, layers)
-    return Patch(grid, cells)
+    return _expand_rect(grid, ci, ci, cj, cj, layers)
 
 
 def oversample_neighborhood(grid, node, layers):
     """Node neighborhood (cells sharing the coarse node) expanded by `layers` rings."""
     if not 0 <= node < grid.n_coarse_nodes:
         raise ValueError("coarse node index out of range")
-    if layers < 0:
-        raise ValueError("layers must be nonnegative")
-    seed = grid.cells_touching_coarse_node(node)
-    ci = seed % grid.ncx
-    cj = seed // grid.ncx
-    cells = _expand_rect(grid, ci.min(), ci.max(), cj.min(), cj.max(), layers)
-    return Patch(grid, cells)
+    i = node % (grid.ncx + 1)
+    j = node // (grid.ncx + 1)
+    # the clip drops the cells a boundary node does not have
+    return _expand_rect(grid, i - 1, i, j - 1, j, layers)
 
 
 class PartitionOfUnity:

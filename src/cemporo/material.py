@@ -6,6 +6,7 @@ storage modulus, fluid viscosity) are scalars.
 """
 
 import json
+import numbers
 import os
 
 import numpy as np
@@ -40,6 +41,11 @@ class MaterialField:
             raise ValueError("field arrays must have one value per fine cell")
         if np.any(E <= 0.0) or np.any(kappa <= 0.0):
             raise ValueError("E and kappa must be strictly positive")
+        scalars = (poisson, alpha, biot_modulus, viscosity)
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   for v in scalars):
+            raise TypeError("poisson, alpha, biot_modulus and viscosity "
+                            "must be numbers")
         if biot_modulus <= 0.0 or viscosity <= 0.0:
             raise ValueError("storage modulus and viscosity must be positive")
         if alpha < 0.0:

@@ -147,9 +147,8 @@ class Enricher:
                 w = self.pou.vector(region)
             else:
                 w = np.zeros(grid.n_fine_nodes)
-                ci = region % grid.ncx
-                cj = region // grid.ncx
-                w[grid.fine_nodes_of_cell_rect(ci, ci, cj, cj)] = 1.0
+                rect = self._region_patch(region, 0).rect
+                w[grid.fine_nodes_of_cell_rect(*rect)] = 1.0
             d = self.ops.dofs
             self._localizers[key] = d.spread(w[d.p_nodes], family)
         return self._localizers[key]

@@ -35,10 +35,6 @@ class TimeGrid:
         if self.tau <= 0.0 or self.n_steps < 1:
             raise ValueError("need positive step size and step count")
 
-    @property
-    def final_time(self):
-        return self.tau * self.n_steps
-
     def t(self, n):
         return n * self.tau
 

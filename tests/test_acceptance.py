@@ -105,7 +105,8 @@ def test_criterion_03_basis_defining_identities(frozen):
     solver = cp.CoarseSolver(ops, space.copy(), frozen.time_grid.tau)
     coarse = cp.run(ops, frozen.time_grid, frozen.source, frozen.p0,
                     solver=solver)
-    load = _load_at(ops, frozen.source, frozen.time_grid.final_time)
+    load = _load_at(ops, frozen.source,
+                    frozen.time_grid.t(frozen.time_grid.n_steps))
     res = compute_residuals(ops, frozen.time_grid.tau, coarse[-1],
                             coarse[-2], load)
     onl = FROZEN["online"]
@@ -179,7 +180,8 @@ def test_criterion_05_fine_solution_is_a_fixed_point(frozen):
     """The fine trajectory has machine-zero residual and triggers no growth."""
     ops = frozen.ops
     tau = frozen.time_grid.tau
-    load = _load_at(ops, frozen.source, frozen.time_grid.final_time)
+    load = _load_at(ops, frozen.source,
+                    frozen.time_grid.t(frozen.time_grid.n_steps))
     res = compute_residuals(ops, tau, frozen.fine[10], frozen.fine[9], load)
     onl = FROZEN["online"]
     cfg = OnlineConfig(theta=onl["theta"], gamma=onl["gamma"],
@@ -233,7 +235,8 @@ def test_criterion_06_online_error_decay(cli_runs, frozen):
     solver = cp.CoarseSolver(ops, frozen.space.copy(), tau)
     coarse = cp.run(ops, frozen.time_grid, frozen.source, frozen.p0,
                     solver=solver)
-    load = _load_at(ops, frozen.source, frozen.time_grid.final_time)
+    load = _load_at(ops, frozen.source,
+                    frozen.time_grid.t(frozen.time_grid.n_steps))
     prev = coarse[9]
     resolved = cp.FineSolver(ops, tau).step(prev, load, 10)
     onl = FROZEN["online"]
@@ -284,7 +287,7 @@ def test_criterion_07_smaller_bulk_never_needs_more_iterations(frozen):
     ops = frozen.ops
     tg = cp.TimeGrid(0.2, 5)
     fine = cp.run(ops, tg, frozen.source, frozen.p0)
-    load = _load_at(ops, frozen.source, tg.final_time)
+    load = _load_at(ops, frozen.source, tg.t(tg.n_steps))
     coarse = cp.run(ops, tg, frozen.source, frozen.p0, space=frozen.space)
     prev = coarse[4]
     resolved = cp.FineSolver(ops, tg.tau).step(prev, load, 5)

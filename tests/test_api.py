@@ -1,11 +1,12 @@
 """The package's import surface: private names stay in their module, every
 name the package exports resolves, and so does every name the benchmark
-traces."""
+traces. Every public method has a caller outside the tests."""
 
 import ast
 import importlib
 import importlib.util
 import os
+import re
 from collections import defaultdict
 from types import SimpleNamespace
 
@@ -79,3 +80,31 @@ def test_perfbench_traced_names_resolve(monkeypatch):
     assert "cembasis.PatchSolver.__init__" in names
     missing = {n for n in names if not _resolves(n)}
     assert missing <= KNOWN_GONE, sorted(missing - KNOWN_GONE)
+
+
+def _trees(directory):
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name)) as fh:
+                yield ast.parse(fh.read())
+
+
+def test_public_methods_have_callers_outside_tests():
+    # a method only the tests read is dead weight; names inside strings
+    # count as references, so the methods perfbench traces by name pass
+    package = list(_trees(PKG))
+    referenced = set()
+    for node in (n for tree in package + list(_trees(PERFBENCH))
+                 for n in ast.walk(tree)):
+        if isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+        elif isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            referenced.update(re.findall(r"\w+", node.value))
+    unused = ["%s.%s" % (cls.name, fn.name)
+              for tree in package for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef)
+              for fn in cls.body if isinstance(fn, ast.FunctionDef)
+              and not fn.name.startswith("_") and fn.name not in referenced]
+    assert not unused, unused

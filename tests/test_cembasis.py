@@ -94,9 +94,10 @@ def test_offline_factors_one_per_rectangle_then_freed(setup, monkeypatch,
     assert len(keys) == len(set(keys)) == factorizations
     assert alive_before == [0] * factorizations
     assert all(ref() is None for _, ref in built)
+    depth = max(grid.ncx, grid.ncy) if layers is None else layers
     for family, basis in (("u", space.basis_u), ("p", space.basis_p)):
         for e in (0, 5, grid.n_coarse_cells - 1):
-            cols, _ = build_element_basis(ops, aux, family, e, space.layers)
+            cols, _ = build_element_basis(ops, aux, family, e, depth)
             assert np.array_equal(basis[:, 2 * e:2 * e + 2].toarray(),
                                   np.column_stack(cols))
 

@@ -215,11 +215,13 @@ def test_exit_code_grid_too_small_for_field(tmp_path, capsys):
         assert "configuration error" in err and "2 x 2" in err
 
 
-@pytest.mark.parametrize("patch", [{"material": {"file": "nope"}},
-                                   {"scalars": {"alpha": "0.9"}}])
+@pytest.mark.parametrize("patch", [
+    {"material": {"file": "nope"}}, {"scalars": {"alpha": "0.9"}},
+    {"scalars": {"poisson": "0.2"}},
+    {"scalars": {"alpha": True, "viscosity": True}}])
 def test_exit_code_bad_material(tmp_path, capsys, patch):
-    # a missing field file or a non-numeric scalar fails when the field is
-    # built, as a configuration error instead of a traceback
+    # a missing field file or a non-numeric or boolean scalar fails when the
+    # field is built, as a configuration error instead of a traceback
     cfg_path = _write(tmp_path, dict(TINY, **patch))
     for command in ("run", "make-field"):
         rc = main([command, "--config", cfg_path,

@@ -61,7 +61,9 @@ def test_coarse_of_fine_roundtrip():
     for c in range(g.n_coarse_cells):
         fc = g.fine_cells_of_coarse_cell(c)
         assert fc.size == 25
-        npt.assert_array_equal(g.coarse_cell_of_fine_cell(fc), c)
+        r = g.refinement
+        parent = (fc // g.nfx) // r * g.ncx + (fc % g.nfx) // r
+        npt.assert_array_equal(parent, c)
 
 
 def _expand_by_touching(grid, cells, layers):
@@ -81,6 +83,28 @@ def _expand_by_touching(grid, cells, layers):
     return np.array(sorted(current))
 
 
+def _cells_touching(grid, node):
+    """Coarse cells having the coarse node as a corner."""
+    i, j = node % (grid.ncx + 1), node // (grid.ncx + 1)
+    return [cj * grid.ncx + ci for cj in (j - 1, j) for ci in (i - 1, i)
+            if 0 <= ci < grid.ncx and 0 <= cj < grid.ncy]
+
+
+def _interior_by_incident_cells(grid, cells):
+    """Reference interior nodes: the fine nodes whose four incident fine
+    cells all exist and have their coarse parent among `cells`."""
+    member = np.zeros(grid.n_coarse_cells, dtype=bool)
+    member[cells] = True
+    r = grid.refinement
+    nodes = []
+    for j in range(1, grid.nfy):
+        for i in range(1, grid.nfx):
+            if all(member[(j + dj) // r * grid.ncx + (i + di) // r]
+                   for di in (-1, 0) for dj in (-1, 0)):
+                nodes.append(j * (grid.nfx + 1) + i)
+    return np.array(nodes, dtype=np.int64)
+
+
 @pytest.mark.parametrize("element,layers", [(0, 1), (0, 2), (7, 1), (12, 2),
                                             (19, 3), (10, 0)])
 def test_oversample_element_matches_set_expansion(element, layers):
@@ -93,7 +117,7 @@ def test_oversample_element_matches_set_expansion(element, layers):
 def test_oversample_neighborhood_matches_set_expansion():
     g = build_grids(5, 4, 2)
     for node in (7, 12, 0, 5):
-        seed = g.cells_touching_coarse_node(node)
+        seed = _cells_touching(g, node)
         for layers in (0, 1, 2):
             patch = oversample_neighborhood(g, node, layers)
             expected = _expand_by_touching(g, seed, layers)
@@ -106,7 +130,8 @@ def test_oversample_clips_at_domain_corner():
     npt.assert_array_equal(
         patch.cells, [0, 1, 2, 4, 5, 6, 8, 9, 10])
     full = oversample_element(g, 5, 10)
-    assert full.covers_domain()
+    assert full.rect == (0, 3, 0, 3)
+    npt.assert_array_equal(full.cells, np.arange(g.n_coarse_cells))
 
 
 def test_patch_interior_nodes():
@@ -114,25 +139,29 @@ def test_patch_interior_nodes():
     # single coarse cell in the domain corner: interior nodes of the patch
     # are the strictly inside fine nodes of that cell
     patch = oversample_element(g, 0, 0)
-    assert patch.n_interior == 1
+    assert patch.interior_fine_nodes.size == 1
     xy = g.fine_node_xy(patch.interior_fine_nodes)
     npt.assert_allclose(xy, [[1.0 / 6.0, 1.0 / 6.0]])
     # covering patch: interior nodes are the interior of the domain
     cover = oversample_element(g, 4, 3)
-    assert cover.covers_domain()
+    npt.assert_array_equal(cover.cells, np.arange(g.n_coarse_cells))
     npt.assert_array_equal(cover.interior_fine_nodes, g.interior_fine_nodes)
 
 
 def test_patch_rejects_bad_cells():
     g = build_grids(2, 2, 2)
-    with pytest.raises(ValueError):
-        Patch(g, [])
-    with pytest.raises(ValueError):
-        Patch(g, [4])
+    # rectangles reaching outside the 2x2 grid, then reversed bounds
+    for rect in ((-1, 0, 0, 0), (0, 2, 0, 0), (0, 0, -1, 1), (0, 1, 0, 2),
+                 (1, 0, 0, 0), (0, 0, 1, 0)):
+        with pytest.raises(ValueError, match="outside the coarse grid"):
+            Patch(g, *rect)
     with pytest.raises(ValueError):
         oversample_element(g, -1, 0)
     with pytest.raises(ValueError):
         oversample_neighborhood(g, 99, 0)
+    for oversample in (oversample_element, oversample_neighborhood):
+        with pytest.raises(ValueError, match="layers"):
+            oversample(g, 0, -1)
 
 
 def test_pou_sums_to_one_everywhere():
@@ -149,9 +178,9 @@ def test_pou_nodal_values():
     # every hat equals one at its own coarse node, zero at the others
     for m in range(g.n_coarse_nodes):
         v = pou.vector(m)
-        xy = g.coarse_node_xy(np.arange(g.n_coarse_nodes))
-        fi = np.round(xy[:, 0] / g.hx).astype(int)
-        fj = np.round(xy[:, 1] / g.hy).astype(int)
+        m_all = np.arange(g.n_coarse_nodes)
+        fi = m_all % (g.ncx + 1) * g.refinement
+        fj = m_all // (g.ncx + 1) * g.refinement
         at_coarse = v[fj * (g.nfx + 1) + fi]
         expected = np.zeros(g.n_coarse_nodes)
         expected[m] = 1.0
@@ -196,3 +225,21 @@ def test_oversample_property(ncx, ncy, element, layers):
     patch = oversample_element(g, element, layers)
     expected = _expand_by_touching(g, [element], layers)
     npt.assert_array_equal(patch.cells, expected)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ncx=st.integers(1, 6), ncy=st.integers(1, 6),
+       refinement=st.integers(1, 4), layers=st.integers(0, 3))
+def test_rectangle_patches_match_set_oracles(ncx, ncy, refinement, layers):
+    # every element and every coarse node, boundary nodes included
+    g = build_grids(ncx, ncy, refinement)
+    seeds = [(oversample_element(g, e, layers), [e])
+             for e in range(g.n_coarse_cells)]
+    seeds += [(oversample_neighborhood(g, m, layers), _cells_touching(g, m))
+              for m in range(g.n_coarse_nodes)]
+    for patch, seed in seeds:
+        cells = _expand_by_touching(g, seed, layers)
+        npt.assert_array_equal(patch.cells, cells)
+        expected = _interior_by_incident_cells(g, cells)
+        assert patch.interior_fine_nodes.dtype == expected.dtype
+        npt.assert_array_equal(patch.interior_fine_nodes, expected)

@@ -331,7 +331,7 @@ def test_patch_without_interior_unknowns_is_rejected():
     ops = assemble_operators(grid, field, pou)
     aux = build_aux_basis(ops, 1)
     patch = oversample_element(grid, 0, 0)
-    assert patch.n_interior == 0
+    assert patch.interior_fine_nodes.size == 0
     for family in ("u", "p"):
         with pytest.raises(ValueError, match="no interior unknowns"):
             PatchSolver(ops, aux, patch, family)
