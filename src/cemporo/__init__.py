@@ -12,10 +12,9 @@ from .material import MaterialField, lame_from_E, load_field, save_field, \
     synth_channels
 from .assembly import OperatorSet, DofMap, assemble_operators, assemble_load
 from .spectral import (AuxBasis, solve_local_spectral, build_aux_basis,
-                       project_pi, spectral_diagnostics, SpectralDiagnostics)
+                       spectral_diagnostics, SpectralDiagnostics)
 from .cembasis import (CoarseOperators, MultiscaleSpace, PatchSolver,
-                       build_offline_basis, build_element_basis,
-                       build_global_basis_oracle)
+                       build_offline_basis)
 from .timestepping import (TimeGrid, State, FineSolver, CoarseSolver,
                            NumericalFailure, fine_initial_state, run)
 from .online import (ResidualSet, IndicatorSet, OnlineConfig, Enricher,

@@ -78,11 +78,6 @@ class PatchSolver:
         full[self.index] = self.solve(rhs)
         return full
 
-    def residual(self, psi, rhs):
-        """Norm of A psi + U U^T psi - rhs, the defining equation of the solve."""
-        return float(np.linalg.norm(
-            self.A @ psi + self.U @ (self.U.T @ psi) - rhs))
-
 
 class MultiscaleSpace:
     """Columns of the reduced displacement and pressure spaces.
@@ -128,7 +123,11 @@ class MultiscaleSpace:
 
 def _element_columns(aux, solver, element, layers):
     """Solve the columns seeded by one element's auxiliary modes on the
-    solver's patch; returns (columns, origins) as `build_element_basis`."""
+    solver's patch.
+
+    Returns (columns, origins) with one column per auxiliary mode of the
+    element, each a full-length interior-dof vector.
+    """
     count = aux.modes(solver.family)
     cols, orig = [], []
     for j in range(count):
@@ -139,17 +138,6 @@ def _element_columns(aux, solver, element, layers):
                      "element": int(element), "mode": int(j),
                      "layers": int(layers)})
     return cols, orig
-
-
-def build_element_basis(ops, aux, family, element, layers):
-    """Zero-extended basis columns seeded by one element's auxiliary modes.
-
-    Returns (columns, origins) with one column per auxiliary mode of the
-    element, each a full-length interior-dof vector.
-    """
-    patch = oversample_element(ops.grid, element, layers)
-    return _element_columns(aux, PatchSolver(ops, aux, patch, family),
-                            element, layers)
 
 
 def build_offline_basis(ops, aux, layers):
@@ -176,12 +164,6 @@ def build_offline_basis(ops, aux, layers):
         space.append(family, [c for cols, _ in per_element for c in cols],
                      [o for _, orig in per_element for o in orig])
     return space
-
-
-def build_global_basis_oracle(ops, aux):
-    """Same construction with every patch equal to the whole domain."""
-    layers = max(ops.grid.ncx, ops.grid.ncy)
-    return build_offline_basis(ops, aux, layers)
 
 
 def _project(A, R_row, R_col, old):

@@ -139,32 +139,6 @@ def build_aux_basis(ops, n_u, n_p=None):
     return AuxBasis(ops, n_u, n_p)
 
 
-def project_pi(aux, family, v):
-    """Orthogonal projection onto the auxiliary space in the weighted mass product.
-
-    Input and output are interior-unknown vectors. The projection is exact
-    (idempotent and self-adjoint in the weighted product) over the span of the
-    zero-extended eigenvectors.
-    """
-    R = aux.columns(family)
-    M = aux.ops.weight(family)
-    key = "_pi_solve_" + family
-    solve = getattr(aux, key, None)
-    if solve is None:
-        gram = (R.T @ (M @ R)).toarray()
-        try:
-            fac = sla.cho_factor(gram)
-            solve = lambda b: sla.cho_solve(fac, b)
-        except np.linalg.LinAlgError:
-            # redundant auxiliary sets (full local dimension) make the Gram
-            # singular; the projection onto the span is still well defined
-            pinv = np.linalg.pinv(gram, rcond=1e-12)
-            solve = lambda b: pinv @ b
-        setattr(aux, key, solve)
-    coeff = solve(R.T @ (M @ v))
-    return R @ coeff
-
-
 class SpectralDiagnostics:
     """First excluded eigenvalue per family and the layer decay factor."""
 

@@ -5,16 +5,19 @@ One backward difference step solves the monolithic block system
     [[A, -D^T], [D, C + tau B]] (u, p) = (0, tau f + D u_prev + C p_prev)
 
 on interior unknowns, either on the fine grid (sparse LU, factorized once per
-step size) or projected onto a multiscale space (dense least squares, which
-also covers deliberately redundant spaces where the projected matrix is
-singular but consistent). Previous-step terms always enter through fine-grid
-lifts, so the right-hand side stays meaningful when the space is enriched
-between steps.
+step size) or projected onto a multiscale space (dense LU, factorized once per
+space). A projected matrix whose reciprocal condition estimate is at most
+n eps, the cut-off below which `np.linalg.lstsq` truncates, is solved by
+least squares instead; that also covers deliberately redundant spaces where
+the projected matrix is singular but consistent. Previous-step terms always
+enter through fine-grid lifts, so the right-hand side stays meaningful when
+the space is enriched between steps.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -111,8 +114,49 @@ class FineSolver:
         return State(n, x[:self.n_u], x[self.n_u:])
 
 
+def _lu_factor(mat):
+    """LU factors `(lu, piv)` of a dense square matrix, or None where least
+    squares must solve with it instead.
+
+    LAPACK getrf factors and gecon estimates the reciprocal 1-norm condition
+    number from the factor. The factor is kept only when that estimate
+    exceeds n eps, the cut-off below which `np.linalg.lstsq` (rcond=None)
+    truncates: above it both give the same solution in exact arithmetic. A
+    breakdown, a non-finite matrix or an estimate at the cut-off returns None.
+    """
+    getrf, gecon = sla.get_lapack_funcs(("getrf", "gecon"), (mat,))
+    lu, piv, info = getrf(mat)
+    if info != 0:
+        return None
+    rcond, info = gecon(lu, np.linalg.norm(mat, 1))
+    if info != 0 or not rcond > mat.shape[0] * np.finfo(float).eps:
+        return None
+    return lu, piv
+
+
+class _DenseSolver:
+    """Every solve with one dense square matrix, by the LU factors it was
+    built with or, where `_lu_factor` declines, by least squares."""
+
+    def __init__(self, mat):
+        self.mat = mat
+        self.lu = _lu_factor(mat)
+
+    def solve(self, rhs):
+        if self.lu is None:
+            return CoarseSolver._lstsq(self.mat, rhs)
+        sol = sla.lu_solve(self.lu, rhs, check_finite=False)
+        if not np.all(np.isfinite(sol)):
+            raise NumericalFailure("coarse solve produced non-finite values")
+        return sol
+
+
 class CoarseSolver:
-    """Galerkin solver on a multiscale space, rebuilt when the space changes."""
+    """Galerkin solver on a multiscale space, rebuilt when the space changes.
+
+    `set_space` factors the step matrix `block` once; every step of the space
+    solves with that factor (or by least squares, see `_lu_factor`).
+    """
 
     def __init__(self, ops, space, tau):
         self.ops = ops
@@ -121,8 +165,9 @@ class CoarseSolver:
         self.set_space(space)
 
     def set_space(self, space):
-        """Project onto `space`. Handed the current space again, after
-        `append` grew it, only the appended rows and columns are projected."""
+        """Project onto `space` and factor the step matrix. Handed the current
+        space again, after `append` grew it, only the appended rows and
+        columns are projected, and the whole block is factored anew."""
         previous = self.co if space is self.space else None
         self.space = space
         self.co = CoarseOperators(self.ops, space, previous)
@@ -131,6 +176,7 @@ class CoarseSolver:
             np.hstack([co.stiff_u, -co.coupling.T]),
             np.hstack([co.coupling, co.mass_p + self.tau * co.stiff_p])])
         self.n_u = space.n_u
+        self._block_solver = _DenseSolver(self.block)
 
     @staticmethod
     def _lstsq(mat, rhs):
@@ -147,20 +193,21 @@ class CoarseSolver:
         ops = self.ops
         space = self.space
         rhs_p = space.basis_p.T @ (ops.stiff_p @ p0_fine)
-        pc = self._lstsq(self.co.stiff_p, rhs_p)
+        pc = _DenseSolver(self.co.stiff_p).solve(rhs_p)
         p = space.basis_p @ pc
-        uc = self._lstsq(self.co.stiff_u, self.co.coupling.T @ pc)
+        uc = _DenseSolver(self.co.stiff_u).solve(self.co.coupling.T @ pc)
         u = space.basis_u @ uc
         return State(0, u, p)
 
     def step(self, prev, load, n):
-        """Advance one step; previous-step data is read from the fine lifts."""
+        """Advance one step with the space's factor; previous-step data is
+        read from the fine lifts."""
         ops = self.ops
         space = self.space
         rhs_p = space.basis_p.T @ (
             self.tau * load + ops.coupling @ prev.u + ops.mass_p @ prev.p)
         rhs = np.concatenate([np.zeros(self.n_u), rhs_p])
-        sol = self._lstsq(self.block, rhs)
+        sol = self._block_solver.solve(rhs)
         uc = sol[:self.n_u]
         pc = sol[self.n_u:]
         return State(n, space.basis_u @ uc, space.basis_p @ pc)

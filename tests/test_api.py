@@ -1,6 +1,7 @@
 """The package's import surface: private names stay in their module, every
 name the package exports resolves, and so does every name the benchmark
-traces. Every public method has a caller outside the tests."""
+traces. Every public method, and every function the package exports, has a
+caller outside the tests."""
 
 import ast
 import importlib
@@ -82,29 +83,60 @@ def test_perfbench_traced_names_resolve(monkeypatch):
     assert missing <= KNOWN_GONE, sorted(missing - KNOWN_GONE)
 
 
-def _trees(directory):
+def _trees(directory, skip=()):
     for name in sorted(os.listdir(directory)):
-        if name.endswith(".py"):
+        if name.endswith(".py") and name not in skip:
             with open(os.path.join(directory, name)) as fh:
                 yield ast.parse(fh.read())
 
 
-def test_public_methods_have_callers_outside_tests():
-    # a method only the tests read is dead weight; names inside strings
-    # count as references, so the methods perfbench traces by name pass
-    package = list(_trees(PKG))
+def _docstrings(tree):
+    """The docstring constants of a module and its classes and functions."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def _referenced_outside_tests():
+    """Every attribute and bare name the package (its import list aside) and
+    the benchmark use, and every word inside their strings: the methods
+    perfbench traces by name count as used. A docstring mention is no use."""
     referenced = set()
-    for node in (n for tree in package + list(_trees(PERFBENCH))
-                 for n in ast.walk(tree)):
-        if isinstance(node, ast.Attribute):
-            referenced.add(node.attr)
-        elif isinstance(node, ast.Name):
-            referenced.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            referenced.update(re.findall(r"\w+", node.value))
+    for tree in (list(_trees(PKG, skip=("__init__.py",)))
+                 + list(_trees(PERFBENCH))):
+        docs = _docstrings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docs):
+                referenced.update(re.findall(r"\w+", node.value))
+    return referenced
+
+
+def test_public_methods_have_callers_outside_tests():
+    # a method only the tests read is dead weight
+    referenced = _referenced_outside_tests()
     unused = ["%s.%s" % (cls.name, fn.name)
-              for tree in package for cls in ast.walk(tree)
+              for tree in _trees(PKG) for cls in ast.walk(tree)
               if isinstance(cls, ast.ClassDef)
               for fn in cls.body if isinstance(fn, ast.FunctionDef)
               and not fn.name.startswith("_") and fn.name not in referenced]
+    assert not unused, unused
+
+
+def test_exported_functions_have_callers_outside_tests():
+    # a module-level function the package exports only for the tests
+    # belongs with them
+    referenced = _referenced_outside_tests()
+    unused = []
+    for _, module, name in _imports_from("__init__"):
+        with open(os.path.join(PKG, module + ".py")) as fh:
+            body = ast.parse(fh.read()).body
+        if (any(isinstance(fn, ast.FunctionDef) and fn.name == name
+                for fn in body) and name not in referenced):
+            unused.append("%s.%s" % (module, name))
     assert not unused, unused

@@ -8,12 +8,13 @@ import pytest
 
 from cemporo import cembasis
 from cemporo.assembly import assemble_operators
-from cemporo.cembasis import (CoarseOperators, PatchSolver,
-                              build_element_basis, build_global_basis_oracle,
-                              build_offline_basis)
+from cemporo.cembasis import CoarseOperators, PatchSolver, build_offline_basis
 from cemporo.grid import build_grids, oversample_element, partition_of_unity
 from cemporo.material import synth_channels
 from cemporo.spectral import build_aux_basis
+
+from oracles import (build_element_basis, build_global_basis_oracle,
+                     patch_residual)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +66,7 @@ def test_offline_columns_satisfy_defining_equation(setup):
                                       org["element"] * 2 + org["mode"]))
             rhs = np.asarray(solver.U[:, pos].todense()).ravel()
             psi = np.asarray(basis[:, j].todense()).ravel()[solver.index]
-            res = solver.residual(psi, rhs)
+            res = patch_residual(solver, psi, rhs)
             assert res <= 1e-12 * np.linalg.norm(rhs)
 
 
@@ -182,7 +183,7 @@ def test_patch_solver_refinement_accuracy(setup, family, element, cells):
     rng = np.random.default_rng(3)
     rhs = rng.normal(size=solver.n)
     psi = solver.solve(rhs)
-    assert solver.residual(psi, rhs) <= 1e-12 * np.linalg.norm(rhs)
+    assert patch_residual(solver, psi, rhs) <= 1e-12 * np.linalg.norm(rhs)
     U = solver.U.toarray()
     expected = np.linalg.solve(solver.A.toarray() + U @ U.T, rhs)
     npt.assert_allclose(psi, expected, rtol=0,

@@ -8,8 +8,10 @@ import scipy.linalg as sla
 from cemporo.assembly import assemble_operators
 from cemporo.grid import build_grids, partition_of_unity
 from cemporo.material import synth_channels
-from cemporo.spectral import (build_aux_basis, project_pi,
-                              solve_local_spectral, spectral_diagnostics)
+from cemporo.spectral import (build_aux_basis, solve_local_spectral,
+                              spectral_diagnostics)
+
+from oracles import project_pi
 
 
 @pytest.fixture(scope="module")

@@ -6,14 +6,16 @@ import pytest
 
 from cemporo.assembly import assemble_load, assemble_operators
 from cemporo import cembasis, timestepping
-from cemporo.cembasis import (CoarseOperators, build_element_basis,
-                              build_global_basis_oracle, build_offline_basis)
+from cemporo.cembasis import CoarseOperators, build_offline_basis
 from cemporo.grid import build_grids, partition_of_unity
 from cemporo.material import MaterialField, synth_channels
 from cemporo.online import compute_residuals
+from cemporo.report import energy_errors
 from cemporo.spectral import build_aux_basis
 from cemporo.timestepping import (CoarseSolver, FineSolver, NumericalFailure,
                                   State, TimeGrid, fine_initial_state, run)
+
+from oracles import build_element_basis, build_global_basis_oracle
 
 
 def _source(t, x, y):
@@ -233,3 +235,95 @@ def test_lstsq_failure_raises():
     with pytest.raises(NumericalFailure):
         CoarseSolver._lstsq(bad, np.ones(2))
 
+
+def test_coarse_block_is_factored_once_per_space(setup, monkeypatch):
+    _, ops = setup
+    aux = build_aux_basis(ops, 2)
+    space = build_offline_basis(ops, aux, 1)
+    tg = TimeGrid(0.1, 10)
+    factored, least_squares = [], []
+    lu_factor, lstsq = timestepping._lu_factor, CoarseSolver._lstsq
+
+    def counted_lu(mat):
+        factored.append(mat.shape)
+        return lu_factor(mat)
+
+    def counted_lstsq(mat, rhs):
+        least_squares.append(mat.shape)
+        return lstsq(mat, rhs)
+
+    monkeypatch.setattr(timestepping, "_lu_factor", counted_lu)
+    monkeypatch.setattr(CoarseSolver, "_lstsq", staticmethod(counted_lstsq))
+    states = run(ops, tg, _source, _p0, space=space)
+    n = space.n_u + space.n_p
+    # the block once for all ten steps, then the two initial-state solves
+    assert factored == [(n, n), (space.n_p,) * 2, (space.n_u,) * 2]
+    assert least_squares == []
+
+    # the same trajectory with least squares on every solve
+    monkeypatch.setattr(timestepping, "_lu_factor", lambda mat: None)
+    forced = run(ops, tg, _source, _p0, space=space)
+    assert len(least_squares) == 2 + tg.n_steps
+    for st, ref in zip(states, forced):
+        for x, y in ((st.u, ref.u), (st.p, ref.p)):
+            assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)
+
+    monkeypatch.setattr(timestepping, "_lu_factor", counted_lu)
+    solver = CoarseSolver(ops, space, tg.tau)
+    for element, family in ((3, "u"), (4, "p"), (5, "u")):
+        space.append(family, *build_element_basis(ops, aux, family,
+                                                  element, 2))
+        del factored[:]
+        solver.set_space(space)
+        n = space.n_u + space.n_p
+        assert factored == [(n, n)], family
+
+
+def test_redundant_space_solves_by_least_squares(monkeypatch):
+    # the criterion-01 space holds every local mode, so its projected
+    # matrices are singular: the factor is declined below lstsq's cut-off
+    grid = build_grids(4, 4, 4)
+    field = synth_channels(grid, 1.0, 1e3, n_channels=2, n_inclusions=4,
+                           seed=3)
+    ops = assemble_operators(grid, field, partition_of_unity(grid))
+    nodes_per_cell = (grid.refinement + 1) ** 2
+    aux = build_aux_basis(ops, 2 * nodes_per_cell, nodes_per_cell)
+    space = build_global_basis_oracle(ops, aux)
+    least_squares = []
+    lstsq = CoarseSolver._lstsq
+
+    def counted(mat, rhs):
+        least_squares.append(mat.shape)
+        return lstsq(mat, rhs)
+
+    monkeypatch.setattr(CoarseSolver, "_lstsq", staticmethod(counted))
+    tg = TimeGrid(0.25, 4)
+    fine = run(ops, tg, _source, _p0)
+    coarse = run(ops, tg, _source, _p0, space=space)
+    n = space.n_u + space.n_p
+    assert least_squares.count((n, n)) == tg.n_steps
+    for f, c in zip(fine, coarse):
+        eu, ep, _ = energy_errors(ops, c, f)
+        assert max(eu, ep) <= 1e-8
+
+
+def test_non_finite_coarse_solve_raises(setup):
+    _, ops = setup
+    aux = build_aux_basis(ops, 2)
+    space = build_offline_basis(ops, aux, 1)
+    tau = 0.1
+    solver = CoarseSolver(ops, space, tau)
+    prev = solver.initial_state(fine_initial_state(ops, _p0).p)
+    load = ops.dofs.restrict_p(assemble_load(ops.grid, _source, tau))
+    # a finite block, factored, and a non-finite previous state
+    bad = State(0, prev.u, np.full_like(prev.p, np.nan))
+    with pytest.raises(NumericalFailure):
+        solver.step(bad, load, 1)
+    # a block with a NaN: set_space does not raise, the step does
+    column = np.zeros(ops.dofs.n_u)
+    column[0] = np.nan
+    space.append("u", [column], [{"kind": "test"}])
+    solver.set_space(space)
+    assert np.isnan(solver.block).any()
+    with pytest.raises(NumericalFailure):
+        solver.step(prev, load, 1)
