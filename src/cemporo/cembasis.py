@@ -36,8 +36,11 @@ def spd_factor(A):
 
     A symmetric fill-reducing ordering with diagonal pivots keeps L and U on
     the pattern of a Cholesky factor of A. An SPD matrix needs no pivoting
-    for stability, and a quasi-definite one has a factorization with
-    diagonal pivots under every symmetric ordering.
+    for stability, and a quasi-definite one [[H, G^T], [G, -F]] with H and F
+    SPD has a factorization with diagonal pivots under every symmetric
+    ordering. Two such matrices are factored here: the bordered patch
+    matrix [[A, U], [U^T, -I]] and the fine step matrix
+    [[A, -D^T], [-D, -(C + tau B)]], the step's flow row negated.
     """
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0,

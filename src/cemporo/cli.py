@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 import argparse
 import copy
 import json
+import numbers
 import os
 import sys
 from dataclasses import fields
@@ -106,8 +107,6 @@ def resolve_config(raw):
     for name, default in _DEFAULTS.items():
         if isinstance(default, dict) and not isinstance(cfg[name], dict):
             raise ConfigError("%s must be an object" % name)
-    # source and initial_pressure also take a key (values) that has no
-    # default
     for name in ("mesh", "scalars", "time", "offline"):
         _reject_unknown(name, cfg[name], _DEFAULTS[name])
     _reject_unknown("material", cfg["material"], ["synth", "file"])
@@ -141,21 +140,44 @@ def resolve_config(raw):
             raise ConfigError("each variant needs at least a 'name'")
         overrides = {key: v for key, v in variant.items() if key != "name"}
         _online_config(dict(cfg["online"], **overrides), "variants[%d]" % k)
-    if cfg["source"]["kind"] not in ("constant", "separable-sine",
-                                     "time-scaled-sine", "table"):
-        raise ConfigError("unknown source.kind %r" % cfg["source"]["kind"])
-    if cfg["initial_pressure"]["kind"] not in ("bump", "skew-bump", "zero",
-                                               "table"):
-        raise ConfigError("unknown initial_pressure.kind %r"
-                          % cfg["initial_pressure"]["kind"])
+    nfx = mesh["ncx"] * mesh["refinement"]
+    nfy = mesh["ncy"] * mesh["refinement"]
+    _check_data("source", cfg["source"], "value",
+                ("constant", "separable-sine", "time-scaled-sine", "table"),
+                nfx * nfy, "fine cell")
+    _check_data("initial_pressure", cfg["initial_pressure"], "scale",
+                ("bump", "skew-bump", "zero", "table"),
+                (nfx + 1) * (nfy + 1), "fine node")
     return cfg
 
 
-def make_source(cfg, grid):
+def _is_real(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _check_data(where, section, number, kinds, table_size, entity):
+    """Check a source or initial-pressure section: its keys, its `number`
+    (the constant's value or the bump's scale) and, for a table, one number
+    per `entity` of the mesh."""
+    _reject_unknown(where, section, list(_DEFAULTS[where]) + ["values"])
+    kind = section["kind"]
+    if kind not in kinds:
+        raise ConfigError("unknown %s.kind %r" % (where, kind))
+    if not _is_real(section[number]):
+        raise ConfigError("%s.%s must be a number" % (where, number))
+    if kind == "table":
+        vals = section.get("values")
+        if not (isinstance(vals, list) and len(vals) == table_size
+                and all(_is_real(v) for v in vals)):
+            raise ConfigError("%s.values must list one number per %s (%d)"
+                              % (where, entity, table_size))
+
+
+def make_source(cfg):
     src = cfg["source"]
     kind = src["kind"]
     if kind == "constant":
-        value = float(src.get("value", 1.0))
+        value = float(src["value"])
         return lambda t, x, y: np.full_like(np.asarray(x, dtype=float), value)
     if kind == "separable-sine":
         return lambda t, x, y: \
@@ -163,27 +185,20 @@ def make_source(cfg, grid):
     if kind == "time-scaled-sine":
         return lambda t, x, y: \
             2.0 * np.pi ** 2 * t * np.sin(np.pi * x) * np.sin(np.pi * y)
-    vals = np.asarray(src.get("values", ()), dtype=float).ravel()
-    if vals.size != grid.n_fine_cells:
-        raise ConfigError("source.values must list one value per fine cell")
-    return vals
+    return np.asarray(src["values"], dtype=float)
 
 
-def make_initial_pressure(cfg, grid):
+def make_initial_pressure(cfg):
     ip = cfg["initial_pressure"]
     kind = ip["kind"]
-    scale = float(ip.get("scale", 100.0))
+    scale = float(ip["scale"])
     if kind == "bump":
         return lambda x, y: scale * x * (1 - x) * y * (1 - y)
     if kind == "skew-bump":
         return lambda x, y: scale * x ** 2 * (1 - x) * y ** 2 * (1 - y)
     if kind == "zero":
         return lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
-    vals = np.asarray(ip.get("values", ()), dtype=float).ravel()
-    if vals.size != grid.n_fine_nodes:
-        raise ConfigError("initial_pressure.values must list one value per "
-                          "fine node")
-    return vals
+    return np.asarray(ip["values"], dtype=float)
 
 
 def build_field(cfg, grid, seed_override=None):
@@ -226,8 +241,8 @@ class Experiment:
         self.ops = assemble_operators(self.grid, self.field, self.pou)
         self.time_grid = TimeGrid.from_horizon(cfg["time"]["tau"],
                                                cfg["time"]["T"])
-        self.source = make_source(cfg, self.grid)
-        self.p0 = make_initial_pressure(cfg, self.grid)
+        self.source = make_source(cfg)
+        self.p0 = make_initial_pressure(cfg)
         self.aux = build_aux_basis(self.ops, cfg["offline"]["modes"])
         self.diag = spectral_diagnostics(self.aux)
         self.space = build_offline_basis(self.ops, self.aux,

@@ -4,14 +4,19 @@ One backward difference step solves the monolithic block system
 
     [[A, -D^T], [D, C + tau B]] (u, p) = (0, tau f + D u_prev + C p_prev)
 
-on interior unknowns, either on the fine grid (sparse LU, factorized once per
-step size) or projected onto a multiscale space (dense LU, factorized once per
-space). A projected matrix whose reciprocal condition estimate is at most
-n eps, the cut-off below which `np.linalg.lstsq` truncates, is solved by
-least squares instead; that also covers deliberately redundant spaces where
-the projected matrix is singular but consistent. Previous-step terms always
-enter through fine-grid lifts, so the right-hand side stays meaningful when
-the space is enriched between steps.
+on interior unknowns, either on the fine grid or projected onto a multiscale
+space (dense LU, factorized once per space). The fine solver negates the flow
+row, which turns the block into the symmetric quasi-definite
+
+    [[A, -D^T], [-D, -(C + tau B)]],
+
+and factors it once per step size with diagonal pivots (`spd_factor`). A
+projected matrix whose reciprocal condition estimate is at most n eps, the
+cut-off below which `np.linalg.lstsq` truncates, is solved by least squares
+instead; that also covers deliberately redundant spaces where the projected
+matrix is singular but consistent. Previous-step terms always enter through
+fine-grid lifts, so the right-hand side stays meaningful when the space is
+enriched between steps.
 """
 
 from dataclasses import dataclass
@@ -19,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import assemble_load
 from .cembasis import CoarseOperators, spd_factor
@@ -81,8 +85,28 @@ def fine_initial_state(ops, p0):
     return State(0, u, p)
 
 
+def _mirror_lower(mat):
+    """The symmetric matrix with the lower triangle of `mat`.
+
+    Assembly sums duplicate entries in varying order, so the assembled forms
+    are symmetric only to round-off. Stored zeros stay stored: a
+    fill-reducing ordering sees the assembled pattern (dropping them raises
+    the fine factor's fill by a quarter).
+    """
+    low = sp.tril(mat, format="coo")
+    off = low.row > low.col
+    return sp.csc_matrix(
+        (np.concatenate([low.data, low.data[off]]),
+         (np.concatenate([low.row, low.col[off]]),
+          np.concatenate([low.col, low.row[off]]))), shape=mat.shape)
+
+
 class FineSolver:
-    """Reference solver on the fine grid; the block LU is built on first use."""
+    """Reference solver on the fine grid.
+
+    A and C + tau B are SPD, so the step matrix with its flow row negated is
+    symmetric quasi-definite; its diagonal-pivot factor is built on first use.
+    """
 
     def __init__(self, ops, tau):
         self.ops = ops
@@ -94,12 +118,11 @@ class FineSolver:
     def _factorize(self):
         if self._lu is None:
             ops = self.ops
-            self._block = sp.bmat(
-                [[ops.stiff_u, -ops.coupling.T],
-                 [ops.coupling, ops.mass_p + self.tau * ops.stiff_p]],
-                format="csc")
+            self._block = _mirror_lower(sp.bmat(
+                [[ops.stiff_u, None],
+                 [-ops.coupling, -(ops.mass_p + self.tau * ops.stiff_p)]]))
             try:
-                self._lu = spla.splu(self._block)
+                self._lu = spd_factor(self._block)
             except RuntimeError as err:
                 raise NumericalFailure("fine step factorization failed: %s" % err)
 
@@ -108,7 +131,7 @@ class FineSolver:
         ops = self.ops
         rhs = np.concatenate([
             np.zeros(self.n_u),
-            self.tau * load + ops.coupling @ prev.u + ops.mass_p @ prev.p])
+            -(self.tau * load + ops.coupling @ prev.u + ops.mass_p @ prev.p)])
         x = self._lu.solve(rhs)
         x += self._lu.solve(rhs - self._block @ x)
         return State(n, x[:self.n_u], x[self.n_u:])

@@ -1,7 +1,8 @@
 """The package's import surface: private names stay in their module, every
 name the package exports resolves, and so does every name the benchmark
 traces. Every public method, and every function the package exports, has a
-caller outside the tests."""
+caller outside the tests. Every sparse factorization goes through
+`cembasis.spd_factor`."""
 
 import ast
 import importlib
@@ -140,3 +141,32 @@ def test_exported_functions_have_callers_outside_tests():
                 for fn in body) and name not in referenced):
             unused.append("%s.%s" % (module, name))
     assert not unused, unused
+
+
+def _splu_callers():
+    """`module.Qualified.name` of every function that calls `splu`."""
+    callers = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else (
+                func.id if isinstance(func, ast.Name) else None)
+            if name == "splu":
+                callers.add(".".join((module,) + scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for module in MODULES:
+        with open(os.path.join(PKG, module + ".py")) as fh:
+            visit(ast.parse(fh.read()), module, ())
+    return callers
+
+
+def test_sparse_factors_go_through_spd_factor():
+    # every sparse matrix the package factors is SPD or symmetric
+    # quasi-definite: a second splu call would bring back partial pivoting
+    # and its unsymmetric fill
+    assert _splu_callers() == {"cembasis.spd_factor"}

@@ -100,6 +100,22 @@ BAD_INPUTS = {
     "material-unknown-key": {"material": {"fiel": "fields/channels"}},
     # a typo must not silently draw the field from the default seed
     "material-synth-unknown-key": {"material": {"synth": {"seedd": 3}}},
+    # data sections: a string, a list or a boolean is not a number, a typo
+    # must not fall back to the default, and a table must fit the mesh
+    "source-value-string": {"source": {"value": "abc"}},
+    "source-value-list": {"source": {"value": [1, 2]}},
+    "source-value-bool": {"source": {"value": True}},
+    "source-unknown-key": {"source": {"valu": 2.0}},
+    "source-table-too-short": {"source": {"kind": "table", "values": [1.0]}},
+    "source-table-string": {"source": {"kind": "table",
+                                       "values": ["abc"] * 16}},
+    "initial-pressure-scale-string": {"initial_pressure": {"scale": "abc"}},
+    "initial-pressure-scale-list": {"initial_pressure": {"scale": [1, 2]}},
+    "initial-pressure-scale-bool": {"initial_pressure": {"scale": True}},
+    "initial-pressure-unknown-key": {"initial_pressure": {"scael": 2.0}},
+    # 16 values fit the 4x4 fine cells, not the 25 fine nodes
+    "initial-pressure-table-wrong-length": {
+        "initial_pressure": {"kind": "table", "values": [1.0] * 16}},
 }
 
 
@@ -159,32 +175,40 @@ def test_make_source_kinds():
     x = np.array([0.25, 0.5])
     y = np.array([0.5, 0.5])
     cfg = resolve_config({"source": {"kind": "constant", "value": 2.5}})
-    np.testing.assert_array_equal(make_source(cfg, grid)(0.3, x, y), 2.5)
+    np.testing.assert_array_equal(make_source(cfg)(0.3, x, y), 2.5)
     cfg = resolve_config({"source": {"kind": "separable-sine"}})
-    got = make_source(cfg, grid)(0.0, x, y)
+    got = make_source(cfg)(0.0, x, y)
     want = 2 * math.pi ** 2 * np.sin(math.pi * x) * np.sin(math.pi * y)
     np.testing.assert_allclose(got, want, rtol=1e-12)
     cfg = resolve_config({"source": {"kind": "time-scaled-sine"}})
-    np.testing.assert_allclose(make_source(cfg, grid)(0.5, x, y), 0.5 * want,
+    np.testing.assert_allclose(make_source(cfg)(0.5, x, y), 0.5 * want,
                                rtol=1e-12)
-    cfg = resolve_config({"source": {"kind": "table", "values": [1.0]}})
+    tiny_mesh = {"ncx": 2, "ncy": 2, "refinement": 2}
+    cfg = resolve_config({"mesh": tiny_mesh, "source": {
+        "kind": "table", "values": list(range(grid.n_fine_cells))}})
+    np.testing.assert_array_equal(make_source(cfg),
+                                  np.arange(grid.n_fine_cells))
     with pytest.raises(ConfigError):
-        make_source(cfg, grid)
+        resolve_config({"mesh": tiny_mesh,
+                        "source": {"kind": "table", "values": [1.0]}})
 
 
 def test_make_initial_pressure_kinds():
     from cemporo.grid import build_grids
     grid = build_grids(2, 2, 2)
     cfg = resolve_config({"initial_pressure": {"kind": "bump", "scale": 16.0}})
-    assert make_initial_pressure(cfg, grid)(0.5, 0.5) == pytest.approx(1.0)
+    assert make_initial_pressure(cfg)(0.5, 0.5) == pytest.approx(1.0)
     cfg = resolve_config({"initial_pressure": {"kind": "zero"}})
     np.testing.assert_array_equal(
-        make_initial_pressure(cfg, grid)(np.array([0.3]), np.array([0.7])),
+        make_initial_pressure(cfg)(np.array([0.3]), np.array([0.7])),
         0.0)
-    cfg = resolve_config({"initial_pressure": {"kind": "table",
-                                               "values": [1.0, 2.0]}})
+    tiny_mesh = {"ncx": 2, "ncy": 2, "refinement": 2}
+    cfg = resolve_config({"mesh": tiny_mesh, "initial_pressure": {
+        "kind": "table", "values": [0.5] * grid.n_fine_nodes}})
+    np.testing.assert_array_equal(make_initial_pressure(cfg), 0.5)
     with pytest.raises(ConfigError):
-        make_initial_pressure(cfg, grid)
+        resolve_config({"mesh": tiny_mesh, "initial_pressure": {
+            "kind": "table", "values": [1.0, 2.0]}})
 
 
 # ---- exit codes --------------------------------------------------------------

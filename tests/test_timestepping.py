@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cemporo.assembly import assemble_load, assemble_operators
 from cemporo import cembasis, timestepping
@@ -127,6 +129,28 @@ def test_fine_step_dense_oracle(setup):
     sol = np.linalg.solve(block, rhs)
     npt.assert_allclose(st.u, sol[:n_u], atol=1e-11 * np.abs(sol).max())
     npt.assert_allclose(st.p, sol[n_u:], atol=1e-11 * np.abs(sol).max())
+
+
+def test_fine_step_factor_keeps_diagonal_pivots(setup):
+    """The fine step factors its symmetric quasi-definite block with every
+    pivot on the diagonal, and with less fill than a default LU of the
+    unsymmetric block."""
+    _, ops = setup
+    # a short step keeps the flow diagonal C + tau B small against the
+    # coupling, where partial pivoting would leave the diagonal
+    tau = 1e-3
+    solver = FineSolver(ops, tau)
+    prev = fine_initial_state(ops, _p0)
+    load = ops.dofs.restrict_p(assemble_load(ops.grid, _source, tau))
+    solver.step(prev, load, 1)
+    lu = solver._lu
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert (solver._block != solver._block.T).nnz == 0
+    unsymmetric = sp.bmat(
+        [[ops.stiff_u, -ops.coupling.T],
+         [ops.coupling, ops.mass_p + tau * ops.stiff_p]], format="csc")
+    colamd = spla.splu(unsymmetric)
+    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
 def test_full_auxiliary_space_reproduces_fine():
