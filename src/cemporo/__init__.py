@@ -17,8 +17,8 @@ from .cembasis import (CoarseOperators, MultiscaleSpace, PatchSolver,
                        build_offline_basis)
 from .timestepping import (TimeGrid, State, FineSolver, CoarseSolver,
                            NumericalFailure, fine_initial_state, run)
-from .online import (ResidualSet, IndicatorSet, OnlineConfig, Enricher,
-                     compute_residuals, select_regions)
+from .online import (ResidualSet, OnlineConfig, Enricher, compute_residuals,
+                     select_regions)
 from .report import (EnrichmentHistory, energy_errors,
                      export_field_snapshots, render_percent)
 

@@ -141,9 +141,9 @@ class OperatorSet:
         self.cell_stiff_u = (2.0 * mu)[:, None, None] * k_shear \
             + lam[:, None, None] * k_div
         self.cell_stiff_p = field.mobility[:, None, None] * lap
-        self.cell_mass_p = np.broadcast_to(
+        cell_mass_p = np.broadcast_to(
             mass / field.biot_modulus, (nc, 4, 4)).copy()
-        self.cell_coupling = field.alpha * np.broadcast_to(
+        cell_coupling = field.alpha * np.broadcast_to(
             cpl, (nc, 4, 8)).copy()
 
         # spectral weight = coefficient * sum over hats of |grad chi|^2,
@@ -171,7 +171,7 @@ class OperatorSet:
         nn = grid.n_fine_nodes
 
         self.stiff_p_full = self._scalar_csr(self.cell_stiff_p, nodes, nn)
-        self.mass_p_full = self._scalar_csr(self.cell_mass_p, nodes, nn)
+        self.mass_p_full = self._scalar_csr(cell_mass_p, nodes, nn)
         self.aux_p_full = self._scalar_csr(self.cell_aux_p, nodes, nn)
         udofs = layout(nodes, "u")
         self.stiff_u_full = self._scalar_csr(self.cell_stiff_u, udofs, 2 * nn)
@@ -179,7 +179,7 @@ class OperatorSet:
         rows = np.repeat(nodes, 8, axis=1).ravel()
         cols = np.tile(udofs, (1, 4)).ravel()
         self.coupling_full = sp.csr_matrix(
-            (self.cell_coupling.ravel(), (rows, cols)), shape=(nn, 2 * nn))
+            (cell_coupling.ravel(), (rows, cols)), shape=(nn, 2 * nn))
 
         d = self.dofs
         self.stiff_u = self.stiff_u_full[d.u_dofs][:, d.u_dofs].tocsr()

@@ -52,7 +52,6 @@ class PatchSolver:
 
     def __init__(self, ops, aux, patch, family):
         idx = ops.dofs.index(patch.interior_fine_nodes, family)
-        self.patch = patch
         self.family = family
         self.index = idx
         self.size = ops.dofs.size(family)
@@ -86,16 +85,15 @@ class MultiscaleSpace:
     """Columns of the reduced displacement and pressure spaces.
 
     Basis matrices act from coarse coefficients to interior fine unknowns.
-    Provenance rows record where every column came from. `append` is the only
-    change a space undergoes after construction, so a space's columns are
-    always a prefix of its later columns.
+    An offline space numbers each family's columns element-major: column
+    e * modes + j is seeded by auxiliary mode j of coarse cell e. `append` is
+    the only change a space undergoes after construction, so a space's
+    columns are always a prefix of its later columns.
     """
 
     def __init__(self, n_u, n_p):
         self.basis_u = sp.csc_matrix((n_u, 0))
         self.basis_p = sp.csc_matrix((n_p, 0))
-        self.origin_u = []
-        self.origin_p = []
 
     @property
     def n_u(self):
@@ -109,38 +107,30 @@ class MultiscaleSpace:
         """The family's basis, basis_u or basis_p."""
         return getattr(self, "basis_" + check_family(family))
 
-    def append(self, family, columns, origins):
+    def append(self, family, columns):
         cols = sp.csc_matrix(np.column_stack(columns))
         setattr(self, "basis_" + family,
                 sp.hstack([self.basis(family), cols], format="csc"))
-        getattr(self, "origin_" + family).extend(origins)
 
     def copy(self):
         out = MultiscaleSpace(self.basis_u.shape[0], self.basis_p.shape[0])
         out.basis_u = self.basis_u.copy()
         out.basis_p = self.basis_p.copy()
-        out.origin_u = list(self.origin_u)
-        out.origin_p = list(self.origin_p)
         return out
 
 
-def _element_columns(aux, solver, element, layers):
+def _element_columns(aux, solver, element):
     """Solve the columns seeded by one element's auxiliary modes on the
-    solver's patch.
-
-    Returns (columns, origins) with one column per auxiliary mode of the
-    element, each a full-length interior-dof vector.
+    solver's patch: one full-length interior-dof vector per mode, in mode
+    order.
     """
     count = aux.modes(solver.family)
-    cols, orig = [], []
+    cols = []
     for j in range(count):
         pos = np.searchsorted(solver.aux_cols, element * count + j)
         cols.append(solver.column(
             np.asarray(solver.U[:, pos].todense()).ravel()))
-        orig.append({"kind": "offline", "family": solver.family,
-                     "element": int(element), "mode": int(j),
-                     "layers": int(layers)})
-    return cols, orig
+    return cols
 
 
 def build_offline_basis(ops, aux, layers):
@@ -161,11 +151,10 @@ def build_offline_basis(ops, aux, layers):
         for elements in groups.values():
             solver = PatchSolver(ops, aux, patches[elements[0]], family)
             for e in elements:
-                per_element[e] = _element_columns(aux, solver, e, layers)
+                per_element[e] = _element_columns(aux, solver, e)
             # free this factorization before the next one is built
             del solver
-        space.append(family, [c for cols, _ in per_element for c in cols],
-                     [o for _, orig in per_element for o in orig])
+        space.append(family, [c for cols in per_element for c in cols])
     return space
 
 

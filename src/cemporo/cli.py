@@ -23,7 +23,7 @@ from .material import load_field, save_field, synth_channels
 from .assembly import assemble_operators
 from .spectral import build_aux_basis, spectral_diagnostics
 from .cembasis import build_offline_basis
-from .timestepping import TimeGrid, NumericalFailure, run
+from .timestepping import CoarseSolver, TimeGrid, NumericalFailure, run
 from .online import Enricher, OnlineConfig
 from .report import (EnrichmentHistory, energy_errors,
                      export_field_snapshots)
@@ -49,7 +49,6 @@ _DEFAULTS = {
     "initial_pressure": {"kind": "bump", "scale": 100.0},
     "reference": True,
     "snapshots": False,
-    "seed": 0,
 }
 
 
@@ -78,7 +77,7 @@ def _online_config(section, where="online"):
     sched = section["schedule"]
     if not (sched in ("none", "final-step")
             or (isinstance(sched, dict) and set(sched) == {"every"}
-                and isinstance(sched["every"], int) and sched["every"] > 0)):
+                and _is_int(sched["every"]) and sched["every"] > 0)):
         raise ConfigError("%s.schedule must be 'none', 'final-step' or "
                           "{'every': k}" % where)
     try:
@@ -112,24 +111,35 @@ def resolve_config(raw):
     _reject_unknown("material", cfg["material"], ["synth", "file"])
     if not isinstance(cfg["material"]["synth"], dict):
         raise ConfigError("material.synth must be an object")
-    _reject_unknown("material.synth", cfg["material"]["synth"],
-                    _DEFAULTS["material"]["synth"])
+    syn = cfg["material"]["synth"]
+    _reject_unknown("material.synth", syn, _DEFAULTS["material"]["synth"])
+    if not all(_is_int(syn[k])
+               for k in ("n_channels", "n_inclusions", "seed")):
+        raise ConfigError("material.synth counts and seed must be integers")
+    if not (_is_real(syn["background"]) and _is_real(syn["contrast"])):
+        raise ConfigError("material.synth background and contrast must be "
+                          "numbers")
     mesh = cfg["mesh"]
     for key in ("ncx", "ncy", "refinement"):
-        if not isinstance(mesh[key], int) or mesh[key] < 1:
+        if not _is_int(mesh[key]) or mesh[key] < 1:
             raise ConfigError("mesh.%s must be a positive integer" % key)
+    for key in ("reference", "snapshots"):
+        if not isinstance(cfg[key], bool):
+            raise ConfigError("%s must be true or false" % key)
+    if not (_is_real(cfg["time"]["tau"]) and _is_real(cfg["time"]["T"])):
+        raise ConfigError("time.tau and time.T must be numbers")
     try:
         TimeGrid.from_horizon(cfg["time"]["tau"], cfg["time"]["T"])
-    except (TypeError, ValueError) as err:
+    except ValueError as err:
         raise ConfigError("time: %s" % err)
     off = cfg["offline"]
-    if not isinstance(off["modes"], int) or off["modes"] < 1:
+    if not _is_int(off["modes"]) or off["modes"] < 1:
         raise ConfigError("offline.modes must be a positive integer")
     if off["modes"] > (mesh["refinement"] + 1) ** 2:
         raise ConfigError("offline.modes must not exceed the %d pressure "
                           "unknowns of a coarse cell"
                           % (mesh["refinement"] + 1) ** 2)
-    if not isinstance(off["layers"], int) or off["layers"] < 0:
+    if not _is_int(off["layers"]) or off["layers"] < 0:
         raise ConfigError("offline.layers must be a nonnegative integer")
     _online_config(cfg["online"])
     variants = cfg.get("variants", [])
@@ -153,6 +163,10 @@ def resolve_config(raw):
 
 def _is_real(v):
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _check_data(where, section, number, kinds, table_size, entity):
@@ -271,8 +285,9 @@ class Experiment:
                                               reference=ref, history=rows)
             return state
 
+        solver = CoarseSolver(self.ops, space, self.time_grid.tau)
         states = run(self.ops, self.time_grid, self.source, self.p0,
-                     space=space, hook=hook)
+                     hook=hook, solver=solver)
         return states, rows, space
 
     def per_step_errors(self, states):

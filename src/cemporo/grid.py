@@ -47,7 +47,6 @@ class GridPair:
         ii, jj = np.meshgrid(np.arange(1, self.ncx), np.arange(1, self.ncy))
         self.interior_coarse_nodes = np.sort(
             (jj * (self.ncx + 1) + ii).ravel()).astype(np.int64)
-        self.n_interior_coarse_nodes = self.interior_coarse_nodes.size
 
         fi, fj = np.meshgrid(np.arange(1, self.nfx), np.arange(1, self.nfy))
         self.interior_fine_nodes = np.sort(

@@ -93,10 +93,8 @@ def save_field(field, stem):
         fh.write("\n")
 
 
-def load_field(stem, grid=None):
-    """Read a field written by save_field; builds the grid from the header."""
-    from .grid import build_grids
-
+def load_field(stem, grid):
+    """Read a field written by save_field onto the grid its header names."""
     if not os.path.exists(stem + ".json"):
         raise FileNotFoundError("missing field header %s.json" % stem)
     with open(stem + ".json") as fh:
@@ -105,9 +103,7 @@ def load_field(stem, grid=None):
                 "biot_modulus", "viscosity"):
         if key not in header:
             raise ValueError("field header missing entry '%s'" % key)
-    if grid is None:
-        grid = build_grids(header["ncx"], header["ncy"], header["refinement"])
-    elif (grid.ncx, grid.ncy, grid.refinement) != (
+    if (grid.ncx, grid.ncy, grid.refinement) != (
             header["ncx"], header["ncy"], header["refinement"]):
         raise ValueError("field header does not match the requested grid")
     E = np.loadtxt(stem + "_E.csv", delimiter=",", ndmin=2)
@@ -119,13 +115,13 @@ def load_field(stem, grid=None):
 
 
 def synth_channels(grid, background, contrast, n_channels=4, n_inclusions=8,
-                   seed=0, channels=None, poisson=0.2, alpha=0.9,
-                   biot_modulus=1.0, viscosity=1.0):
+                   seed=0, poisson=0.2, alpha=0.9, biot_modulus=1.0,
+                   viscosity=1.0):
     """Deterministic high-contrast test field: long channels plus blocky inclusions.
 
-    Permeability is set equal to the stiffness field. `channels` may list
-    explicit (axis, index, thickness, start, end) tuples in fine-cell units;
-    otherwise `n_channels` are drawn from the seeded generator.
+    Permeability is set equal to the stiffness field. The `n_channels`
+    channels, each an (axis, index, thickness, start, end) run in fine-cell
+    units, and the inclusions are drawn from the seeded generator.
     """
     if background <= 0.0 or contrast < 1.0:
         raise ValueError("need positive background and contrast >= 1")
@@ -133,22 +129,18 @@ def synth_channels(grid, background, contrast, n_channels=4, n_inclusions=8,
     E = np.full((grid.nfy, grid.nfx), float(background))
     high = background * contrast
 
-    if channels is None:
-        channels = []
-        for k in range(n_channels):
-            axis = k % 2
-            span = grid.nfy if axis == 0 else grid.nfx
-            other = grid.nfx if axis == 0 else grid.nfy
-            if other < 4:
-                raise ValueError(
-                    "random channels need at least 4 fine cells a side; the "
-                    "fine grid is %d x %d" % (grid.nfx, grid.nfy))
-            pos = int(rng.integers(span // 8, span - span // 8))
-            thick = int(rng.integers(1, max(2, span // 25) + 1))
-            start = int(rng.integers(0, other // 4))
-            end = int(rng.integers(3 * other // 4, other + 1))
-            channels.append((axis, pos, thick, start, end))
-    for axis, pos, thick, start, end in channels:
+    for k in range(n_channels):
+        axis = k % 2
+        span = grid.nfy if axis == 0 else grid.nfx
+        other = grid.nfx if axis == 0 else grid.nfy
+        if other < 4:
+            raise ValueError(
+                "random channels need at least 4 fine cells a side; the "
+                "fine grid is %d x %d" % (grid.nfx, grid.nfy))
+        pos = int(rng.integers(span // 8, span - span // 8))
+        thick = int(rng.integers(1, max(2, span // 25) + 1))
+        start = int(rng.integers(0, other // 4))
+        end = int(rng.integers(3 * other // 4, other + 1))
         if axis == 0:
             E[pos:pos + thick, start:end] = high
         else:

@@ -22,17 +22,8 @@ from .cembasis import PatchSolver, spd_factor
 @dataclass
 class ResidualSet:
     """Interior-unknown covectors of the two equations at one time level."""
-    level: int
     r_u: np.ndarray
     r_p: np.ndarray
-
-
-@dataclass
-class IndicatorSet:
-    strategy: str
-    regions: np.ndarray
-    eta_u: np.ndarray
-    eta_p: np.ndarray
 
 
 @dataclass
@@ -48,14 +39,14 @@ class OnlineConfig:
 
     def __post_init__(self):
         optional = [v for v in (self.tol, self.eps) if v is not None]
-        if not all(isinstance(v, numbers.Real)
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
                    for v in [self.theta, self.gamma] + optional):
             raise TypeError("theta, gamma, tol and eps must be numbers")
         if not 0.0 <= self.theta <= 1.0 or not 0.0 <= self.gamma <= 1.0:
             raise ValueError("bulk tolerances must lie in [0, 1]")
         if self.strategy not in ("neighborhood", "element"):
             raise ValueError("strategy must be 'neighborhood' or 'element'")
-        if not all(isinstance(v, numbers.Integral)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
                    for v in (self.layers, self.iterations)):
             raise TypeError("layers and iterations must be integers")
         if self.layers < 0 or self.iterations < 0:
@@ -68,7 +59,7 @@ def compute_residuals(ops, tau, state, prev, load):
     r_p = load - ops.stiff_p @ state.p \
         - (ops.mass_p @ (state.p - prev.p)
            + ops.coupling @ (state.u - prev.u)) / tau
-    return ResidualSet(state.n, r_u, r_p)
+    return ResidualSet(r_u, r_p)
 
 
 def select_regions(indicators, bulk):
@@ -164,6 +155,7 @@ class Enricher:
         return out[0], out[1]
 
     def compute_indicators(self, res):
+        """Local dual norms (eta_u, eta_p) of the residuals, one per region."""
         eta_u = np.empty(self.regions.size)
         eta_p = np.empty(self.regions.size)
         for k, region in enumerate(self.regions):
@@ -173,7 +165,7 @@ class Enricher:
                 rloc = r[index]
                 w = lu.solve(rloc)
                 dest[k] = np.sqrt(max(rloc @ w, 0.0))
-        return IndicatorSet(self.config.strategy, self.regions, eta_u, eta_p)
+        return eta_u, eta_p
 
     # ---- basis growth ----------------------------------------------------
 
@@ -185,8 +177,9 @@ class Enricher:
         return solver.column(
             (self._localizer(family, int(region)) * r)[solver.index])
 
-    def _filter_and_append(self, space, family, columns, origins, gram):
-        """Energy near-dependence filter, then append survivors in order.
+    def _filter_and_append(self, space, family, columns, gram):
+        """Energy near-dependence filter, then append survivors in order,
+        each scaled to unit energy.
 
         `gram` is the stiffness projected onto the family's current columns;
         it is not modified.
@@ -194,9 +187,9 @@ class Enricher:
         R = space.basis(family)
         A = self.ops.stiffness(family)
         G = gram
-        acc_cols, acc_orig = [], []
+        acc_cols = []
         rms2 = float(np.mean(np.diag(G))) if G.size else 1.0
-        for col, orig in zip(columns, origins):
+        for col in columns:
             img = A @ col
             e2 = float(col @ img)
             if e2 <= 1e-18 * rms2:
@@ -209,12 +202,15 @@ class Enricher:
             resid2 = max(e2 - g @ x, 0.0)
             if resid2 < (1e-8) ** 2 * e2:
                 continue
+            # scale to unit energy, so that the appended columns do not carry
+            # the residual's scale into the coarse block
+            s = 1.0 / np.sqrt(e2)
+            col, g, e2 = s * col, s * g, s * s * e2
             # grow the Gram with the accepted column
             G = np.block([[G, g[:, None]], [g[None, :], np.array([[e2]])]])
             acc_cols.append(col)
-            acc_orig.append(orig)
         if acc_cols:
-            space.append(family, acc_cols, acc_orig)
+            space.append(family, acc_cols)
         return len(acc_cols)
 
     # ---- one adaptive iteration -------------------------------------------
@@ -223,27 +219,22 @@ class Enricher:
         """Take the residual snapshot, enrich both families, re-solve the step.
 
         Returns (new_state, added_u, added_p). The incoming state is returned
-        unchanged when every candidate is filtered out.
+        unchanged when every candidate is filtered out. `level_k`, the
+        iteration's number within its level, does not enter the result.
         """
         cfg = self.config
         res = compute_residuals(self.ops, solver.tau, state, prev, load)
-        ind = self.compute_indicators(res)
+        eta_u, eta_p = self.compute_indicators(res)
         space = solver.space
         added = []
         # the solver's projections are current: each family's columns
         # change only in its own append
         for family, eta, bulk, gram in (
-                ("u", ind.eta_u, cfg.theta, solver.co.stiff_u),
-                ("p", ind.eta_p, cfg.gamma, solver.co.stiff_p)):
-            regions = self.regions[select_regions(eta, bulk)]
+                ("u", eta_u, cfg.theta, solver.co.stiff_u),
+                ("p", eta_p, cfg.gamma, solver.co.stiff_p)):
             cols = [self.build_online_column(family, region, res)
-                    for region in regions]
-            orig = [{"kind": "online", "family": family,
-                     "strategy": cfg.strategy, "region": int(region),
-                     "level": int(state.n), "iteration": int(level_k),
-                     "layers": cfg.layers} for region in regions]
-            added.append(self._filter_and_append(space, family, cols, orig,
-                                                 gram))
+                    for region in self.regions[select_regions(eta, bulk)]]
+            added.append(self._filter_and_append(space, family, cols, gram))
 
         if any(added):
             solver.set_space(space)

@@ -28,9 +28,9 @@ def energy_errors(ops, state, reference):
     return float(err_u), float(err_p), absolute
 
 
-def render_percent(x, digits=2):
+def render_percent(x):
     """Decimal fraction rendered as a percentage, e.g. 0.3191 -> '31.91%'."""
-    return "%.*f%%" % (digits, 100.0 * x)
+    return "%.2f%%" % (100.0 * x)
 
 
 def _format_value(col, v):
@@ -54,9 +54,6 @@ class EnrichmentHistory:
 
     def __init__(self, rows=None):
         self.rows = [dict(r) for r in rows] if rows else []
-
-    def append(self, row):
-        self.rows.append(dict(row))
 
     def __len__(self):
         return len(self.rows)

@@ -51,8 +51,7 @@ class ElementSpectra:
     """Eigenpairs of one coarse cell: values for the whole local spectrum,
     vectors for the retained leading block."""
 
-    def __init__(self, element, nodes, eigvals_u, vecs_u, eigvals_p, vecs_p):
-        self.element = element
+    def __init__(self, nodes, eigvals_u, vecs_u, eigvals_p, vecs_p):
         self.nodes = nodes
         self.eigvals_u = eigvals_u
         self.vecs_u = vecs_u
@@ -60,11 +59,11 @@ class ElementSpectra:
         self.vecs_p = vecs_p
 
 
-def solve_local_spectral(ops, element, n_u, n_p=None, extra=4):
+def solve_local_spectral(ops, element, n_u, n_p=None):
     """Solve both local eigenproblems on one coarse cell.
 
     Returns an ElementSpectra with all eigenvalues (ascending) and the first
-    n_u / n_p eigenvectors plus `extra` spares, mass-orthonormal, signs fixed.
+    n_u / n_p eigenvectors, mass-orthonormal, signs fixed.
     """
     if n_p is None:
         n_p = n_u
@@ -78,8 +77,8 @@ def solve_local_spectral(ops, element, n_u, n_p=None, extra=4):
         A = mats["stiff_" + family]
         w, v = _deflated_eigh(0.5 * (A + A.T), 0.5 * (S + S.T),
                               ops.kernel(family, nodes))
-        out += [w, _fix_signs(v[:, :min(v.shape[1], count + extra)])]
-    return ElementSpectra(element, nodes, *out)
+        out += [w, _fix_signs(v[:, :count])]
+    return ElementSpectra(nodes, *out)
 
 
 class AuxBasis:
@@ -93,14 +92,12 @@ class AuxBasis:
     def __init__(self, ops, n_u, n_p=None):
         if n_p is None:
             n_p = n_u
-        self.ops = ops
-        self.grid = ops.grid
         self.n_u = int(n_u)
         self.n_p = int(n_p)
         if self.n_u < 1 or self.n_p < 1:
             raise ValueError("need at least one eigenfunction per family")
         self.spectra = [solve_local_spectral(ops, e, self.n_u, self.n_p)
-                        for e in range(self.grid.n_coarse_cells)]
+                        for e in range(ops.grid.n_coarse_cells)]
         self.R_u = self._collect(ops.dofs, "u")
         self.R_p = self._collect(ops.dofs, "p")
 
@@ -123,7 +120,7 @@ class AuxBasis:
             rows.append(np.tile(dof, count))
             cols.append(np.repeat(e * count + np.arange(count), dof.size))
             vals.append(vecs[:, :count].T.ravel())
-        total = self.grid.n_coarse_cells * count
+        total = len(self.spectra) * count
         return sp.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(d.size(family), total))
@@ -140,12 +137,11 @@ def build_aux_basis(ops, n_u, n_p=None):
 
 
 class SpectralDiagnostics:
-    """First excluded eigenvalue per family and the layer decay factor."""
+    """Smallest first excluded eigenvalue over both families and the layer
+    decay factor."""
 
-    def __init__(self, min_excluded_u, min_excluded_p, degenerate):
-        self.min_excluded_u = float(min_excluded_u)
-        self.min_excluded_p = float(min_excluded_p)
-        self.min_excluded = min(self.min_excluded_u, self.min_excluded_p)
+    def __init__(self, min_excluded, degenerate):
+        self.min_excluded = float(min_excluded)
         self.degenerate = bool(degenerate)
 
     def decay_factor(self, layers):
@@ -169,4 +165,4 @@ def spectral_diagnostics(aux):
     # the local kernels are three rigid motions and one constant; keeping
     # fewer modes leaves a zero in the excluded block
     degenerate = aux.n_u < 3 or ex_u <= 0.0 or ex_p <= 0.0
-    return SpectralDiagnostics(ex_u, ex_p, degenerate)
+    return SpectralDiagnostics(min(ex_u, ex_p), degenerate)

@@ -236,16 +236,16 @@ class CoarseSolver:
         return State(n, space.basis_u @ uc, space.basis_p @ pc)
 
 
-def run(ops, time_grid, source, p0, space=None, hook=None, solver=None):
-    """March the full trajectory.
+def run(ops, time_grid, source, p0, hook=None, solver=None):
+    """March the full trajectory with `solver`, by default a fresh
+    FineSolver; a CoarseSolver marches its multiscale space.
 
     `hook(n, solver, state, prev, load)` may replace the state after any step
     (enrichment re-solves return the refreshed state). Returns the states
     indexed by time level, the initial one included.
     """
     if solver is None:
-        solver = (FineSolver(ops, time_grid.tau) if space is None
-                  else CoarseSolver(ops, space, time_grid.tau))
+        solver = FineSolver(ops, time_grid.tau)
     # a coarse run reads only the fine initial pressure
     states = [solver.initial_state(_initial_pressure(ops, p0))
               if isinstance(solver, CoarseSolver)

@@ -11,14 +11,11 @@ from cemporo.grid import oversample_element
 
 
 def build_element_basis(ops, aux, family, element, layers):
-    """Zero-extended basis columns seeded by one element's auxiliary modes.
-
-    Returns (columns, origins) with one column per auxiliary mode of the
-    element, each a full-length interior-dof vector.
-    """
+    """Zero-extended basis columns seeded by one element's auxiliary modes:
+    one full-length interior-dof vector per mode, in mode order."""
     patch = oversample_element(ops.grid, element, layers)
     solver = cembasis.PatchSolver(ops, aux, patch, family)
-    return cembasis._element_columns(aux, solver, element, layers)
+    return cembasis._element_columns(aux, solver, element)
 
 
 def build_global_basis_oracle(ops, aux):
@@ -34,7 +31,7 @@ def patch_residual(solver, psi, rhs):
         solver.A @ psi + solver.U @ (solver.U.T @ psi) - rhs))
 
 
-def project_pi(aux, family, v):
+def project_pi(ops, aux, family, v):
     """Orthogonal projection onto the auxiliary space in the weighted mass product.
 
     Input and output are interior-unknown vectors. The projection is exact
@@ -42,7 +39,7 @@ def project_pi(aux, family, v):
     zero-extended eigenvectors.
     """
     R = aux.columns(family)
-    M = aux.ops.weight(family)
+    M = ops.weight(family)
     gram = (R.T @ (M @ R)).toarray()
     rhs = R.T @ (M @ v)
     try:

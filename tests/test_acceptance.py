@@ -42,7 +42,8 @@ def test_criterion_01_full_space_trajectory_matches_fine():
     space = build_global_basis_oracle(ops, aux)
     tg = cp.TimeGrid(0.25, 4)
     fine = cp.run(ops, tg, constant_source, bump_pressure)
-    coarse = cp.run(ops, tg, constant_source, bump_pressure, space=space)
+    coarse = cp.run(ops, tg, constant_source, bump_pressure,
+                    solver=cp.CoarseSolver(ops, space, tg.tau))
     worst = 0.0
     for f, c in zip(fine, coarse):
         eu, ep, _ = energy_errors(ops, c, f)
@@ -80,19 +81,20 @@ def test_criterion_03_basis_defining_identities(frozen):
     space = frozen.space
     worst = 0.0
     checked = 0
-    for family, basis, origins, count in (
-            ("u", space.basis_u, space.origin_u, aux.n_u),
-            ("p", space.basis_p, space.origin_p, aux.n_p)):
-        solver = None
-        for i, rec in enumerate(origins):
-            patch = oversample_element(ops.grid, rec["element"],
-                                       rec["layers"])
+    for family, basis, count in (("u", space.basis_u, aux.n_u),
+                                 ("p", space.basis_p, aux.n_p)):
+        assert basis.shape[1] == ops.grid.n_coarse_cells * count
+        rect = solver = None
+        for i in range(basis.shape[1]):
+            # column i is seeded by mode i % count of element i // count,
+            # which is auxiliary column i
+            patch = oversample_element(ops.grid, i // count,
+                                       FROZEN["offline"]["layers"])
             # columns of one element are consecutive: reuse its solver
-            if solver is None or not np.array_equal(solver.patch.cells,
-                                                    patch.cells):
+            if patch.rect != rect:
+                rect = patch.rect
                 solver = PatchSolver(ops, aux, patch, family)
-            pos = int(np.searchsorted(solver.aux_cols,
-                                      rec["element"] * count + rec["mode"]))
+            pos = int(np.searchsorted(solver.aux_cols, i))
             rhs = np.asarray(solver.U[:, pos].todense()).ravel()
             col = np.asarray(basis[:, i].todense()).ravel()
             defect = patch_residual(solver, col[solver.index], rhs)
@@ -115,13 +117,11 @@ def test_criterion_03_basis_defining_identities(frozen):
     cfg = OnlineConfig(theta=onl["theta"], gamma=onl["gamma"],
                        layers=onl["layers"], strategy=onl["strategy"])
     enr = Enricher(ops, aux, frozen.pou, cfg)
-    ind = enr.compute_indicators(res)
+    eta_u, eta_p = enr.compute_indicators(res)
     worst_on = 0.0
     checked_on = 0
-    for family, r, sel in (("u", res.r_u, select_regions(ind.eta_u,
-                                                         cfg.theta)),
-                           ("p", res.r_p, select_regions(ind.eta_p,
-                                                         cfg.gamma))):
+    for family, r, sel in (("u", res.r_u, select_regions(eta_u, cfg.theta)),
+                           ("p", res.r_p, select_regions(eta_p, cfg.gamma))):
         for i in sel:
             region = int(enr.regions[i])
             col = enr.build_online_column(family, region, res)
@@ -153,11 +153,10 @@ def test_criterion_04_offline_localization_decay():
     summary = []
     for element in (0, 4, 44):
         for family, stiff in (("u", ops.stiff_u), ("p", ops.stiff_p)):
-            ref_cols, _ = build_element_basis(ops, aux, family, element, 10)
+            ref_cols = build_element_basis(ops, aux, family, element, 10)
             errs = []
             for layers in (1, 2, 3, 4):
-                cols, _ = build_element_basis(ops, aux, family, element,
-                                              layers)
+                cols = build_element_basis(ops, aux, family, element, layers)
                 worst = 0.0
                 for col, ref in zip(cols, ref_cols):
                     d = col - ref
@@ -289,7 +288,8 @@ def test_criterion_07_smaller_bulk_never_needs_more_iterations(frozen):
     tg = cp.TimeGrid(0.2, 5)
     fine = cp.run(ops, tg, frozen.source, frozen.p0)
     load = _load_at(ops, frozen.source, tg.t(tg.n_steps))
-    coarse = cp.run(ops, tg, frozen.source, frozen.p0, space=frozen.space)
+    coarse = cp.run(ops, tg, frozen.source, frozen.p0,
+                    solver=cp.CoarseSolver(ops, frozen.space, tg.tau))
     prev = coarse[4]
     resolved = cp.FineSolver(ops, tg.tau).step(prev, load, 5)
 
@@ -337,8 +337,9 @@ def test_criterion_08_recurrent_enrichment_dominates_final_only(frozen):
                 return enr.adaptive_loop(solver, state, prev, load)
             return state
 
+        solver = cp.CoarseSolver(ops, space, frozen.time_grid.tau)
         states = cp.run(ops, frozen.time_grid, frozen.source, frozen.p0,
-                        space=space, hook=hook)
+                        hook=hook, solver=solver)
         return energy_errors(ops, states[10], frozen.fine[10])[:2]
 
     eu_rec, ep_rec = adaptive_run({5, 10})
@@ -360,7 +361,8 @@ def test_criterion_09_indicators_match_brute_force():
     aux = cp.build_aux_basis(ops, 2)
     space = cp.build_offline_basis(ops, aux, 1)
     tg = cp.TimeGrid(0.25, 2)
-    coarse = cp.run(ops, tg, constant_source, bump_pressure, space=space)
+    coarse = cp.run(ops, tg, constant_source, bump_pressure,
+                    solver=cp.CoarseSolver(ops, space, tg.tau))
     load = _load_at(ops, constant_source, tg.t(1))
     res = compute_residuals(ops, tg.tau, coarse[1], coarse[0], load)
 
@@ -369,13 +371,13 @@ def test_criterion_09_indicators_match_brute_force():
     for strategy in ("neighborhood", "element"):
         cfg = OnlineConfig(strategy=strategy, layers=1)
         enr = Enricher(ops, aux, pou, cfg)
-        ind = enr.compute_indicators(res)
-        for k, region in enumerate(ind.regions):
+        eta_u, eta_p = enr.compute_indicators(res)
+        for k, region in enumerate(enr.regions):
             patch = (oversample_neighborhood(grid, int(region), 0)
                      if strategy == "neighborhood"
                      else oversample_element(grid, int(region), 0))
-            for family, r, got in (("u", res.r_u, ind.eta_u[k]),
-                                   ("p", res.r_p, ind.eta_p[k])):
+            for family, r, got in (("u", res.r_u, eta_u[k]),
+                                   ("p", res.r_p, eta_p[k])):
                 index = ops.dofs.index(patch.interior_fine_nodes, family)
                 form = ops.stiff_u if family == "u" else ops.stiff_p
                 mat = form[np.ix_(index, index)].toarray()

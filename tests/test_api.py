@@ -1,7 +1,8 @@
 """The package's import surface: private names stay in their module, every
 name the package exports resolves, and so does every name the benchmark
 traces. Every public method, and every function the package exports, has a
-caller outside the tests. Every sparse factorization goes through
+caller outside the tests, and every attribute the package stores has a
+reader outside them. Every sparse factorization goes through
 `cembasis.spd_factor`."""
 
 import ast
@@ -141,6 +142,58 @@ def test_exported_functions_have_callers_outside_tests():
                 for fn in body) and name not in referenced):
             unused.append("%s.%s" % (module, name))
     assert not unused, unused
+
+
+def _stored_attributes():
+    """`Class.name` of every attribute a package class stores on `self` and
+    of every dataclass field."""
+    stored = set()
+    for tree in _trees(PKG):
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if any(isinstance(d, ast.Name) and d.id == "dataclass"
+                   for d in cls.decorator_list):
+                stored.update((cls.name, node.target.id) for node in cls.body
+                              if isinstance(node, ast.AnnAssign))
+            stored.update(
+                (cls.name, node.attr) for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self")
+    return stored
+
+
+def _loaded_attributes():
+    """Every attribute name the package and the benchmark load: `x.name`,
+    `getattr(x, "name")`, and `getattr(x, "prefix_" + family)` as both
+    `prefix_u` and `prefix_p`."""
+    loaded = set()
+    for tree in list(_trees(PKG)) + list(_trees(PERFBENCH)):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                loaded.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id in ("getattr", "hasattr")
+                  and len(node.args) >= 2):
+                name = node.args[1]
+                if isinstance(name, ast.Constant):
+                    loaded.add(name.value)
+                elif (isinstance(name, ast.BinOp)
+                      and isinstance(name.left, ast.Constant)):
+                    loaded.update(name.left.value + f for f in ("u", "p"))
+    return loaded
+
+
+def test_stored_attributes_have_readers_outside_tests():
+    # state that only the tests read is dead weight, like an unused method
+    loaded = _loaded_attributes()
+    unread = sorted("%s.%s" % pair for pair in _stored_attributes()
+                    if pair[1] not in loaded)
+    assert not unread, unread
 
 
 def _splu_callers():

@@ -53,17 +53,17 @@ def test_global_patch_matches_dense_solve(setup):
 def test_offline_columns_satisfy_defining_equation(setup):
     grid, ops, aux = setup
     space = build_offline_basis(ops, aux, 1)
-    for family, basis, origin in (("u", space.basis_u, space.origin_u),
-                                  ("p", space.basis_p, space.origin_p)):
-        solver = None
-        for j, org in enumerate(origin):
-            patch = oversample_element(grid, org["element"], org["layers"])
+    for family, basis in (("u", space.basis_u), ("p", space.basis_p)):
+        rect = solver = None
+        for j in range(basis.shape[1]):
+            # column j is seeded by mode j % 2 of element j // 2, which is
+            # auxiliary column j
+            patch = oversample_element(grid, j // 2, 1)
             # columns of one element are consecutive: reuse its solver
-            if solver is None or not np.array_equal(solver.patch.cells,
-                                                    patch.cells):
+            if patch.rect != rect:
+                rect = patch.rect
                 solver = PatchSolver(ops, aux, patch, family)
-            pos = int(np.searchsorted(solver.aux_cols,
-                                      org["element"] * 2 + org["mode"]))
+            pos = int(np.searchsorted(solver.aux_cols, j))
             rhs = np.asarray(solver.U[:, pos].todense()).ravel()
             psi = np.asarray(basis[:, j].todense()).ravel()[solver.index]
             res = patch_residual(solver, psi, rhs)
@@ -98,7 +98,7 @@ def test_offline_factors_one_per_rectangle_then_freed(setup, monkeypatch,
     depth = max(grid.ncx, grid.ncy) if layers is None else layers
     for family, basis in (("u", space.basis_u), ("p", space.basis_p)):
         for e in (0, 5, grid.n_coarse_cells - 1):
-            cols, _ = build_element_basis(ops, aux, family, e, depth)
+            cols = build_element_basis(ops, aux, family, e, depth)
             assert np.array_equal(basis[:, 2 * e:2 * e + 2].toarray(),
                                   np.column_stack(cols))
 
@@ -108,15 +108,13 @@ def test_basis_dimensions_and_origins(setup):
     space = build_offline_basis(ops, aux, 2)
     assert space.n_u == 2 * grid.n_coarse_cells
     assert space.n_p == 2 * grid.n_coarse_cells
-    assert [o["element"] for o in space.origin_u[:4]] == [0, 0, 1, 1]
-    assert [o["mode"] for o in space.origin_u[:4]] == [0, 1, 0, 1]
-    assert all(o["kind"] == "offline" for o in space.origin_p)
-    # columns are supported on their patch only
-    patch = oversample_element(grid, 0, 2)
-    outside = np.setdiff1d(np.arange(ops.dofs.n_p),
-                           ops.dofs.node_positions(patch.interior_fine_nodes))
-    col = np.asarray(space.basis_p[:, 0].todense()).ravel()
-    npt.assert_allclose(col[outside], 0.0, atol=0)
+    # column j belongs to element j // 2 and is supported on its patch only
+    for family, basis in (("u", space.basis_u), ("p", space.basis_p)):
+        for j in range(basis.shape[1]):
+            patch = oversample_element(grid, j // 2, 2)
+            inside = ops.dofs.index(patch.interior_fine_nodes, family)
+            col = basis[:, j].toarray().ravel()
+            npt.assert_array_equal(np.delete(col, inside), 0.0)
 
 
 def test_columns_decay_with_layers():
@@ -127,7 +125,7 @@ def test_columns_decay_with_layers():
     for family, A in (("u", ops.stiff_u), ("p", ops.stiff_p)):
         mats = {}
         for layers in (1, 2, 3):
-            cols, _ = build_element_basis(ops, aux, family, 14, layers)
+            cols = build_element_basis(ops, aux, family, 14, layers)
             mats[layers] = np.column_stack(cols)
         ratios = []
         for layers in (1, 2):
@@ -148,10 +146,13 @@ def test_build_rejects_negative_layers(setup):
 def test_space_copy_is_independent(setup):
     _, ops, aux = setup
     space = build_offline_basis(ops, aux, 1)
+    last = space.basis_p[:, -1].toarray()
     clone = space.copy()
-    clone.append("p", [np.zeros(ops.dofs.n_p)], [{"kind": "online"}])
+    clone.append("p", [np.zeros(ops.dofs.n_p)])
     assert clone.n_p == space.n_p + 1
-    assert space.origin_p[-1]["kind"] == "offline"
+    # the original keeps its own last column, an offline one
+    assert np.array_equal(space.basis_p[:, -1].toarray(), last)
+    assert np.any(last)
 
 
 def test_galerkin_projection_matrices(setup):

@@ -116,6 +116,20 @@ BAD_INPUTS = {
     # 16 values fit the 4x4 fine cells, not the 25 fine nodes
     "initial-pressure-table-wrong-length": {
         "initial_pressure": {"kind": "table", "values": [1.0] * 16}},
+    # a JSON boolean is neither an integer nor a number, and a flag is a
+    # boolean
+    "mesh-ncx-bool": {"mesh": {"ncx": True}},
+    "offline-modes-bool": {"offline": {"modes": True}},
+    "time-tau-bool": {"time": {"tau": True}},
+    "schedule-every-bool": {"online": {"schedule": {"every": True}}},
+    "online-theta-bool": {"online": {"theta": True}},
+    "online-iterations-bool": {"online": {"iterations": True}},
+    "reference-string": {"reference": "no"},
+    "snapshots-int": {"snapshots": 1},
+    "synth-channels-bool": {"material": {"synth": {"n_channels": True}}},
+    "synth-contrast-bool": {"material": {"synth": {"contrast": True}}},
+    # nothing read the top-level seed; manifests written with it are refused
+    "top-level-seed": {"seed": 0},
 }
 
 

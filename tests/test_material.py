@@ -96,17 +96,6 @@ def test_synth_contrast_and_values():
     npt.assert_array_equal(f.kappa, f.E)
 
 
-def test_synth_explicit_channels():
-    g = build_grids(4, 4, 2)
-    f = synth_channels(g, 1.0, 50.0, n_inclusions=0,
-                       channels=[(0, 3, 1, 0, 8)])
-    E = f.E.reshape(g.nfy, g.nfx)
-    npt.assert_allclose(E[3, :], 50.0)
-    mask = np.ones_like(E, dtype=bool)
-    mask[3, :] = False
-    npt.assert_allclose(E[mask], 1.0)
-
-
 def test_synth_rejects_bad_parameters():
     g = build_grids(2, 2, 2)
     with pytest.raises(ValueError):
@@ -121,9 +110,8 @@ def test_synth_rejects_grid_too_small_for_channels():
     g = build_grids(2, 2, 1)
     with pytest.raises(ValueError, match="2 x 2"):
         synth_channels(g, 1.0, 10.0, seed=0)
-    # explicit or no channels draw nothing across
+    # without channels nothing needs the 4 cells
     synth_channels(g, 1.0, 10.0, n_channels=0, n_inclusions=0)
-    synth_channels(g, 1.0, 10.0, n_inclusions=0, channels=[(0, 1, 1, 0, 2)])
 
 
 def test_synth_inclusions_fit_a_grid_one_fine_cell_across():

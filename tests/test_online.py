@@ -14,7 +14,7 @@ from cemporo.material import MaterialField, synth_channels
 from cemporo.online import (Enricher, OnlineConfig, ResidualSet,
                             compute_residuals, select_regions)
 from cemporo.spectral import build_aux_basis
-from cemporo.timestepping import CoarseSolver, TimeGrid, run
+from cemporo.timestepping import CoarseSolver, State, TimeGrid, run
 
 from oracles import patch_residual
 
@@ -63,7 +63,6 @@ def test_residual_dense_oracle(setup):
         C @ (perturbed.p - prev.p) + D @ (perturbed.u - prev.u)) / tg.tau
     npt.assert_allclose(res.r_u, ru, atol=1e-11 * np.abs(ru).max())
     npt.assert_allclose(res.r_p, rp, atol=1e-11 * np.abs(rp).max())
-    assert res.level == 1
 
 
 def test_fine_solution_has_zero_residual(setup):
@@ -148,8 +147,8 @@ def test_select_regions_monotone_in_bulk(values, b1, b2):
 
 def test_global_norms_dense_oracle(setup):
     ops, aux, pou, _, tg, fine, loads = setup
-    coarse = run(ops, tg, _source, _p0,
-                 space=build_offline_basis(ops, aux, 1))
+    coarse = run(ops, tg, _source, _p0, solver=CoarseSolver(
+        ops, build_offline_basis(ops, aux, 1), tg.tau))
     res = compute_residuals(ops, tg.tau, coarse[1], coarse[0], loads[1])
     enr = Enricher(ops, aux, pou, OnlineConfig())
     gu, gp = enr.global_norms(res)
@@ -162,17 +161,18 @@ def test_global_norms_dense_oracle(setup):
 
 def test_indicator_regions_by_strategy(setup):
     ops, aux, pou, space, tg, fine, loads = setup
-    coarse = run(ops, tg, _source, _p0, space=space.copy())
+    coarse = run(ops, tg, _source, _p0,
+                 solver=CoarseSolver(ops, space.copy(), tg.tau))
     for strategy, expected in (
             ("neighborhood", ops.grid.interior_coarse_nodes),
             ("element", np.arange(ops.grid.n_coarse_cells))):
         res = compute_residuals(ops, tg.tau, coarse[1], coarse[0], loads[1])
-        ind = Enricher(ops, aux, pou,
-                       OnlineConfig(strategy=strategy)).compute_indicators(res)
-        npt.assert_array_equal(ind.regions, expected)
-        assert ind.eta_u.shape == expected.shape
-        assert np.all(ind.eta_u >= 0) and np.all(ind.eta_p >= 0)
-        assert ind.eta_u.max() > 0
+        enr = Enricher(ops, aux, pou, OnlineConfig(strategy=strategy))
+        eta_u, eta_p = enr.compute_indicators(res)
+        npt.assert_array_equal(enr.regions, expected)
+        assert eta_u.shape == eta_p.shape == expected.shape
+        assert np.all(eta_u >= 0) and np.all(eta_p >= 0)
+        assert eta_u.max() > 0
 
 
 # ---- online columns --------------------------------------------------------
@@ -180,7 +180,8 @@ def test_indicator_regions_by_strategy(setup):
 
 def test_online_column_defining_equation(setup):
     ops, aux, pou, space, tg, fine, loads = setup
-    coarse = run(ops, tg, _source, _p0, space=space.copy())
+    coarse = run(ops, tg, _source, _p0,
+                 solver=CoarseSolver(ops, space.copy(), tg.tau))
     res = compute_residuals(ops, tg.tau, coarse[1], coarse[0], loads[1])
     for strategy, region in (("neighborhood",
                               int(ops.grid.interior_coarse_nodes[0])),
@@ -203,7 +204,8 @@ def test_online_column_defining_equation(setup):
 
 def test_online_column_deterministic(setup):
     ops, aux, pou, space, tg, fine, loads = setup
-    coarse = run(ops, tg, _source, _p0, space=space.copy())
+    coarse = run(ops, tg, _source, _p0,
+                 solver=CoarseSolver(ops, space.copy(), tg.tau))
     res = compute_residuals(ops, tg.tau, coarse[1], coarse[0], loads[1])
     cfg = OnlineConfig(layers=1)
     region = int(ops.grid.interior_coarse_nodes[1])
@@ -237,6 +239,29 @@ def test_enrich_once_decreases_dual_norms(setup):
                                                     n_p + added_p)
     assert solver.co.stiff_u.shape[0] == n_u + added_u
     assert solver.co.stiff_p.shape[0] == n_p + added_p
+
+
+def test_online_columns_have_unit_energy_at_any_load_scale(setup):
+    # doubling the state, the previous state and the load doubles every
+    # residual exactly; the appended columns must not change by one bit
+    ops, aux, pou, space, tg, fine, loads = setup
+    states = run(ops, tg, _source, _p0,
+                 solver=CoarseSolver(ops, space.copy(), tg.tau))
+    appended = []
+    for c in (1.0, 2.0):
+        solver = CoarseSolver(ops, space.copy(), tg.tau)
+        state, prev = (State(st.n, c * st.u, c * st.p)
+                       for st in (states[1], states[0]))
+        enr = Enricher(ops, aux, pou, OnlineConfig(layers=1))
+        _, added_u, added_p = enr.enrich_once(solver, state, prev,
+                                              c * loads[1], 1)
+        assert added_u > 0 and added_p > 0
+        appended.append([solver.space.basis_u[:, space.n_u:].toarray(),
+                         solver.space.basis_p[:, space.n_p:].toarray()])
+    for family, new, doubled in zip("up", *appended):
+        assert np.array_equal(new, doubled), family
+        energy = np.einsum("ij,ij->j", new, ops.stiffness(family) @ new)
+        npt.assert_allclose(energy, 1.0, rtol=1e-12)
 
 
 def test_adaptive_loop_zero_iterations(setup):
@@ -338,7 +363,7 @@ def test_patch_without_interior_unknowns_is_rejected():
         with pytest.raises(ValueError, match="no interior unknowns"):
             PatchSolver(ops, aux, patch, family)
     enr = Enricher(ops, aux, pou, OnlineConfig(strategy="element"))
-    res = ResidualSet(1, np.ones(ops.dofs.n_u), np.ones(ops.dofs.n_p))
+    res = ResidualSet(np.ones(ops.dofs.n_u), np.ones(ops.dofs.n_p))
     with pytest.raises(ValueError, match="no interior unknowns"):
         enr.compute_indicators(res)
 
@@ -362,3 +387,7 @@ def test_config_validation():
         OnlineConfig(theta="0.3")
     with pytest.raises(TypeError):
         OnlineConfig(tol="small")
+    with pytest.raises(TypeError):
+        OnlineConfig(theta=True)
+    with pytest.raises(TypeError):
+        OnlineConfig(iterations=True)

@@ -65,7 +65,6 @@ def test_render_percent():
     assert render_percent(0.3191) == "31.91%"
     assert render_percent(0.05) == "5.00%"
     assert render_percent(1.0) == "100.00%"
-    assert render_percent(0.123456, digits=3) == "12.346%"
 
 
 def _rows():

@@ -90,30 +90,31 @@ def test_projection_is_exact(setup):
     for fam, M, n in (("u", ops.aux_u, ops.dofs.n_u),
                       ("p", ops.aux_p, ops.dofs.n_p)):
         v = rng.normal(size=n)
-        pv = project_pi(aux, fam, v)
-        ppv = project_pi(aux, fam, pv)
+        pv = project_pi(ops, aux, fam, v)
+        ppv = project_pi(ops, aux, fam, pv)
         scale = np.linalg.norm(pv)
         assert np.linalg.norm(ppv - pv) <= 1e-12 * scale
         # self-adjoint in the weighted mass product
         w = rng.normal(size=n)
         lhs = w @ (M @ pv)
-        rhs = project_pi(aux, fam, w) @ (M @ v)
+        rhs = project_pi(ops, aux, fam, w) @ (M @ v)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
         # reproduces members of the auxiliary space
         R = aux.R_u if fam == "u" else aux.R_p
         member = np.asarray(R[:, 3].todense()).ravel()
-        npt.assert_allclose(project_pi(aux, fam, member), member, atol=1e-11)
+        npt.assert_allclose(project_pi(ops, aux, fam, member), member,
+                            atol=1e-11)
         # annihilates the weighted-orthogonal complement
         gram = (R.T @ (M @ R)).toarray()
         v_orth = v - R @ np.linalg.solve(gram, R.T @ (M @ v))
-        npt.assert_allclose(project_pi(aux, fam, v_orth), 0.0, atol=1e-10)
+        npt.assert_allclose(project_pi(ops, aux, fam, v_orth), 0.0, atol=1e-10)
 
 
 def test_projection_family_validation(setup):
     _, ops = setup
     aux = build_aux_basis(ops, 2)
     with pytest.raises(ValueError):
-        project_pi(aux, "q", np.zeros(ops.dofs.n_p))
+        project_pi(ops, aux, "q", np.zeros(ops.dofs.n_p))
 
 
 def test_diagnostics_homogeneous_equal_gaps():

@@ -66,7 +66,8 @@ def test_coarse_run_skips_the_fine_elastic_solve(setup, monkeypatch):
         return cembasis.spd_factor(A)
 
     monkeypatch.setattr(timestepping, "spd_factor", counted)
-    run(ops, TimeGrid(0.1, 2), _source, _p0, space=space)
+    run(ops, TimeGrid(0.1, 2), _source, _p0,
+        solver=CoarseSolver(ops, space, 0.1))
     assert factored == [(ops.dofs.n_p, ops.dofs.n_p)]
 
 
@@ -164,7 +165,8 @@ def test_full_auxiliary_space_reproduces_fine():
     space = build_global_basis_oracle(ops, aux)
     tg = TimeGrid(0.25, 4)
     fine = run(ops, tg, _source, _p0)
-    coarse = run(ops, tg, _source, _p0, space=space)
+    coarse = run(ops, tg, _source, _p0,
+                 solver=CoarseSolver(ops, space, tg.tau))
     for f, c in zip(fine, coarse):
         scale_u = max(np.linalg.norm(f.u), 1e-30)
         scale_p = max(np.linalg.norm(f.p), 1e-30)
@@ -177,8 +179,8 @@ def test_coarse_step_galerkin_orthogonality(setup):
     aux = build_aux_basis(ops, 2)
     space = build_offline_basis(ops, aux, 1)
     tg = TimeGrid(0.1, 3)
-    states = run(ops, tg, _source, _p0, space=space)
     solver = CoarseSolver(ops, space, tg.tau)
+    states = run(ops, tg, _source, _p0, solver=solver)
     for n in (1, 2, 3):
         load = ops.dofs.restrict_p(
             assemble_load(ops.grid, _source, tg.t(n)))
@@ -208,8 +210,8 @@ def test_set_space_borders_appended_columns_exactly(setup, monkeypatch):
     monkeypatch.setattr(cembasis, "_project", recording)
     for element, families in ((3, ("u",)), (4, ("p",)), (5, ("u", "p"))):
         for family in families:
-            space.append(family, *build_element_basis(ops, aux, family,
-                                                      element, 2))
+            space.append(family, build_element_basis(ops, aux, family,
+                                                     element, 2))
         del bordered[:]
         solver.set_space(space)
         assert bordered == [True] * 4
@@ -278,7 +280,8 @@ def test_coarse_block_is_factored_once_per_space(setup, monkeypatch):
 
     monkeypatch.setattr(timestepping, "_lu_factor", counted_lu)
     monkeypatch.setattr(CoarseSolver, "_lstsq", staticmethod(counted_lstsq))
-    states = run(ops, tg, _source, _p0, space=space)
+    states = run(ops, tg, _source, _p0,
+                 solver=CoarseSolver(ops, space, tg.tau))
     n = space.n_u + space.n_p
     # the block once for all ten steps, then the two initial-state solves
     assert factored == [(n, n), (space.n_p,) * 2, (space.n_u,) * 2]
@@ -286,7 +289,8 @@ def test_coarse_block_is_factored_once_per_space(setup, monkeypatch):
 
     # the same trajectory with least squares on every solve
     monkeypatch.setattr(timestepping, "_lu_factor", lambda mat: None)
-    forced = run(ops, tg, _source, _p0, space=space)
+    forced = run(ops, tg, _source, _p0,
+                 solver=CoarseSolver(ops, space, tg.tau))
     assert len(least_squares) == 2 + tg.n_steps
     for st, ref in zip(states, forced):
         for x, y in ((st.u, ref.u), (st.p, ref.p)):
@@ -295,8 +299,8 @@ def test_coarse_block_is_factored_once_per_space(setup, monkeypatch):
     monkeypatch.setattr(timestepping, "_lu_factor", counted_lu)
     solver = CoarseSolver(ops, space, tg.tau)
     for element, family in ((3, "u"), (4, "p"), (5, "u")):
-        space.append(family, *build_element_basis(ops, aux, family,
-                                                  element, 2))
+        space.append(family, build_element_basis(ops, aux, family,
+                                                 element, 2))
         del factored[:]
         solver.set_space(space)
         n = space.n_u + space.n_p
@@ -323,7 +327,8 @@ def test_redundant_space_solves_by_least_squares(monkeypatch):
     monkeypatch.setattr(CoarseSolver, "_lstsq", staticmethod(counted))
     tg = TimeGrid(0.25, 4)
     fine = run(ops, tg, _source, _p0)
-    coarse = run(ops, tg, _source, _p0, space=space)
+    coarse = run(ops, tg, _source, _p0,
+                 solver=CoarseSolver(ops, space, tg.tau))
     n = space.n_u + space.n_p
     assert least_squares.count((n, n)) == tg.n_steps
     for f, c in zip(fine, coarse):
@@ -346,7 +351,7 @@ def test_non_finite_coarse_solve_raises(setup):
     # a block with a NaN: set_space does not raise, the step does
     column = np.zeros(ops.dofs.n_u)
     column[0] = np.nan
-    space.append("u", [column], [{"kind": "test"}])
+    space.append("u", [column])
     solver.set_space(space)
     assert np.isnan(solver.block).any()
     with pytest.raises(NumericalFailure):
