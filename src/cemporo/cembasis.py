@@ -162,19 +162,26 @@ def _project(A, R_row, R_col, old):
     """Dense R_row^T A R_col.
 
     `old` is the projection onto leading columns of R_row and R_col (0 x 0
-    for a new space); only the rectangles of the appended rows and columns
-    are computed. Every entry is the same sum, in the same order, as in the
-    full sparse product, so the result is bit for bit the full one. Both new
-    rectangles are computed, because the full product of a symmetric form is
-    not bit symmetric.
+    for a new space, which is projected by one sparse product). Bordering
+    multiplies the form only by the appended columns: their images are the
+    new-columns rectangle's factors, and a symmetric form (`R_row is R_col`)
+    takes its new-rows x old-columns rectangle as that rectangle's
+    transpose, while the coupling form multiplies its transpose by the
+    appended rows. The result equals the full product to round-off.
     """
     m, n = old.shape
+    if not old.size:
+        return (R_row.T @ (A @ R_col)).toarray()
     out = np.empty((R_row.shape[1], R_col.shape[1]))
     out[:m, :n] = old
     if out.shape[1] > n:
-        out[:, n:] = (R_row.T @ (A @ R_col[:, n:])).toarray()
-    if out.shape[0] > m and n:
-        out[m:, :n] = (R_row[:, m:].T @ (A @ R_col[:, :n])).toarray()
+        out[:, n:] = R_row.T @ (A @ R_col[:, n:].toarray())
+    if out.shape[0] > m:
+        if R_row is R_col:
+            out[m:, :n] = out[:m, n:].T
+        else:
+            out[m:, :n] = (R_col[:, :n].T
+                           @ (A.T @ R_row[:, m:].toarray())).T
     return out
 
 
@@ -182,7 +189,9 @@ class CoarseOperators:
     """Dense projections of the fine forms onto a multiscale space.
 
     `previous`, if given, holds the projections onto an earlier state of the
-    same space; its blocks are kept and bordered with the appended columns.
+    same space; its blocks are kept and bordered with the rows and columns
+    of the appended columns, computed from those columns only (see
+    `_project`).
     """
 
     def __init__(self, ops, space, previous=None):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg as sla
 
 from .grid import oversample_element, oversample_neighborhood
 from .cembasis import PatchSolver, spd_factor
@@ -177,41 +178,65 @@ class Enricher:
         return solver.column(
             (self._localizer(family, int(region)) * r)[solver.index])
 
-    def _filter_and_append(self, space, family, columns, gram):
+    def _filter_and_append(self, space, family, columns, gram, current):
         """Energy near-dependence filter, then append survivors in order,
         each scaled to unit energy.
 
         `gram` is the stiffness projected onto the family's current columns;
-        it is not modified.
+        it is not modified. It is factored once, by a Cholesky with complete
+        pivoting that stops at its numerical rank (LAPACK pstrf), so the
+        singular Gram of a redundant space takes the same path. A candidate's
+        energy left outside the span is e2 - |z|^2, z = L^-1 g, one forward
+        solve with the factor; an accepted candidate appends its row to the
+        factor instead of growing the Gram. A candidate is dependent when
+        that energy is at most 1e-10 of e2, a cut well above the roundoff of
+        the difference (up to about 4e-14 of e2 for candidates in the span).
+
+        A candidate whose energy is at most 1e-18 of the energy of `current`,
+        the family's part of the state the residual was taken at, is
+        dropped: it corrects that state by a relative 1e-9 at most, and a
+        state that solves the step leaves only such roundoff candidates. The
+        floor scales with the loads, as the candidates do.
         """
+        if not columns:
+            return 0
         R = space.basis(family)
         A = self.ops.stiffness(family)
-        G = gram
-        acc_cols = []
-        rms2 = float(np.mean(np.diag(G))) if G.size else 1.0
-        for col in columns:
-            img = A @ col
-            e2 = float(col @ img)
-            if e2 <= 1e-18 * rms2:
+        floor = 1e-18 * float(current @ (A @ current))
+        cand = np.column_stack(columns)
+        images = A @ cand
+        # energy products of the candidates with the space and each other
+        with_space = R.T @ images
+        with_cand = cand.T @ images
+        # the factor's rows: the space's columns in pivot order up to the
+        # rank, then the accepted candidates
+        factor, piv, rank, _ = sla.lapack.dpstrf(gram, lower=1)
+        keep = piv[:rank] - 1
+        L = np.zeros((rank + len(columns),) * 2)
+        L[:rank, :rank] = np.tril(factor[:rank, :rank])
+        accepted, scales = [], []
+        for j in range(len(columns)):
+            e2 = with_cand[j, j]
+            if e2 <= floor:
                 continue
-            g = np.concatenate([R.T @ img, [c @ img for c in acc_cols]])
-            try:
-                x = np.linalg.solve(G, g)
-            except np.linalg.LinAlgError:
-                x = np.linalg.lstsq(G, g, rcond=None)[0]
-            resid2 = max(e2 - g @ x, 0.0)
-            if resid2 < (1e-8) ** 2 * e2:
+            k = rank + len(accepted)
+            g = np.concatenate([with_space[keep, j],
+                                np.multiply(scales, with_cand[accepted, j])])
+            z = sla.solve_triangular(L[:k, :k], g, lower=True,
+                                     check_finite=False)
+            resid2 = e2 - z @ z
+            if resid2 <= 1e-10 * e2:
                 continue
             # scale to unit energy, so that the appended columns do not carry
             # the residual's scale into the coarse block
             s = 1.0 / np.sqrt(e2)
-            col, g, e2 = s * col, s * g, s * s * e2
-            # grow the Gram with the accepted column
-            G = np.block([[G, g[:, None]], [g[None, :], np.array([[e2]])]])
-            acc_cols.append(col)
-        if acc_cols:
-            space.append(family, acc_cols)
-        return len(acc_cols)
+            L[k, :k] = s * z
+            L[k, k] = s * np.sqrt(resid2)
+            accepted.append(j)
+            scales.append(s)
+        if accepted:
+            space.append(family, list((cand[:, accepted] * scales).T))
+        return len(accepted)
 
     # ---- one adaptive iteration -------------------------------------------
 
@@ -234,7 +259,8 @@ class Enricher:
                 ("p", eta_p, cfg.gamma, solver.co.stiff_p)):
             cols = [self.build_online_column(family, region, res)
                     for region in self.regions[select_regions(eta, bulk)]]
-            added.append(self._filter_and_append(space, family, cols, gram))
+            added.append(self._filter_and_append(
+                space, family, cols, gram, getattr(state, family)))
 
         if any(added):
             solver.set_space(space)

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cemporo.assembly import assemble_load, assemble_operators
-from cemporo.cembasis import PatchSolver, build_offline_basis
+from cemporo.cembasis import (CoarseOperators, PatchSolver,
+                              build_offline_basis)
 from cemporo.grid import (build_grids, oversample_element,
                           oversample_neighborhood, partition_of_unity)
 from cemporo.material import MaterialField, synth_channels
@@ -242,13 +243,14 @@ def test_enrich_once_decreases_dual_norms(setup):
 
 
 def test_online_columns_have_unit_energy_at_any_load_scale(setup):
-    # doubling the state, the previous state and the load doubles every
-    # residual exactly; the appended columns must not change by one bit
+    # scaling the state, the previous state and the load by a power of two
+    # scales every residual exactly; the appended columns must not change by
+    # one bit, down to a residual 2^-40 times that of the unit load
     ops, aux, pou, space, tg, fine, loads = setup
     states = run(ops, tg, _source, _p0,
                  solver=CoarseSolver(ops, space.copy(), tg.tau))
     appended = []
-    for c in (1.0, 2.0):
+    for c in [2.0 ** k for k in range(-3, 4)] + [2.0 ** -40]:
         solver = CoarseSolver(ops, space.copy(), tg.tau)
         state, prev = (State(st.n, c * st.u, c * st.p)
                        for st in (states[1], states[0]))
@@ -258,10 +260,62 @@ def test_online_columns_have_unit_energy_at_any_load_scale(setup):
         assert added_u > 0 and added_p > 0
         appended.append([solver.space.basis_u[:, space.n_u:].toarray(),
                          solver.space.basis_p[:, space.n_p:].toarray()])
-    for family, new, doubled in zip("up", *appended):
-        assert np.array_equal(new, doubled), family
-        energy = np.einsum("ij,ij->j", new, ops.stiffness(family) @ new)
+    for family, *scaled in zip("up", *appended):
+        unit = scaled[3]
+        for new in scaled:
+            assert np.array_equal(new, unit), family
+        energy = np.einsum("ij,ij->j", unit, ops.stiffness(family) @ unit)
         npt.assert_allclose(energy, 1.0, rtol=1e-12)
+
+
+def _dense_filter(A, R, columns, current):
+    """Reference near-dependence filter by dense least squares: the decision
+    on each candidate and the accepted columns at unit energy."""
+    B = R.toarray()
+    floor = 1e-18 * current @ (A @ current)
+    decisions, accepted = [], []
+    for col in columns:
+        e2 = col @ (A @ col)
+        keep = e2 > floor
+        if keep:
+            G, g = B.T @ (A @ B), B.T @ (A @ col)
+            x = np.linalg.lstsq(G, g, rcond=None)[0]
+            keep = e2 - g @ x > 1e-10 * e2
+        decisions.append(bool(keep))
+        if keep:
+            accepted.append(col / np.sqrt(e2))
+            B = np.column_stack([B, accepted[-1]])
+    return decisions, accepted
+
+
+def test_filter_matches_dense_least_squares(setup):
+    ops, aux, pou, space, tg, fine, loads = setup
+    rng = np.random.default_rng(3)
+    enr = Enricher(ops, aux, pou, OnlineConfig())
+    for family in "up":
+        A = ops.stiffness(family)
+        R = space.basis(family).toarray()
+        a, b = rng.standard_normal((2, R.shape[0]))
+        candidates = [R[:, 3], 0.3 * R[:, 1] - 2.0 * R[:, 5],
+                      np.zeros(R.shape[0]), a, b,
+                      a + 1e-9 * np.linalg.norm(a) * rng.standard_normal(
+                          R.shape[0])]
+        current = getattr(fine[1], family)
+        # the second space holds a duplicated column: its Gram is singular
+        redundant = space.copy()
+        redundant.append(family, [R[:, 2]])
+        for base in (space, redundant):
+            grown = base.copy()
+            gram = getattr(CoarseOperators(ops, base), "stiff_" + family)
+            added = enr._filter_and_append(grown, family, candidates, gram,
+                                           current)
+            decisions, accepted = _dense_filter(
+                A, base.basis(family), candidates, current)
+            assert decisions == [False, False, False, True, True, False]
+            assert added == len(accepted)
+            new = grown.basis(family)[:, base.basis(family).shape[1]:]
+            npt.assert_allclose(new.toarray(), np.column_stack(accepted),
+                                rtol=1e-14, atol=0)
 
 
 def test_adaptive_loop_zero_iterations(setup):

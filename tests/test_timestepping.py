@@ -193,8 +193,9 @@ def test_coarse_step_galerkin_orthogonality(setup):
 
 
 def test_set_space_borders_appended_columns_exactly(setup, monkeypatch):
-    """Re-projecting an appended-to space only borders the old blocks, and
-    gives bit for bit what a projection from scratch gives."""
+    """Re-projecting an appended-to space only borders the old blocks. The
+    bordered blocks equal a projection from scratch to round-off, and each
+    symmetric form's two appended rectangles are exact transposes."""
     _, ops = setup
     aux = build_aux_basis(ops, 2)
     space = build_offline_basis(ops, aux, 1)
@@ -209,6 +210,7 @@ def test_set_space_borders_appended_columns_exactly(setup, monkeypatch):
 
     monkeypatch.setattr(cembasis, "_project", recording)
     for element, families in ((3, ("u",)), (4, ("p",)), (5, ("u", "p"))):
+        old = {"u": space.n_u, "p": space.n_p}
         for family in families:
             space.append(family, build_element_basis(ops, aux, family,
                                                      element, 2))
@@ -217,10 +219,53 @@ def test_set_space_borders_appended_columns_exactly(setup, monkeypatch):
         assert bordered == [True] * 4
         fresh = CoarseOperators(ops, space)
         for name in ("stiff_u", "stiff_p", "mass_p", "coupling"):
-            assert np.array_equal(getattr(solver.co, name),
-                                  getattr(fresh, name)), (families, name)
-        assert np.array_equal(solver.block,
-                              CoarseSolver(ops, space, tau).block), families
+            want = getattr(fresh, name)
+            npt.assert_allclose(getattr(solver.co, name), want, rtol=0,
+                                atol=1e-13 * np.abs(want).max(),
+                                err_msg=str((families, name)))
+        for name, family in (("stiff_u", "u"), ("stiff_p", "p"),
+                             ("mass_p", "p")):
+            block, n = getattr(solver.co, name), old[family]
+            assert np.array_equal(block[n:, :n], block[:n, n:].T), \
+                (families, name)
+
+
+class _RecordingForm:
+    """A sparse form that logs the column count of every right operand."""
+
+    def __init__(self, form, widths):
+        self.form = form
+        self.widths = widths
+
+    @property
+    def T(self):
+        return _RecordingForm(self.form.T, self.widths)
+
+    def __matmul__(self, other):
+        self.widths.append(other.shape[1])
+        return self.form @ other
+
+
+def test_set_space_multiplies_forms_only_by_appended_columns(setup,
+                                                             monkeypatch):
+    _, ops = setup
+    aux = build_aux_basis(ops, 2)
+    space = build_offline_basis(ops, aux, 1)
+    solver = CoarseSolver(ops, space, 0.1)
+    for element, families in ((3, ("u",)), (4, ("p",)), (5, ("u", "p"))):
+        columns = {family: build_element_basis(ops, aux, family, element, 2)
+                   for family in families}
+        for family in families:
+            space.append(family, columns[family])
+        widths = []
+        with monkeypatch.context() as m:
+            for name in ("stiff_u", "stiff_p", "mass_p", "coupling"):
+                m.setattr(ops, name,
+                          _RecordingForm(getattr(ops, name), widths))
+            solver.set_space(space)
+        assert widths, families
+        assert max(widths) <= max(len(c) for c in columns.values()), \
+            (families, widths)
 
 
 def test_coarse_initial_state_projection(setup):
