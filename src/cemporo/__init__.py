@@ -13,10 +13,9 @@ from .material import MaterialField, lame_from_E, load_field, save_field, \
 from .assembly import OperatorSet, DofMap, assemble_operators, assemble_load
 from .spectral import (AuxBasis, solve_local_spectral, build_aux_basis,
                        spectral_diagnostics, SpectralDiagnostics)
-from .cembasis import (CoarseOperators, MultiscaleSpace, PatchSolver,
-                       build_offline_basis)
+from .cembasis import MultiscaleSpace, PatchSolver, build_offline_basis
 from .timestepping import (TimeGrid, State, FineSolver, CoarseSolver,
-                           NumericalFailure, fine_initial_state, run)
+                           NumericalFailure, run)
 from .online import (ResidualSet, OnlineConfig, Enricher, compute_residuals,
                      select_regions)
 from .report import (EnrichmentHistory, energy_errors,

@@ -4,7 +4,9 @@ Bilinear quadrilaterals, 2x2 Gauss quadrature, coefficients constant per fine
 cell. Displacement unknowns are interleaved (x-component at 2*n, y-component
 at 2*n+1 for fine node n). Assembled matrices are kept both over all nodes
 and restricted to interior (Dirichlet-eliminated) unknowns; per-cell element
-matrices are retained for local Neumann problems on coarse cells. The split
+matrices are retained for local Neumann problems on coarse cells. Every
+square form leaves this module exactly symmetric, so no later layer
+symmetrizes or mirrors one. The split
 into the displacement ("u") and pressure ("p") families lives here alone:
 `layout` places a family's unknowns, and `DofMap` and `OperatorSet` answer
 for either family, rejecting any other with a ValueError.
@@ -97,11 +99,29 @@ class DofMap:
         return out
 
 
+def _mirror_lower(mat):
+    """The symmetric matrix with the lower triangle of `mat`, in CSR.
+
+    Assembly sums duplicate entries in varying order, so a form summed from
+    its element matrices is symmetric only to round-off. Stored zeros stay
+    stored: a fill-reducing ordering sees the assembled pattern (dropping
+    them raises the fine step factor's fill by a quarter).
+    """
+    low = sp.tril(mat, format="coo")
+    off = low.row > low.col
+    return sp.csr_matrix(
+        (np.concatenate([low.data, low.data[off]]),
+         (np.concatenate([low.row, low.col[off]]),
+          np.concatenate([low.col, low.row[off]]))), shape=mat.shape)
+
+
 class OperatorSet:
     """Assembled forms of the coupled system plus spectral weight masses.
 
     Attributes named *_full act on all nodes; the short names act on interior
     unknowns only. cell_* arrays hold the per-fine-cell element matrices.
+    Each square form keeps the lower triangle of its assembly, mirrored
+    (`_mirror_lower`), so it is exactly symmetric.
     """
 
     def __init__(self, grid, field, pou):
@@ -170,12 +190,17 @@ class OperatorSet:
         self._cell_nodes = nodes
         nn = grid.n_fine_nodes
 
-        self.stiff_p_full = self._scalar_csr(self.cell_stiff_p, nodes, nn)
-        self.mass_p_full = self._scalar_csr(cell_mass_p, nodes, nn)
-        self.aux_p_full = self._scalar_csr(self.cell_aux_p, nodes, nn)
+        self.stiff_p_full = _mirror_lower(
+            self._scalar_csr(self.cell_stiff_p, nodes, nn))
+        self.mass_p_full = _mirror_lower(
+            self._scalar_csr(cell_mass_p, nodes, nn))
+        self.aux_p_full = _mirror_lower(
+            self._scalar_csr(self.cell_aux_p, nodes, nn))
         udofs = layout(nodes, "u")
-        self.stiff_u_full = self._scalar_csr(self.cell_stiff_u, udofs, 2 * nn)
-        self.aux_u_full = self._scalar_csr(self.cell_aux_u, udofs, 2 * nn)
+        self.stiff_u_full = _mirror_lower(
+            self._scalar_csr(self.cell_stiff_u, udofs, 2 * nn))
+        self.aux_u_full = _mirror_lower(
+            self._scalar_csr(self.cell_aux_u, udofs, 2 * nn))
         rows = np.repeat(nodes, 8, axis=1).ravel()
         cols = np.tile(udofs, (1, 4)).ravel()
         self.coupling_full = sp.csr_matrix(
@@ -210,7 +235,8 @@ class OperatorSet:
 
         Returns (nodes, mats) where nodes are the global fine nodes in
         ascending order and each matrix uses that local numbering (pressure
-        forms size len(nodes), displacement forms twice that).
+        forms size len(nodes), displacement forms twice that). Each dense
+        matrix is averaged with its transpose, so it is exactly symmetric.
         """
         cells = np.asarray(cells)
         cell_nodes = self._cell_nodes[cells]
@@ -221,9 +247,10 @@ class OperatorSet:
             dofs = layout(loc, family)
             for form in ("stiff", "aux"):
                 name = "%s_%s" % (form, family)
-                out[name] = self._scalar_csr(
+                mat = self._scalar_csr(
                     getattr(self, "cell_" + name)[cells], dofs,
                     _WIDTH[family] * nodes.size).toarray()
+                out[name] = 0.5 * (mat + mat.T)
         return nodes, out
 
     def kernel(self, family, nodes):

@@ -40,7 +40,9 @@ def spd_factor(A):
     SPD has a factorization with diagonal pivots under every symmetric
     ordering. Two such matrices are factored here: the bordered patch
     matrix [[A, U], [U^T, -I]] and the fine step matrix
-    [[A, -D^T], [-D, -(C + tau B)]], the step's flow row negated.
+    [[A, -D^T], [-D, -(C + tau B)]], the step's flow row negated. Both, and
+    the plain forms factored for the initial state and the Riesz solves, are
+    exactly symmetric, because assembly hands out every form so.
     """
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0,
@@ -156,53 +158,3 @@ def build_offline_basis(ops, aux, layers):
             del solver
         space.append(family, [c for cols in per_element for c in cols])
     return space
-
-
-def _project(A, R_row, R_col, old):
-    """Dense R_row^T A R_col.
-
-    `old` is the projection onto leading columns of R_row and R_col (0 x 0
-    for a new space, which is projected by one sparse product). Bordering
-    multiplies the form only by the appended columns: their images are the
-    new-columns rectangle's factors, and a symmetric form (`R_row is R_col`)
-    takes its new-rows x old-columns rectangle as that rectangle's
-    transpose, while the coupling form multiplies its transpose by the
-    appended rows. The result equals the full product to round-off.
-    """
-    m, n = old.shape
-    if not old.size:
-        return (R_row.T @ (A @ R_col)).toarray()
-    out = np.empty((R_row.shape[1], R_col.shape[1]))
-    out[:m, :n] = old
-    if out.shape[1] > n:
-        out[:, n:] = R_row.T @ (A @ R_col[:, n:].toarray())
-    if out.shape[0] > m:
-        if R_row is R_col:
-            out[m:, :n] = out[:m, n:].T
-        else:
-            out[m:, :n] = (R_col[:, :n].T
-                           @ (A.T @ R_row[:, m:].toarray())).T
-    return out
-
-
-class CoarseOperators:
-    """Dense projections of the fine forms onto a multiscale space.
-
-    `previous`, if given, holds the projections onto an earlier state of the
-    same space; its blocks are kept and bordered with the rows and columns
-    of the appended columns, computed from those columns only (see
-    `_project`).
-    """
-
-    def __init__(self, ops, space, previous=None):
-        Ru, Rp = space.basis_u, space.basis_p
-        empty = np.empty((0, 0))
-        self.space = space
-        self.stiff_u = _project(ops.stiff_u, Ru, Ru,
-                                getattr(previous, "stiff_u", empty))
-        self.stiff_p = _project(ops.stiff_p, Rp, Rp,
-                                getattr(previous, "stiff_p", empty))
-        self.mass_p = _project(ops.mass_p, Rp, Rp,
-                               getattr(previous, "mass_p", empty))
-        self.coupling = _project(ops.coupling, Rp, Ru,
-                                 getattr(previous, "coupling", empty))

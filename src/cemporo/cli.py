@@ -295,7 +295,7 @@ class Experiment:
         if not self.reference:
             return rows
         for st, ref in zip(states, self.reference):
-            eu, ep, _ = energy_errors(self.ops, st, ref)
+            eu, ep = energy_errors(self.ops, st, ref)
             rows.append({"level": st.n, "err_u": eu, "err_p": ep})
         return rows
 

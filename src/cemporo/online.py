@@ -255,8 +255,8 @@ class Enricher:
         # the solver's projections are current: each family's columns
         # change only in its own append
         for family, eta, bulk, gram in (
-                ("u", eta_u, cfg.theta, solver.co.stiff_u),
-                ("p", eta_p, cfg.gamma, solver.co.stiff_p)):
+                ("u", eta_u, cfg.theta, solver.stiff_u),
+                ("p", eta_p, cfg.gamma, solver.stiff_p)):
             cols = [self.build_online_column(family, region, res)
                     for region in self.regions[select_regions(eta, bulk)]]
             added.append(self._filter_and_append(
@@ -290,7 +290,7 @@ class Enricher:
                    "err_u": np.nan, "err_p": np.nan}
             if reference is not None:
                 row["err_u"], row["err_p"] = energy_errors(
-                    self.ops, st, reference)[:2]
+                    self.ops, st, reference)
             records.append(row)
             return row
 

@@ -13,8 +13,8 @@ _INT_COLUMNS = {"level", "iteration", "n_u", "n_p", "added_u", "added_p"}
 def energy_errors(ops, state, reference):
     """Relative stiffness-norm errors of a state against the fine reference.
 
-    Returns (err_u, err_p, absolute_flag); a zero-norm reference switches the
-    corresponding entry to the absolute error and sets the flag.
+    Returns (err_u, err_p); a zero-norm reference switches the corresponding
+    entry to the absolute error.
     """
     du = state.u - reference.u
     dp = state.p - reference.p
@@ -22,10 +22,9 @@ def energy_errors(ops, state, reference):
     ep2 = max(float(dp @ (ops.stiff_p @ dp)), 0.0)
     nu2 = float(reference.u @ (ops.stiff_u @ reference.u))
     np2 = float(reference.p @ (ops.stiff_p @ reference.p))
-    absolute = nu2 == 0.0 or np2 == 0.0
     err_u = np.sqrt(eu2) if nu2 == 0.0 else np.sqrt(eu2 / nu2)
     err_p = np.sqrt(ep2) if np2 == 0.0 else np.sqrt(ep2 / np2)
-    return float(err_u), float(err_p), absolute
+    return float(err_u), float(err_p)
 
 
 def render_percent(x):
@@ -70,7 +69,7 @@ class EnrichmentHistory:
                     return False
         return True
 
-    def to_csv(self, path_or_buf):
+    def to_csv(self, path):
         """Six-significant-digit CSV, one row per (level, iteration).
 
         Rows that carry a `variant` name, as `cemporo compare` makes, get it
@@ -79,23 +78,16 @@ class EnrichmentHistory:
         columns = HISTORY_COLUMNS
         if any("variant" in row for row in self.rows):
             columns = ["variant"] + HISTORY_COLUMNS
-        own = isinstance(path_or_buf, str)
-        fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
+        with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             for row in self.rows:
                 writer.writerow([_format_value(c, row.get(c, np.nan))
                                  for c in columns])
-        finally:
-            if own:
-                fh.close()
 
     @classmethod
-    def from_csv(cls, path_or_buf):
-        own = isinstance(path_or_buf, str)
-        fh = open(path_or_buf, newline="") if own else path_or_buf
-        try:
+    def from_csv(cls, path):
+        with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -105,9 +97,6 @@ class EnrichmentHistory:
             return cls([{col: _parse_value(col, val)
                          for col, val in zip(header, parts)}
                         for parts in reader if parts])
-        finally:
-            if own:
-                fh.close()
 
     def to_text(self):
         """Terminal table with percent-rendered errors; a line names each

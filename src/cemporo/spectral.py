@@ -35,6 +35,8 @@ def _deflated_eigh(A, S, kernel):
     # standard form A v = w S v  ->  (L^-1 A L^-T) y = w y with y = L^T v
     X = sla.solve_triangular(L, A, lower=True)
     At = sla.solve_triangular(L, X.T, lower=True).T
+    # the two triangular solves leave At symmetric only to roundoff; the
+    # forms themselves come exactly symmetric from assembly
     At = 0.5 * (At + At.T)
     Y = L.T @ kernel
     Q, _ = np.linalg.qr(Y, mode="complete")
@@ -73,9 +75,7 @@ def solve_local_spectral(ops, element, n_u, n_p=None):
         raise ValueError("requested eigenpair count outside the local dimension")
     out = []
     for family, count in (("u", n_u), ("p", n_p)):
-        S = mats["aux_" + family]
-        A = mats["stiff_" + family]
-        w, v = _deflated_eigh(0.5 * (A + A.T), 0.5 * (S + S.T),
+        w, v = _deflated_eigh(mats["stiff_" + family], mats["aux_" + family],
                               ops.kernel(family, nodes))
         out += [w, _fix_signs(v[:, :count])]
     return ElementSpectra(nodes, *out)

@@ -10,13 +10,16 @@ row, which turns the block into the symmetric quasi-definite
 
     [[A, -D^T], [-D, -(C + tau B)]],
 
-and factors it once per step size with diagonal pivots (`spd_factor`). A
-projected matrix whose reciprocal condition estimate is at most n eps, the
-cut-off below which `np.linalg.lstsq` truncates, is solved by least squares
-instead; that also covers deliberately redundant spaces where the projected
-matrix is singular but consistent. Previous-step terms always enter through
-fine-grid lifts, so the right-hand side stays meaningful when the space is
-enriched between steps.
+and factors it once per step size with diagonal pivots (`spd_factor`); it is
+exactly symmetric because assembly hands out A, B and C exactly symmetric.
+The coarse solver keeps its own projections of the forms and borders them
+when its space grows (`_project`). A projected matrix whose reciprocal
+condition estimate is at most n eps, the cut-off below which
+`np.linalg.lstsq` truncates, is solved by least squares instead; that also
+covers deliberately redundant spaces where the projected matrix is singular
+but consistent. Previous-step terms always enter through fine-grid lifts, so
+the right-hand side stays meaningful when the space is enriched between
+steps.
 """
 
 from dataclasses import dataclass
@@ -26,7 +29,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .assembly import assemble_load
-from .cembasis import CoarseOperators, spd_factor
+from .cembasis import spd_factor
 
 
 class NumericalFailure(RuntimeError):
@@ -75,37 +78,12 @@ def _initial_pressure(ops, p0):
     return spd_factor(mass).solve(ops.dofs.restrict_p(load))
 
 
-def fine_initial_state(ops, p0):
-    """Mass projection of the initial pressure, then the balancing elastic solve."""
-    p = _initial_pressure(ops, p0)
-    elastic = spd_factor(ops.stiff_u)
-    rhs = ops.coupling.T @ p
-    u = elastic.solve(rhs)
-    u += elastic.solve(rhs - ops.stiff_u @ u)
-    return State(0, u, p)
-
-
-def _mirror_lower(mat):
-    """The symmetric matrix with the lower triangle of `mat`.
-
-    Assembly sums duplicate entries in varying order, so the assembled forms
-    are symmetric only to round-off. Stored zeros stay stored: a
-    fill-reducing ordering sees the assembled pattern (dropping them raises
-    the fine factor's fill by a quarter).
-    """
-    low = sp.tril(mat, format="coo")
-    off = low.row > low.col
-    return sp.csc_matrix(
-        (np.concatenate([low.data, low.data[off]]),
-         (np.concatenate([low.row, low.col[off]]),
-          np.concatenate([low.col, low.row[off]]))), shape=mat.shape)
-
-
 class FineSolver:
     """Reference solver on the fine grid.
 
-    A and C + tau B are SPD, so the step matrix with its flow row negated is
-    symmetric quasi-definite; its diagonal-pivot factor is built on first use.
+    A and C + tau B are SPD and, as assembled, exactly symmetric, so the step
+    matrix with its flow row negated is symmetric quasi-definite; its
+    diagonal-pivot factor is built on first use.
     """
 
     def __init__(self, ops, tau):
@@ -118,13 +96,23 @@ class FineSolver:
     def _factorize(self):
         if self._lu is None:
             ops = self.ops
-            self._block = _mirror_lower(sp.bmat(
-                [[ops.stiff_u, None],
-                 [-ops.coupling, -(ops.mass_p + self.tau * ops.stiff_p)]]))
+            self._block = sp.bmat(
+                [[ops.stiff_u, -ops.coupling.T],
+                 [-ops.coupling, -(ops.mass_p + self.tau * ops.stiff_p)]],
+                format="csc")
             try:
                 self._lu = spd_factor(self._block)
             except RuntimeError as err:
                 raise NumericalFailure("fine step factorization failed: %s" % err)
+
+    def initial_state(self, p0_fine):
+        """The fine initial pressure, then the balancing elastic solve."""
+        ops = self.ops
+        elastic = spd_factor(ops.stiff_u)
+        rhs = ops.coupling.T @ p0_fine
+        u = elastic.solve(rhs)
+        u += elastic.solve(rhs - ops.stiff_u @ u)
+        return State(0, u, p0_fine)
 
     def step(self, prev, load, n):
         self._factorize()
@@ -157,6 +145,33 @@ def _lu_factor(mat):
     return lu, piv
 
 
+def _project(A, R_row, R_col, old):
+    """Dense R_row^T A R_col.
+
+    `old` is the projection onto leading columns of R_row and R_col (0 x 0
+    for a new space, which is projected by one sparse product). Bordering
+    multiplies the form only by the appended columns: their images are the
+    new-columns rectangle's factors, and a symmetric form (`R_row is R_col`)
+    takes its new-rows x old-columns rectangle as that rectangle's
+    transpose, while the coupling form multiplies its transpose by the
+    appended rows. The result equals the full product to round-off.
+    """
+    m, n = old.shape
+    if not old.size:
+        return (R_row.T @ (A @ R_col)).toarray()
+    out = np.empty((R_row.shape[1], R_col.shape[1]))
+    out[:m, :n] = old
+    if out.shape[1] > n:
+        out[:, n:] = R_row.T @ (A @ R_col[:, n:].toarray())
+    if out.shape[0] > m:
+        if R_row is R_col:
+            out[m:, :n] = out[:m, n:].T
+        else:
+            out[m:, :n] = (R_col[:, :n].T
+                           @ (A.T @ R_row[:, m:].toarray())).T
+    return out
+
+
 class _DenseSolver:
     """Every solve with one dense square matrix, by the LU factors it was
     built with or, where `_lu_factor` declines, by least squares."""
@@ -177,8 +192,10 @@ class _DenseSolver:
 class CoarseSolver:
     """Galerkin solver on a multiscale space, rebuilt when the space changes.
 
-    `set_space` factors the step matrix `block` once; every step of the space
-    solves with that factor (or by least squares, see `_lu_factor`).
+    `set_space` projects the forms onto the space (`stiff_u`, `stiff_p`,
+    `mass_p`, `coupling`, dense) and factors the step matrix `block` once;
+    every step of the space solves with that factor (or by least squares, see
+    `_lu_factor`).
     """
 
     def __init__(self, ops, space, tau):
@@ -191,13 +208,19 @@ class CoarseSolver:
         """Project onto `space` and factor the step matrix. Handed the current
         space again, after `append` grew it, only the appended rows and
         columns are projected, and the whole block is factored anew."""
-        previous = self.co if space is self.space else None
+        if space is not self.space:
+            self.stiff_u = self.stiff_p = self.mass_p = self.coupling = \
+                np.empty((0, 0))
         self.space = space
-        self.co = CoarseOperators(self.ops, space, previous)
-        co = self.co
+        ops = self.ops
+        Ru, Rp = space.basis_u, space.basis_p
+        self.stiff_u = _project(ops.stiff_u, Ru, Ru, self.stiff_u)
+        self.stiff_p = _project(ops.stiff_p, Rp, Rp, self.stiff_p)
+        self.mass_p = _project(ops.mass_p, Rp, Rp, self.mass_p)
+        self.coupling = _project(ops.coupling, Rp, Ru, self.coupling)
         self.block = np.vstack([
-            np.hstack([co.stiff_u, -co.coupling.T]),
-            np.hstack([co.coupling, co.mass_p + self.tau * co.stiff_p])])
+            np.hstack([self.stiff_u, -self.coupling.T]),
+            np.hstack([self.coupling, self.mass_p + self.tau * self.stiff_p])])
         self.n_u = space.n_u
         self._block_solver = _DenseSolver(self.block)
 
@@ -216,9 +239,9 @@ class CoarseSolver:
         ops = self.ops
         space = self.space
         rhs_p = space.basis_p.T @ (ops.stiff_p @ p0_fine)
-        pc = _DenseSolver(self.co.stiff_p).solve(rhs_p)
+        pc = _DenseSolver(self.stiff_p).solve(rhs_p)
         p = space.basis_p @ pc
-        uc = _DenseSolver(self.co.stiff_u).solve(self.co.coupling.T @ pc)
+        uc = _DenseSolver(self.stiff_u).solve(self.coupling.T @ pc)
         u = space.basis_u @ uc
         return State(0, u, p)
 
@@ -238,7 +261,8 @@ class CoarseSolver:
 
 def run(ops, time_grid, source, p0, hook=None, solver=None):
     """March the full trajectory with `solver`, by default a fresh
-    FineSolver; a CoarseSolver marches its multiscale space.
+    FineSolver; a CoarseSolver marches its multiscale space. Either starts
+    from its `initial_state` of the fine initial pressure.
 
     `hook(n, solver, state, prev, load)` may replace the state after any step
     (enrichment re-solves return the refreshed state). Returns the states
@@ -246,10 +270,7 @@ def run(ops, time_grid, source, p0, hook=None, solver=None):
     """
     if solver is None:
         solver = FineSolver(ops, time_grid.tau)
-    # a coarse run reads only the fine initial pressure
-    states = [solver.initial_state(_initial_pressure(ops, p0))
-              if isinstance(solver, CoarseSolver)
-              else fine_initial_state(ops, p0)]
+    states = [solver.initial_state(_initial_pressure(ops, p0))]
     for n in range(1, time_grid.n_steps + 1):
         load = ops.dofs.restrict_p(
             assemble_load(ops.grid, source, time_grid.t(n)))

@@ -46,7 +46,7 @@ def test_criterion_01_full_space_trajectory_matches_fine():
                     solver=cp.CoarseSolver(ops, space, tg.tau))
     worst = 0.0
     for f, c in zip(fine, coarse):
-        eu, ep, _ = energy_errors(ops, c, f)
+        eu, ep = energy_errors(ops, c, f)
         worst = max(worst, eu, ep)
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-8
@@ -248,12 +248,12 @@ def test_criterion_06_online_error_decay(cli_runs, frozen):
     for k, row in enumerate(rows):
         if k:
             state, _, _ = enr.enrich_once(solver, state, prev, load, k)
-        to_fine = energy_errors(ops, state, frozen.fine[10])[:2]
+        to_fine = energy_errors(ops, state, frozen.fine[10])
         for key, err in zip(("err_u", "err_p"), to_fine):
             assert "%.6g" % err == "%.6g" % row[key], \
                 "iteration %d: %s %.6g, history.csv has %.6g" \
                 % (k, key, err, row[key])
-        to_step.append(energy_errors(ops, state, resolved)[:2])
+        to_step.append(energy_errors(ops, state, resolved))
     for j, key in enumerate(("err_u", "err_p")):
         vals = [e[j] for e in to_step]
         assert all(b < a for a, b in zip(vals, vals[1:])), \
@@ -261,7 +261,7 @@ def test_criterion_06_online_error_decay(cli_runs, frozen):
     ratio_u = to_step[3][0] / to_step[0][0]
     ratio_p = to_step[3][1] / to_step[0][1]
     assert ratio_u <= 0.2 and ratio_p <= 0.2
-    floor_u, floor_p, _ = energy_errors(ops, resolved, frozen.fine[10])
+    floor_u, floor_p = energy_errors(ops, resolved, frozen.fine[10])
     print("criterion 06 PASS  against the resolved step: err_u "
           "%.2f%%->%.2f%% (ratio %.3f), err_p %.2f%%->%.2f%% (ratio %.3f), "
           "tol 0.2; against the fine trajectory: err_u %.2f%% / err_p "
@@ -340,7 +340,7 @@ def test_criterion_08_recurrent_enrichment_dominates_final_only(frozen):
         solver = cp.CoarseSolver(ops, space, frozen.time_grid.tau)
         states = cp.run(ops, frozen.time_grid, frozen.source, frozen.p0,
                         hook=hook, solver=solver)
-        return energy_errors(ops, states[10], frozen.fine[10])[:2]
+        return energy_errors(ops, states[10], frozen.fine[10])
 
     eu_rec, ep_rec = adaptive_run({5, 10})
     eu_fin, ep_fin = adaptive_run({10})

@@ -3,7 +3,8 @@ name the package exports resolves, and so does every name the benchmark
 traces. Every public method, and every function the package exports, has a
 caller outside the tests, and every attribute the package stores has a
 reader outside them. Every sparse factorization goes through
-`cembasis.spd_factor`."""
+`cembasis.spd_factor`, and only `assembly` takes a triangle of a sparse
+form."""
 
 import ast
 import importlib
@@ -196,30 +197,50 @@ def test_stored_attributes_have_readers_outside_tests():
     assert not unread, unread
 
 
-def _splu_callers():
-    """`module.Qualified.name` of every function that calls `splu`."""
-    callers = set()
+def _calls():
+    """(caller, callee) of every call in the package: the caller as
+    `module.Qualified.name`, the callee as written, with an imported name at
+    its head spelled out (`sp.tril` is `scipy.sparse.tril`)."""
+    calls = set()
 
-    def visit(node, module, scope):
+    def visit(node, module, scope, imported):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             scope = scope + (node.name,)
         elif isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else (
-                func.id if isinstance(func, ast.Name) else None)
-            if name == "splu":
-                callers.add(".".join((module,) + scope))
+            head, dot, rest = ast.unparse(node.func).partition(".")
+            calls.add((".".join((module,) + scope),
+                       imported.get(head, head) + dot + rest))
         for child in ast.iter_child_nodes(node):
-            visit(child, module, scope)
+            visit(child, module, scope, imported)
 
     for module in MODULES:
         with open(os.path.join(PKG, module + ".py")) as fh:
-            visit(ast.parse(fh.read()), module, ())
-    return callers
+            tree = ast.parse(fh.read())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname, a.name) for a in node.names
+                                if a.asname)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.update((a.asname or a.name, node.module + "." + a.name)
+                                for a in node.names)
+        visit(tree, module, (), imported)
+    return calls
 
 
 def test_sparse_factors_go_through_spd_factor():
     # every sparse matrix the package factors is SPD or symmetric
     # quasi-definite: a second splu call would bring back partial pivoting
     # and its unsymmetric fill
-    assert _splu_callers() == {"cembasis.spd_factor"}
+    callers = {caller for caller, callee in _calls()
+               if callee.rpartition(".")[2] == "splu"}
+    assert callers == {"cembasis.spd_factor"}
+
+
+def test_forms_are_symmetrized_only_in_assembly():
+    # assembly hands out every square form exactly symmetric; a triangle of
+    # a sparse form taken anywhere else would symmetrize one a second time
+    callers = {caller for caller, callee in _calls()
+               if callee in ("scipy.sparse.tril", "scipy.sparse.triu")}
+    assert {caller.split(".")[0] for caller in callers} == {"assembly"}, \
+        sorted(callers)

@@ -5,7 +5,8 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
-from cemporo.assembly import DofMap, assemble_load, assemble_operators
+from cemporo.assembly import (DofMap, assemble_load, assemble_operators,
+                              layout)
 from cemporo.cembasis import PatchSolver
 from cemporo.grid import build_grids, oversample_element, partition_of_unity
 from cemporo.material import MaterialField, synth_channels
@@ -120,6 +121,29 @@ def test_interior_restriction(setup):
     fullu = ops.stiff_u_full.toarray()
     npt.assert_array_equal(ops.stiff_u.toarray(),
                            fullu[np.ix_(d.u_dofs, d.u_dofs)])
+
+
+def test_square_forms_are_exactly_symmetric_with_assembled_pattern(setup):
+    # each square form is its assembled lower triangle mirrored, stored zeros
+    # included: the same pattern as the element sum, every entry equal to
+    # its transpose to the bit
+    grid, _, _, ops = setup
+    cell_nodes = grid.fine_cell_nodes()
+    d = ops.dofs
+    for family, index, names in (("p", d.p_nodes, ("stiff_p", "mass_p",
+                                                    "aux_p")),
+                                 ("u", d.u_dofs, ("stiff_u", "aux_u"))):
+        dofs = layout(cell_nodes, family)
+        k = dofs.shape[1]
+        pattern = sp.csr_matrix(
+            (np.ones(dofs.size * k), (np.repeat(dofs, k, axis=1).ravel(),
+                                      np.tile(dofs, (1, k)).ravel())),
+            shape=getattr(ops, names[0] + "_full").shape)
+        for name in names:
+            for form, raw in ((getattr(ops, name + "_full"), pattern),
+                              (getattr(ops, name), pattern[index][:, index])):
+                assert (form != form.T).nnz == 0, name
+                assert form.nnz == raw.nnz, name
 
 
 def test_stiffness_kernels(setup):

@@ -8,10 +8,11 @@ import pytest
 
 from cemporo import cembasis
 from cemporo.assembly import assemble_operators
-from cemporo.cembasis import CoarseOperators, PatchSolver, build_offline_basis
+from cemporo.cembasis import PatchSolver, build_offline_basis
 from cemporo.grid import build_grids, oversample_element, partition_of_unity
 from cemporo.material import synth_channels
 from cemporo.spectral import build_aux_basis
+from cemporo.timestepping import CoarseSolver
 
 from oracles import (build_element_basis, build_global_basis_oracle,
                      patch_residual)
@@ -158,7 +159,7 @@ def test_space_copy_is_independent(setup):
 def test_galerkin_projection_matrices(setup):
     _, ops, aux = setup
     space = build_offline_basis(ops, aux, 2)
-    co = CoarseOperators(ops, space)
+    co = CoarseSolver(ops, space, 0.1)
     R = space.basis_p.toarray()
     npt.assert_allclose(co.stiff_p, R.T @ ops.stiff_p.toarray() @ R,
                         atol=1e-12)

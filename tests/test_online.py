@@ -7,8 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cemporo.assembly import assemble_load, assemble_operators
-from cemporo.cembasis import (CoarseOperators, PatchSolver,
-                              build_offline_basis)
+from cemporo.cembasis import PatchSolver, build_offline_basis
 from cemporo.grid import (build_grids, oversample_element,
                           oversample_neighborhood, partition_of_unity)
 from cemporo.material import MaterialField, synth_channels
@@ -238,8 +237,8 @@ def test_enrich_once_decreases_dual_norms(setup):
     # the re-solve happened in the enlarged space
     assert (solver.space.n_u, solver.space.n_p) == (n_u + added_u,
                                                     n_p + added_p)
-    assert solver.co.stiff_u.shape[0] == n_u + added_u
-    assert solver.co.stiff_p.shape[0] == n_p + added_p
+    assert solver.stiff_u.shape[0] == n_u + added_u
+    assert solver.stiff_p.shape[0] == n_p + added_p
 
 
 def test_online_columns_have_unit_energy_at_any_load_scale(setup):
@@ -306,7 +305,7 @@ def test_filter_matches_dense_least_squares(setup):
         redundant.append(family, [R[:, 2]])
         for base in (space, redundant):
             grown = base.copy()
-            gram = getattr(CoarseOperators(ops, base), "stiff_" + family)
+            gram = getattr(CoarseSolver(ops, base, tg.tau), "stiff_" + family)
             added = enr._filter_and_append(grown, family, candidates, gram,
                                            current)
             decisions, accepted = _dense_filter(

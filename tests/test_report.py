@@ -1,7 +1,5 @@
 """Error measures, history records, and their file formats."""
 
-import io
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -31,16 +29,15 @@ def _random_state(ops, seed, n=1):
 
 def test_energy_errors_identical_state(ops):
     ref = _random_state(ops, 0)
-    err_u, err_p, absolute = energy_errors(ops, ref, ref)
+    err_u, err_p = energy_errors(ops, ref, ref)
     assert err_u == 0.0 and err_p == 0.0
-    assert not absolute
 
 
 def test_energy_errors_scaling(ops):
     ref = _random_state(ops, 1)
     halfway = State(1, 0.5 * ref.u + 0.5 * ref.u, ref.p)  # same state
     shifted = State(1, 1.5 * ref.u, ref.p)
-    err_u, err_p, _ = energy_errors(ops, shifted, ref)
+    err_u, err_p = energy_errors(ops, shifted, ref)
     # (1.5 - 1) ref has half the energy norm of ref itself
     assert err_u == pytest.approx(0.5, rel=1e-12)
     assert err_p == 0.0
@@ -54,11 +51,12 @@ def test_energy_errors_scaling(ops):
 def test_energy_errors_zero_reference(ops):
     zero = State(0, np.zeros(ops.dofs.n_u), np.zeros(ops.dofs.n_p))
     state = _random_state(ops, 2)
-    err_u, err_p, absolute = energy_errors(ops, state, zero)
-    assert absolute
+    err_u, err_p = energy_errors(ops, state, zero)
+    # a zero reference switches both entries to the absolute error
     assert err_u == pytest.approx(
         np.sqrt(state.u @ (ops.stiff_u @ state.u)), rel=1e-12)
-    assert err_p > 0
+    assert err_p == pytest.approx(
+        np.sqrt(state.p @ (ops.stiff_p @ state.p)), rel=1e-12)
 
 
 def test_render_percent():
@@ -91,22 +89,24 @@ def test_history_csv_roundtrip(tmp_path):
     assert back.rows[0]["err_u"] == pytest.approx(0.31912345, rel=1e-5)
 
 
-def test_history_rejects_foreign_header():
-    buf = io.StringIO("a,b,c\n1,2,3\n")
+def test_history_rejects_foreign_header(tmp_path):
+    path = tmp_path / "foreign.csv"
+    path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
-        EnrichmentHistory.from_csv(buf)
+        EnrichmentHistory.from_csv(str(path))
 
 
-def test_history_rejects_empty_file():
+def test_history_rejects_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
     with pytest.raises(ValueError, match="empty history"):
-        EnrichmentHistory.from_csv(io.StringIO(""))
+        EnrichmentHistory.from_csv(str(path))
 
 
-def test_history_empty_roundtrip():
-    buf = io.StringIO()
-    EnrichmentHistory().to_csv(buf)
-    buf.seek(0)
-    back = EnrichmentHistory.from_csv(buf)
+def test_history_empty_roundtrip(tmp_path):
+    path = str(tmp_path / "history.csv")
+    EnrichmentHistory().to_csv(path)
+    back = EnrichmentHistory.from_csv(path)
     assert len(back) == 0
 
 
