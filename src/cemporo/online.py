@@ -18,6 +18,7 @@ import scipy.linalg as sla
 
 from .grid import oversample_element, oversample_neighborhood
 from .cembasis import PatchSolver, spd_factor
+from .timestepping import PivotedCholesky
 
 
 @dataclass
@@ -178,19 +179,19 @@ class Enricher:
         return solver.column(
             (self._localizer(family, int(region)) * r)[solver.index])
 
-    def _filter_and_append(self, space, family, columns, gram, current):
+    def _filter_and_append(self, space, family, columns, factor, current):
         """Energy near-dependence filter, then append survivors in order,
         each scaled to unit energy.
 
-        `gram` is the stiffness projected onto the family's current columns;
-        it is not modified. It is factored once, by a Cholesky with complete
-        pivoting that stops at its numerical rank (LAPACK pstrf), so the
-        singular Gram of a redundant space takes the same path. A candidate's
-        energy left outside the span is e2 - |z|^2, z = L^-1 g, one forward
-        solve with the factor; an accepted candidate appends its row to the
-        factor instead of growing the Gram. A candidate is dependent when
-        that energy is at most 1e-10 of e2, a cut well above the roundoff of
-        the difference (up to about 4e-14 of e2 for candidates in the span).
+        `factor` is the `PivotedCholesky` factor of the stiffness projected
+        onto the family's current columns; it is not modified. Its rows stop
+        at the numerical rank, so the singular Gram of a redundant space
+        takes the same path. A candidate's energy left outside the span is
+        e2 - |z|^2, z = L^-1 g, one forward solve with the factor; an
+        accepted candidate appends its row to a copy of the factor instead
+        of growing the Gram. A candidate is dependent when that energy is at
+        most 1e-10 of e2, a cut well above the roundoff of the difference (up
+        to about 4e-14 of e2 for candidates in the span).
 
         A candidate whose energy is at most 1e-18 of the energy of `current`,
         the family's part of the state the residual was taken at, is
@@ -210,10 +211,10 @@ class Enricher:
         with_cand = cand.T @ images
         # the factor's rows: the space's columns in pivot order up to the
         # rank, then the accepted candidates
-        factor, piv, rank, _ = sla.lapack.dpstrf(gram, lower=1)
-        keep = piv[:rank] - 1
+        keep = factor.pivots
+        rank = keep.size
         L = np.zeros((rank + len(columns),) * 2)
-        L[:rank, :rank] = np.tril(factor[:rank, :rank])
+        L[:rank, :rank] = factor.L
         accepted, scales = [], []
         for j in range(len(columns)):
             e2 = with_cand[j, j]
@@ -252,15 +253,15 @@ class Enricher:
         eta_u, eta_p = self.compute_indicators(res)
         space = solver.space
         added = []
-        # the solver's projections are current: each family's columns
-        # change only in its own append
-        for family, eta, bulk, gram in (
-                ("u", eta_u, cfg.theta, solver.stiff_u),
-                ("p", eta_p, cfg.gamma, solver.stiff_p)):
+        # the solver's projections and its u factor are current: each
+        # family's columns change only in its own append
+        for family, eta, bulk, factor in (
+                ("u", eta_u, cfg.theta, solver.factor_u),
+                ("p", eta_p, cfg.gamma, PivotedCholesky(solver.stiff_p))):
             cols = [self.build_online_column(family, region, res)
                     for region in self.regions[select_regions(eta, bulk)]]
             added.append(self._filter_and_append(
-                space, family, cols, gram, getattr(state, family)))
+                space, family, cols, factor, getattr(state, family)))
 
         if any(added):
             solver.set_space(space)

@@ -5,21 +5,23 @@ One backward difference step solves the monolithic block system
     [[A, -D^T], [D, C + tau B]] (u, p) = (0, tau f + D u_prev + C p_prev)
 
 on interior unknowns, either on the fine grid or projected onto a multiscale
-space (dense LU, factorized once per space). The fine solver negates the flow
-row, which turns the block into the symmetric quasi-definite
+space. The fine solver negates the flow row, which turns the block into the
+symmetric quasi-definite
 
     [[A, -D^T], [-D, -(C + tau B)]],
 
 and factors it once per step size with diagonal pivots (`spd_factor`); it is
 exactly symmetric because assembly hands out A, B and C exactly symmetric.
 The coarse solver keeps its own projections of the forms and borders them
-when its space grows (`_project`). A projected matrix whose reciprocal
-condition estimate is at most n eps, the cut-off below which
-`np.linalg.lstsq` truncates, is solved by least squares instead; that also
-covers deliberately redundant spaces where the projected matrix is singular
-but consistent. Previous-step terms always enter through fine-grid lifts, so
-the right-hand side stays meaningful when the space is enriched between
-steps.
+when its space grows (`_project`). It eliminates the displacement,
+A u = D^T p, and solves the symmetric positive semidefinite pressure Schur
+complement C + tau B + D A^- D^T (A^- a generalized inverse); A and the
+Schur complement are factored
+once per space by a Cholesky with complete pivoting that stops at the
+numerical rank (`PivotedCholesky`), so deliberately redundant spaces, whose
+projected matrices are singular but consistent, take the same path.
+Previous-step terms always enter through fine-grid lifts, so the right-hand
+side stays meaningful when the space is enriched between steps.
 """
 
 from dataclasses import dataclass
@@ -125,26 +127,6 @@ class FineSolver:
         return State(n, x[:self.n_u], x[self.n_u:])
 
 
-def _lu_factor(mat):
-    """LU factors `(lu, piv)` of a dense square matrix, or None where least
-    squares must solve with it instead.
-
-    LAPACK getrf factors and gecon estimates the reciprocal 1-norm condition
-    number from the factor. The factor is kept only when that estimate
-    exceeds n eps, the cut-off below which `np.linalg.lstsq` (rcond=None)
-    truncates: above it both give the same solution in exact arithmetic. A
-    breakdown, a non-finite matrix or an estimate at the cut-off returns None.
-    """
-    getrf, gecon = sla.get_lapack_funcs(("getrf", "gecon"), (mat,))
-    lu, piv, info = getrf(mat)
-    if info != 0:
-        return None
-    rcond, info = gecon(lu, np.linalg.norm(mat, 1))
-    if info != 0 or not rcond > mat.shape[0] * np.finfo(float).eps:
-        return None
-    return lu, piv
-
-
 def _project(A, R_row, R_col, old):
     """Dense R_row^T A R_col.
 
@@ -172,30 +154,47 @@ def _project(A, R_row, R_col, old):
     return out
 
 
-class _DenseSolver:
-    """Every solve with one dense square matrix, by the LU factors it was
-    built with or, where `_lu_factor` declines, by least squares."""
+class PivotedCholesky:
+    """P^T A P = L L^T of a dense symmetric positive semidefinite matrix.
+
+    LAPACK pstrf pivots completely and stops at the numerical rank, where
+    the largest remaining diagonal entry is at most n eps max diag(A). `L`
+    is the rank x rank factor and `pivots` the matching leading pivots, so a
+    singular matrix, such as the Gram of a redundant space, is factored like
+    any other.
+    """
 
     def __init__(self, mat):
-        self.mat = mat
-        self.lu = _lu_factor(mat)
+        if not np.all(np.isfinite(mat)):
+            raise NumericalFailure("coarse matrix has non-finite entries")
+        factor, piv, rank, _ = sla.lapack.dpstrf(mat, lower=1)
+        self.L = np.tril(factor[:rank, :rank])
+        self.pivots = piv[:rank] - 1
+        self.size = mat.shape[0]
 
     def solve(self, rhs):
-        if self.lu is None:
-            return CoarseSolver._lstsq(self.mat, rhs)
-        sol = sla.lu_solve(self.lu, rhs, check_finite=False)
-        if not np.all(np.isfinite(sol)):
+        """A solution of the consistent system A x = rhs, zero off the
+        leading pivots."""
+        x = np.zeros((self.size,) + rhs.shape[1:])
+        x[self.pivots] = sla.cho_solve((self.L, True), rhs[self.pivots],
+                                       check_finite=False)
+        if not np.all(np.isfinite(x)):
             raise NumericalFailure("coarse solve produced non-finite values")
-        return sol
+        return x
 
 
 class CoarseSolver:
     """Galerkin solver on a multiscale space, rebuilt when the space changes.
 
     `set_space` projects the forms onto the space (`stiff_u`, `stiff_p`,
-    `mass_p`, `coupling`, dense) and factors the step matrix `block` once;
-    every step of the space solves with that factor (or by least squares, see
-    `_lu_factor`).
+    `mass_p`, `coupling`, dense) and eliminates the displacement: with
+    `factor_u` the pivoted Cholesky factor of `stiff_u` and W the solution
+    of stiff_u W = coupling^T it gives, the step's pressure solves the Schur
+    complement S = mass_p + tau stiff_p + coupling W, factored the same way,
+    and its displacement is W times the pressure. Both are factored once per
+    space. A redundant space makes `stiff_u` and S singular but every system
+    consistent; their null spaces are those of the bases, so the fine lifts
+    do not depend on which solution the factors pick.
     """
 
     def __init__(self, ops, space, tau):
@@ -205,9 +204,10 @@ class CoarseSolver:
         self.set_space(space)
 
     def set_space(self, space):
-        """Project onto `space` and factor the step matrix. Handed the current
-        space again, after `append` grew it, only the appended rows and
-        columns are projected, and the whole block is factored anew."""
+        """Project onto `space` and factor the displacement block and the
+        pressure Schur complement. Handed the current space again, after
+        `append` grew it, only the appended rows and columns are projected,
+        and both are factored anew."""
         if space is not self.space:
             self.stiff_u = self.stiff_p = self.mass_p = self.coupling = \
                 np.empty((0, 0))
@@ -218,45 +218,35 @@ class CoarseSolver:
         self.stiff_p = _project(ops.stiff_p, Rp, Rp, self.stiff_p)
         self.mass_p = _project(ops.mass_p, Rp, Rp, self.mass_p)
         self.coupling = _project(ops.coupling, Rp, Ru, self.coupling)
-        self.block = np.vstack([
-            np.hstack([self.stiff_u, -self.coupling.T]),
-            np.hstack([self.coupling, self.mass_p + self.tau * self.stiff_p])])
-        self.n_u = space.n_u
-        self._block_solver = _DenseSolver(self.block)
+        self.factor_u = PivotedCholesky(self.stiff_u)
+        self._W = self.factor_u.solve(self.coupling.T)
+        self._factor_s = PivotedCholesky(
+            self.mass_p + self.tau * self.stiff_p + self.coupling @ self._W)
 
-    @staticmethod
-    def _lstsq(mat, rhs):
-        try:
-            sol, _, _, _ = np.linalg.lstsq(mat, rhs, rcond=None)
-        except np.linalg.LinAlgError as err:
-            raise NumericalFailure("coarse solve broke down: %s" % err)
-        if not np.all(np.isfinite(sol)):
-            raise NumericalFailure("coarse solve produced non-finite values")
-        return sol
+    @property
+    def block(self):
+        """The step matrix [[stiff_u, -coupling^T], [coupling, mass_p +
+        tau stiff_p]], assembled on demand; the solves never form it."""
+        return np.block([
+            [self.stiff_u, -self.coupling.T],
+            [self.coupling, self.mass_p + self.tau * self.stiff_p]])
 
     def initial_state(self, p0_fine):
         """Flow-form projection of the fine initial pressure, then the elastic solve."""
-        ops = self.ops
         space = self.space
-        rhs_p = space.basis_p.T @ (ops.stiff_p @ p0_fine)
-        pc = _DenseSolver(self.stiff_p).solve(rhs_p)
-        p = space.basis_p @ pc
-        uc = _DenseSolver(self.stiff_u).solve(self.coupling.T @ pc)
-        u = space.basis_u @ uc
-        return State(0, u, p)
+        rhs_p = space.basis_p.T @ (self.ops.stiff_p @ p0_fine)
+        pc = PivotedCholesky(self.stiff_p).solve(rhs_p)
+        return State(0, space.basis_u @ (self._W @ pc), space.basis_p @ pc)
 
     def step(self, prev, load, n):
-        """Advance one step with the space's factor; previous-step data is
+        """Advance one step with the space's factors; previous-step data is
         read from the fine lifts."""
         ops = self.ops
         space = self.space
         rhs_p = space.basis_p.T @ (
             self.tau * load + ops.coupling @ prev.u + ops.mass_p @ prev.p)
-        rhs = np.concatenate([np.zeros(self.n_u), rhs_p])
-        sol = self._block_solver.solve(rhs)
-        uc = sol[:self.n_u]
-        pc = sol[self.n_u:]
-        return State(n, space.basis_u @ uc, space.basis_p @ pc)
+        pc = self._factor_s.solve(rhs_p)
+        return State(n, space.basis_u @ (self._W @ pc), space.basis_p @ pc)
 
 
 def run(ops, time_grid, source, p0, hook=None, solver=None):

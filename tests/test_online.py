@@ -14,7 +14,8 @@ from cemporo.material import MaterialField, synth_channels
 from cemporo.online import (Enricher, OnlineConfig, ResidualSet,
                             compute_residuals, select_regions)
 from cemporo.spectral import build_aux_basis
-from cemporo.timestepping import CoarseSolver, State, TimeGrid, run
+from cemporo.timestepping import (CoarseSolver, PivotedCholesky, State,
+                                  TimeGrid, run)
 
 from oracles import patch_residual
 
@@ -305,8 +306,9 @@ def test_filter_matches_dense_least_squares(setup):
         redundant.append(family, [R[:, 2]])
         for base in (space, redundant):
             grown = base.copy()
-            gram = getattr(CoarseSolver(ops, base, tg.tau), "stiff_" + family)
-            added = enr._filter_and_append(grown, family, candidates, gram,
+            factor = PivotedCholesky(getattr(CoarseSolver(ops, base, tg.tau),
+                                             "stiff_" + family))
+            added = enr._filter_and_append(grown, family, candidates, factor,
                                            current)
             decisions, accepted = _dense_filter(
                 A, base.basis(family), candidates, current)

@@ -15,7 +15,8 @@ from cemporo.online import compute_residuals
 from cemporo.report import energy_errors
 from cemporo.spectral import build_aux_basis
 from cemporo.timestepping import (CoarseSolver, FineSolver, NumericalFailure,
-                                  State, TimeGrid, _initial_pressure, run)
+                                  PivotedCholesky, State, TimeGrid,
+                                  _initial_pressure, run)
 
 from oracles import build_element_basis, build_global_basis_oracle
 
@@ -306,10 +307,10 @@ def test_run_hook_replaces_state(setup):
     npt.assert_allclose(states[3].p, redo.p, atol=1e-13)
 
 
-def test_lstsq_failure_raises():
+def test_non_finite_matrix_raises_when_factored():
     bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(NumericalFailure):
-        CoarseSolver._lstsq(bad, np.ones(2))
+        PivotedCholesky(bad)
 
 
 def test_coarse_block_is_factored_once_per_space(setup, monkeypatch):
@@ -317,49 +318,49 @@ def test_coarse_block_is_factored_once_per_space(setup, monkeypatch):
     aux = build_aux_basis(ops, 2)
     space = build_offline_basis(ops, aux, 1)
     tg = TimeGrid(0.1, 10)
-    factored, least_squares = [], []
-    lu_factor, lstsq = timestepping._lu_factor, CoarseSolver._lstsq
+    factored = []
+    factor = timestepping.PivotedCholesky
 
-    def counted_lu(mat):
+    def counted(mat):
         factored.append(mat.shape)
-        return lu_factor(mat)
+        return factor(mat)
 
-    def counted_lstsq(mat, rhs):
-        least_squares.append(mat.shape)
-        return lstsq(mat, rhs)
+    monkeypatch.setattr(timestepping, "PivotedCholesky", counted)
+    solver = CoarseSolver(ops, space, tg.tau)
+    states = run(ops, tg, _source, _p0, solver=solver)
+    # the displacement block and the Schur complement once for all ten
+    # steps, then the initial state's flow form
+    assert factored == [(space.n_u,) * 2, (space.n_p,) * 2,
+                        (space.n_p,) * 2]
 
-    monkeypatch.setattr(timestepping, "_lu_factor", counted_lu)
-    monkeypatch.setattr(CoarseSolver, "_lstsq", staticmethod(counted_lstsq))
-    states = run(ops, tg, _source, _p0,
-                 solver=CoarseSolver(ops, space, tg.tau))
-    n = space.n_u + space.n_p
-    # the block once for all ten steps, then the two initial-state solves
-    assert factored == [(n, n), (space.n_p,) * 2, (space.n_u,) * 2]
-    assert least_squares == []
-
-    # the same trajectory with least squares on every solve
-    monkeypatch.setattr(timestepping, "_lu_factor", lambda mat: None)
-    forced = run(ops, tg, _source, _p0,
-                 solver=CoarseSolver(ops, space, tg.tau))
-    assert len(least_squares) == 2 + tg.n_steps
-    for st, ref in zip(states, forced):
+    # every state against a dense solve with the assembled block
+    Ru, Rp = space.basis_u, space.basis_p
+    pc = np.linalg.solve(solver.stiff_p,
+                         Rp.T @ (ops.stiff_p @ _initial_pressure(ops, _p0)))
+    uc = np.linalg.solve(solver.stiff_u, solver.coupling.T @ pc)
+    dense = [State(0, Ru @ uc, Rp @ pc)]
+    for n in range(1, tg.n_steps + 1):
+        load = ops.dofs.restrict_p(assemble_load(ops.grid, _source, tg.t(n)))
+        prev = states[n - 1]
+        rhs = np.concatenate([np.zeros(space.n_u), Rp.T @ (
+            tg.tau * load + ops.coupling @ prev.u + ops.mass_p @ prev.p)])
+        sol = np.linalg.solve(solver.block, rhs)
+        dense.append(State(n, Ru @ sol[:space.n_u], Rp @ sol[space.n_u:]))
+    for st, ref in zip(states, dense):
         for x, y in ((st.u, ref.u), (st.p, ref.p)):
             assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)
 
-    monkeypatch.setattr(timestepping, "_lu_factor", counted_lu)
-    solver = CoarseSolver(ops, space, tg.tau)
     for element, family in ((3, "u"), (4, "p"), (5, "u")):
         space.append(family, build_element_basis(ops, aux, family,
                                                  element, 2))
         del factored[:]
         solver.set_space(space)
-        n = space.n_u + space.n_p
-        assert factored == [(n, n)], family
+        assert factored == [(space.n_u,) * 2, (space.n_p,) * 2], family
 
 
-def test_redundant_space_solves_by_least_squares(monkeypatch):
+def test_redundant_space_solves_at_numerical_rank():
     # the criterion-01 space holds every local mode, so its projected
-    # matrices are singular: the factor is declined below lstsq's cut-off
+    # matrices are singular: the factors stop below the dimension
     grid = build_grids(4, 4, 4)
     field = synth_channels(grid, 1.0, 1e3, n_channels=2, n_inclusions=4,
                            seed=3)
@@ -367,20 +368,12 @@ def test_redundant_space_solves_by_least_squares(monkeypatch):
     nodes_per_cell = (grid.refinement + 1) ** 2
     aux = build_aux_basis(ops, 2 * nodes_per_cell, nodes_per_cell)
     space = build_global_basis_oracle(ops, aux)
-    least_squares = []
-    lstsq = CoarseSolver._lstsq
-
-    def counted(mat, rhs):
-        least_squares.append(mat.shape)
-        return lstsq(mat, rhs)
-
-    monkeypatch.setattr(CoarseSolver, "_lstsq", staticmethod(counted))
     tg = TimeGrid(0.25, 4)
+    solver = CoarseSolver(ops, space, tg.tau)
+    assert solver.factor_u.pivots.size < space.n_u
+    assert PivotedCholesky(solver.stiff_p).pivots.size < space.n_p
     fine = run(ops, tg, _source, _p0)
-    coarse = run(ops, tg, _source, _p0,
-                 solver=CoarseSolver(ops, space, tg.tau))
-    n = space.n_u + space.n_p
-    assert least_squares.count((n, n)) == tg.n_steps
+    coarse = run(ops, tg, _source, _p0, solver=solver)
     for f, c in zip(fine, coarse):
         eu, ep = energy_errors(ops, c, f)
         assert max(eu, ep) <= 1e-8
@@ -398,11 +391,10 @@ def test_non_finite_coarse_solve_raises(setup):
     bad = State(0, prev.u, np.full_like(prev.p, np.nan))
     with pytest.raises(NumericalFailure):
         solver.step(bad, load, 1)
-    # a block with a NaN: set_space does not raise, the step does
+    # a block with a NaN raises when set_space factors it
     column = np.zeros(ops.dofs.n_u)
     column[0] = np.nan
     space.append("u", [column])
-    solver.set_space(space)
-    assert np.isnan(solver.block).any()
     with pytest.raises(NumericalFailure):
-        solver.step(prev, load, 1)
+        solver.set_space(space)
+    assert np.isnan(solver.block).any()
