@@ -6,24 +6,27 @@ patch boundary. The local system couples the stiffness with a rank-k penalty
 built from the weighted mass applied to every auxiliary eigenvector living on
 the patch,
 
-    (A + U U^T) psi = rhs,   U = M_patch R_patch,
+    (A + U U^T) psi = rhs,   U = M_patch R_patch.
 
-and is solved through the bordered matrix
+A patch is a rectangle of fine nodes. Numbered across its shorter side
+first, its forms are banded with a half-bandwidth set by that side, so
+A = L L^T is factored in LAPACK band storage (`BandedCholesky`). With
+Z = L^-1 U and the k x k capacitance C = I + Z^T Z, the Woodbury identity
+gives
 
-    K = [[A, U], [U^T, -I]],   K [psi; y] = [rhs; 0],
+    (A + U U^T)^-1 = L^-T (I - Z C^-1 Z^T) L^-1,
 
-which is symmetric quasi-definite (A is SPD, -I negative definite): every
-symmetric permutation of K has a factorization with diagonal pivots, so K is
-factorized once with a symmetric fill-reducing ordering and no pivoting.
-Each solve is followed by one step of iterative refinement on the defining
-equation. The offline basis factorizes each distinct patch rectangle once,
-solves every column seeded in it and frees the factorization before the next
-one is built. Both families take this path, with their forms and columns
-from the operators and the auxiliary basis; `PatchSolver.column` builds
-offline and online columns alike.
+two banded triangular sweeps around a rank-k correction. Each solve is
+followed by one step of iterative refinement on the defining equation. The
+offline basis factorizes each distinct patch rectangle once, solves every
+column seeded in it and frees the factorization before the next one is
+built. Both families take this path, with their forms and columns from the
+operators and the auxiliary basis; `PatchSolver.column` builds offline and
+online columns alike.
 """
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -31,44 +34,120 @@ from .assembly import check_family
 from .grid import oversample_element
 
 
+class NumericalFailure(RuntimeError):
+    """Raised when a factorization or solve breaks down."""
+
+
 def spd_factor(A):
-    """Sparse LU of a symmetric positive definite or quasi-definite matrix.
+    """Sparse LU of a global symmetric positive definite or quasi-definite
+    matrix.
 
     A symmetric fill-reducing ordering with diagonal pivots keeps L and U on
     the pattern of a Cholesky factor of A. An SPD matrix needs no pivoting
     for stability, and a quasi-definite one [[H, G^T], [G, -F]] with H and F
     SPD has a factorization with diagonal pivots under every symmetric
-    ordering. Two such matrices are factored here: the bordered patch
-    matrix [[A, U], [U^T, -I]] and the fine step matrix
-    [[A, -D^T], [-D, -(C + tau B)]], the step's flow row negated. Both, and
-    the plain forms factored for the initial state and the Riesz solves, are
-    exactly symmetric, because assembly hands out every form so.
+    ordering. The matrices factored here are global: the fine step matrix
+    [[A, -D^T], [-D, -(C + tau B)]], the step's flow row negated, and the
+    plain forms of the initial state and the global Riesz solves. Their band
+    grows with the mesh, so a fill-reducing ordering beats a band there;
+    patch forms go through `BandedCholesky`. Every one is exactly
+    symmetric, because assembly hands out every form so.
     """
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
 
 
+class BandedCholesky:
+    """A = L L^T of a sparse symmetric positive definite matrix, in LAPACK
+    lower band storage.
+
+    The half-bandwidth kd is the largest distance of a stored entry from the
+    diagonal, so the factor keeps (kd + 1) n numbers and costs about n kd^2
+    flops (pbtrf). `solve_lower` and `solve_upper` apply L^-1 and L^-T
+    (tbtrs). A matrix that is not finite and positive definite raises
+    `NumericalFailure`.
+    """
+
+    def __init__(self, A):
+        A = sp.csr_matrix(A)
+        A.sum_duplicates()
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        low = rows >= A.indices
+        rows, cols = rows[low], A.indices[low]
+        self.kd = int((rows - cols).max(initial=0))
+        band = np.zeros((self.kd + 1, A.shape[0]), order="F")
+        band[rows - cols, cols] = A.data[low]
+        self.ab, info = sla.lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+        if info or not np.all(np.isfinite(self.ab[0])):
+            raise NumericalFailure(
+                "patch matrix is not finite and positive definite")
+
+    def solve_lower(self, b):
+        """L^-1 b for a vector or the columns of a matrix.
+
+        The leading zeros of a column stay zero, so each column is swept
+        from its first nonzero row on, with the trailing block of L; columns
+        whose first nonzero rows lie within one band width share a sweep.
+        """
+        x = np.array(b, dtype=float)
+        cols = x.reshape(x.shape[0], -1)
+        first = (cols != 0).argmax(axis=0)
+        order = np.argsort(first, kind="stable")
+        starts = first[order]
+        heads = [0]
+        for i in range(1, order.size):
+            if starts[i] > starts[heads[-1]] + self.kd:
+                heads.append(i)
+        for head, end in zip(heads, heads[1:] + [order.size]):
+            s, at = starts[head], order[head:end]
+            cols[s:, at] = sla.lapack.dtbtrs(self.ab[:, s:], cols[s:, at],
+                                             uplo="L")[0]
+        return x
+
+    def solve_upper(self, b):
+        """L^-T b."""
+        return sla.lapack.dtbtrs(self.ab, b, uplo="L", trans="T")[0]
+
+
+def patch_index(dofs, patch, family):
+    """Interior positions of the family's unknowns on the patch, its nodes
+    numbered across the patch's shorter side first.
+
+    A node then couples only with nodes at most short + 1 places away, so a
+    patch form has half-bandwidth short + 1 for "p" and 2 (short + 1) + 1
+    for the interleaved "u". A square patch keeps the grid's order.
+    """
+    nodes = patch.interior_fine_nodes.reshape(patch.shape)
+    if nodes.shape[1] > nodes.shape[0]:
+        nodes = nodes.T
+    return dofs.index(nodes.ravel(), family)
+
+
 class PatchSolver:
     """Penalized local solver for one family on one patch."""
 
     def __init__(self, ops, aux, patch, family):
-        idx = ops.dofs.index(patch.interior_fine_nodes, family)
+        idx = patch_index(ops.dofs, patch, family)
         self.family = family
         self.index = idx
         self.size = ops.dofs.size(family)
         cols = aux.columns_in_cells(family, patch.cells)
-        self.A = ops.stiffness(family)[idx][:, idx].tocsc()
+        self.A = ops.stiffness(family)[idx][:, idx]
         self.U = (ops.weight(family)[idx][:, idx].tocsc()
                   @ aux.columns(family)[idx][:, cols]).tocsc()
         self.aux_cols = cols
-        self.n, self.k = self.U.shape
-        self.lu = spd_factor(sp.bmat(
-            [[self.A, self.U], [self.U.T, -sp.identity(self.k)]]))
+        self.factor = BandedCholesky(self.A)
+        self.Z = self.factor.solve_lower(self.U.toarray())
+        self.capacitance = sla.cho_factor(
+            np.identity(self.Z.shape[1]) + self.Z.T @ self.Z, lower=True)
 
     def _apply(self, b):
-        """(A + U U^T)^-1 b, the leading block of K^-1 [b; 0]."""
-        return self.lu.solve(np.concatenate([b, np.zeros(self.k)]))[:self.n]
+        """(A + U U^T)^-1 b = L^-T (w - Z C^-1 Z^T w), w = L^-1 b."""
+        w = self.factor.solve_lower(b)
+        w -= self.Z @ sla.cho_solve(self.capacitance, self.Z.T @ w,
+                                    check_finite=False)
+        return self.factor.solve_upper(w)
 
     def solve(self, rhs):
         """Solve the penalized system for a patch-local right-hand side."""

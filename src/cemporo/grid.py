@@ -96,7 +96,8 @@ class Patch:
     bookkeeping.
 
     Interior fine nodes lie strictly inside the rectangle, which excludes
-    both the patch's own boundary and the domain boundary.
+    both the patch's own boundary and the domain boundary. They are listed
+    lexicographically, x fastest, and `shape` is their (rows, columns).
     """
 
     def __init__(self, grid, cx0, cx1, cy0, cy1):
@@ -111,6 +112,7 @@ class Patch:
         fj = np.arange(cy0 * r + 1, (cy1 + 1) * r)
         self.interior_fine_nodes = (fj[:, None] * (grid.nfx + 1)
                                     + fi[None, :]).ravel()
+        self.shape = (fj.size, fi.size)
 
 
 def _expand_rect(grid, cx0, cx1, cy0, cy1, layers):

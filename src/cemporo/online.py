@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .grid import oversample_element, oversample_neighborhood
-from .cembasis import PatchSolver, spd_factor
+from .cembasis import BandedCholesky, PatchSolver, patch_index, spd_factor
 from .timestepping import PivotedCholesky
 
 
@@ -119,9 +119,9 @@ class Enricher:
         key = (family, region)
         if key not in self._riesz:
             patch = self._region_patch(region, 0)
-            idx = self.ops.dofs.index(patch.interior_fine_nodes, family)
+            idx = patch_index(self.ops.dofs, patch, family)
             self._riesz[key] = (
-                spd_factor(self.ops.stiffness(family)[idx][:, idx]), idx)
+                BandedCholesky(self.ops.stiffness(family)[idx][:, idx]), idx)
         return self._riesz[key]
 
     def _global_riesz_solver(self, family):
@@ -163,10 +163,9 @@ class Enricher:
         for k, region in enumerate(self.regions):
             for family, r, dest in (("u", res.r_u, eta_u),
                                     ("p", res.r_p, eta_p)):
-                lu, index = self._riesz_solver(family, int(region))
-                rloc = r[index]
-                w = lu.solve(rloc)
-                dest[k] = np.sqrt(max(rloc @ w, 0.0))
+                factor, index = self._riesz_solver(family, int(region))
+                # r^T A^-1 r = |L^-1 r|^2
+                dest[k] = np.linalg.norm(factor.solve_lower(r[index]))
         return eta_u, eta_p
 
     # ---- basis growth ----------------------------------------------------

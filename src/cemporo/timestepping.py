@@ -31,11 +31,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .assembly import assemble_load
-from .cembasis import spd_factor
-
-
-class NumericalFailure(RuntimeError):
-    """Raised when a factorization or solve breaks down."""
+from .cembasis import NumericalFailure, spd_factor
 
 
 @dataclass

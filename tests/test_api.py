@@ -2,9 +2,10 @@
 name the package exports resolves, and so does every name the benchmark
 traces. Every public method, and every function the package exports, has a
 caller outside the tests, and every attribute the package stores has a
-reader outside them. Every sparse factorization goes through
-`cembasis.spd_factor`, and only `assembly` takes a triangle of a sparse
-form."""
+reader outside them. A global sparse form is factored only by
+`cembasis.spd_factor` (SuperLU) and a patch form only by
+`cembasis.BandedCholesky` (LAPACK pbtrf), and only `assembly` takes a
+triangle of a sparse form."""
 
 import ast
 import importlib
@@ -235,6 +236,14 @@ def test_sparse_factors_go_through_spd_factor():
     callers = {caller for caller, callee in _calls()
                if callee.rpartition(".")[2] == "splu"}
     assert callers == {"cembasis.spd_factor"}
+
+
+def test_band_factors_go_through_banded_cholesky():
+    # every patch form is SPD and banded; one owner of pbtrf keeps its
+    # failure check in one place
+    callers = {caller for caller, callee in _calls()
+               if callee.rpartition(".")[2] == "dpbtrf"}
+    assert callers == {"cembasis.BandedCholesky.__init__"}
 
 
 def test_forms_are_symmetrized_only_in_assembly():

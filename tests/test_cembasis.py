@@ -5,10 +5,12 @@ import weakref
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
-from cemporo import cembasis
+from cemporo import cembasis, timestepping
 from cemporo.assembly import assemble_operators
-from cemporo.cembasis import PatchSolver, build_offline_basis
+from cemporo.cembasis import (BandedCholesky, NumericalFailure, PatchSolver,
+                              build_offline_basis)
 from cemporo.grid import build_grids, oversample_element, partition_of_unity
 from cemporo.material import synth_channels
 from cemporo.spectral import build_aux_basis
@@ -169,6 +171,22 @@ def test_galerkin_projection_matrices(setup):
     assert w.min() > 0.0
 
 
+def _band_factor(solver):
+    """The dense lower factor L of the solver's banded Cholesky factor."""
+    ab = solver.factor.ab
+    L = np.zeros((ab.shape[1],) * 2)
+    for d in range(ab.shape[0]):
+        L += np.diag(ab[d, :ab.shape[1] - d], -d)
+    return L
+
+
+def _short_side_band(patch, family):
+    """The half-bandwidth of a 9-point form numbered across the patch's
+    shorter side first."""
+    short = min(patch.shape)
+    return 2 * (short + 1) + 1 if family == "u" else short + 1
+
+
 # element 5 of 4x4 cells has its full 3x3 one-layer patch; element 0 sits in
 # a corner, so its patch is clipped to 2x2 cells
 @pytest.mark.parametrize("element, cells", [(5, 9), (0, 4)])
@@ -178,15 +196,54 @@ def test_patch_solver_refinement_accuracy(setup, family, element, cells):
     patch = oversample_element(grid, element, 1)
     assert patch.cells.size == cells
     solver = PatchSolver(ops, aux, patch, family)
-    # one factor of the bordered quasi-definite matrix [[A, U], [U^T, -I]],
-    # with the same symmetric permutation on rows and columns: no pivoting
-    assert solver.lu.shape == (solver.n + solver.k, solver.n + solver.k)
-    assert np.array_equal(solver.lu.perm_r, solver.lu.perm_c)
+    # one banded Cholesky factor of A alone, its band set by the short side
+    L = _band_factor(solver)
+    A = solver.A.toarray()
+    npt.assert_allclose(L @ L.T, A, rtol=0, atol=1e-13 * np.abs(A).max())
+    assert solver.factor.kd == _short_side_band(patch, family)
     rng = np.random.default_rng(3)
-    rhs = rng.normal(size=solver.n)
+    rhs = rng.normal(size=solver.index.size)
     psi = solver.solve(rhs)
     assert patch_residual(solver, psi, rhs) <= 1e-12 * np.linalg.norm(rhs)
     U = solver.U.toarray()
     expected = np.linalg.solve(solver.A.toarray() + U @ U.T, rhs)
     npt.assert_allclose(psi, expected, rtol=0,
                         atol=1e-10 * np.linalg.norm(expected))
+
+
+@pytest.mark.parametrize("family", ["u", "p"])
+def test_wide_patch_is_banded_across_its_short_side(setup, family):
+    # element 1 of 4x4 cells with one layer is clipped to 3 cells wide and
+    # 2 tall: 5 interior fine nodes across, 3 up
+    grid, ops, aux = setup
+    patch = oversample_element(grid, 1, 1)
+    assert patch.rect == (0, 2, 0, 1) and patch.shape == (3, 5)
+    solver = PatchSolver(ops, aux, patch, family)
+    assert solver.factor.kd == _short_side_band(patch, family)
+    # the lexicographic order would give the long side's band
+    lexi = 2 * (5 + 1) + 1 if family == "u" else 5 + 1
+    assert solver.factor.kd < lexi
+    assert np.array_equal(np.sort(solver.index),
+                          ops.dofs.index(patch.interior_fine_nodes, family))
+    U = solver.U.toarray()
+    dense = solver.A.toarray() + U @ U.T
+    for rhs in U.T:
+        col = solver.column(rhs)
+        expected = np.linalg.solve(dense, rhs)
+        npt.assert_array_equal(np.delete(col, solver.index), 0.0)
+        npt.assert_allclose(col[solver.index], expected, rtol=0,
+                            atol=1e-10 * np.linalg.norm(expected))
+
+
+def test_indefinite_matrix_raises_numerical_failure():
+    # symmetric, with a negative second leading minor
+    indefinite = sp.csr_matrix([[2.0, 1.0, 0.0],
+                                [1.0, -1.0, 1.0],
+                                [0.0, 1.0, 2.0]])
+    with pytest.raises(NumericalFailure, match="positive definite"):
+        BandedCholesky(indefinite)
+    # LAPACK passes a NaN through without an error code
+    with pytest.raises(NumericalFailure, match="finite"):
+        BandedCholesky(sp.csr_matrix([[2.0, np.nan], [np.nan, 2.0]]))
+    # the same class the command line turns into exit code 2
+    assert NumericalFailure is timestepping.NumericalFailure

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cemporo import cli
+from cemporo.assembly import OperatorSet
 from cemporo.cli import (ConfigError, load_config, main, make_initial_pressure,
                          make_source, resolve_config, schedule_steps)
 from cemporo.report import EnrichmentHistory
@@ -277,6 +278,18 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_exit_code_indefinite_patch_form(tmp_path, capsys, monkeypatch):
+    # a patch form that is not positive definite stops the offline basis
+    # with a numerical failure, not a traceback
+    monkeypatch.setattr(OperatorSet, "stiffness",
+                        lambda self, family: -getattr(self, "stiff_" + family))
+    cfg = dict(TINY, snapshots=False, reference=False)
+    rc = main(["run", "--config", _write(tmp_path, cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "positive definite" in capsys.readouterr().err
 
 
 # ---- commands ----------------------------------------------------------------
