@@ -17,12 +17,13 @@ gives
     (A + U U^T)^-1 = L^-T (I - Z C^-1 Z^T) L^-1,
 
 two banded triangular sweeps around a rank-k correction. Each solve is
-followed by one step of iterative refinement on the defining equation. The
-offline basis factorizes each distinct patch rectangle once, solves every
-column seeded in it and frees the factorization before the next one is
-built. Both families take this path, with their forms and columns from the
-operators and the auxiliary basis; `PatchSolver.column` builds offline and
-online columns alike.
+followed by one step of iterative refinement on the defining equation.
+`PatchSolver.solve` takes a vector or the columns of a matrix. The offline
+basis factorizes each distinct patch rectangle once, solves every column
+seeded in it in one batch and frees the factorization before the next one
+is built. Both families take this path, with their forms and columns from
+the operators and the auxiliary basis; online columns, seeded by residuals,
+come from `PatchSolver.column`.
 """
 
 import numpy as np
@@ -129,7 +130,6 @@ class PatchSolver:
 
     def __init__(self, ops, aux, patch, family):
         idx = patch_index(ops.dofs, patch, family)
-        self.family = family
         self.index = idx
         self.size = ops.dofs.size(family)
         cols = aux.columns_in_cells(family, patch.cells)
@@ -150,7 +150,8 @@ class PatchSolver:
         return self.factor.solve_upper(w)
 
     def solve(self, rhs):
-        """Solve the penalized system for a patch-local right-hand side."""
+        """Solve the penalized system for a patch-local right-hand side, a
+        vector or the columns of a matrix."""
         x = self._apply(rhs)
         # one refinement pass keeps the variational residual at round-off
         return x + self._apply(rhs - self.A @ x - self.U @ (self.U.T @ x))
@@ -165,16 +166,17 @@ class PatchSolver:
 class MultiscaleSpace:
     """Columns of the reduced displacement and pressure spaces.
 
-    Basis matrices act from coarse coefficients to interior fine unknowns.
-    An offline space numbers each family's columns element-major: column
-    e * modes + j is seeded by auxiliary mode j of coarse cell e. `append` is
-    the only change a space undergoes after construction, so a space's
-    columns are always a prefix of its later columns.
+    `basis_u` and `basis_p` are CSC matrices that act from coarse
+    coefficients to the interior fine unknowns of their family. An offline
+    space numbers each family's columns element-major: column e * modes + j
+    is seeded by auxiliary mode j of coarse cell e. `append` is the only
+    change a space undergoes after construction, so a space's columns are
+    always a prefix of its later columns.
     """
 
-    def __init__(self, n_u, n_p):
-        self.basis_u = sp.csc_matrix((n_u, 0))
-        self.basis_p = sp.csc_matrix((n_p, 0))
+    def __init__(self, basis_u, basis_p):
+        self.basis_u = basis_u
+        self.basis_p = basis_p
 
     @property
     def n_u(self):
@@ -194,46 +196,39 @@ class MultiscaleSpace:
                 sp.hstack([self.basis(family), cols], format="csc"))
 
     def copy(self):
-        out = MultiscaleSpace(self.basis_u.shape[0], self.basis_p.shape[0])
-        out.basis_u = self.basis_u.copy()
-        out.basis_p = self.basis_p.copy()
-        return out
-
-
-def _element_columns(aux, solver, element):
-    """Solve the columns seeded by one element's auxiliary modes on the
-    solver's patch: one full-length interior-dof vector per mode, in mode
-    order.
-    """
-    count = aux.modes(solver.family)
-    cols = []
-    for j in range(count):
-        pos = np.searchsorted(solver.aux_cols, element * count + j)
-        cols.append(solver.column(
-            np.asarray(solver.U[:, pos].todense()).ravel()))
-    return cols
+        return MultiscaleSpace(self.basis_u.copy(), self.basis_p.copy())
 
 
 def build_offline_basis(ops, aux, layers):
     """One basis function per auxiliary eigenfunction, patches of given depth.
 
-    Elements whose patches share a rectangle share one factorization, which
-    is freed as soon as their columns are solved.
+    Elements whose patches share a rectangle share one factorization: their
+    columns, seeded by their columns of U, are solved in one batch, and the
+    factorization is freed before the next one is built. Each family's basis
+    is assembled from the columns' patch values, element-major (column
+    e * modes + j).
     """
     grid = ops.grid
-    space = MultiscaleSpace(ops.dofs.n_u, ops.dofs.n_p)
     patches = [oversample_element(grid, e, layers)
                for e in range(grid.n_coarse_cells)]
     groups = {}
     for e, patch in enumerate(patches):
         groups.setdefault(patch.rect, []).append(e)
+    bases = []
     for family in ("u", "p"):
-        per_element = [None] * grid.n_coarse_cells
+        count = aux.modes(family)
+        rows, cols, vals = [], [], []
         for elements in groups.values():
             solver = PatchSolver(ops, aux, patches[elements[0]], family)
-            for e in elements:
-                per_element[e] = _element_columns(aux, solver, e)
+            seeds = aux.columns_in_cells(family, elements)
+            x = solver.solve(
+                solver.U[:, np.searchsorted(solver.aux_cols, seeds)].toarray())
+            rows.append(np.tile(solver.index, seeds.size))
+            cols.append(np.repeat(seeds, solver.index.size))
+            vals.append(x.T.ravel())
             # free this factorization before the next one is built
             del solver
-        space.append(family, [c for cols in per_element for c in cols])
-    return space
+        bases.append(sp.csc_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(ops.dofs.size(family), count * grid.n_coarse_cells)))
+    return MultiscaleSpace(*bases)

@@ -22,14 +22,16 @@ def _fix_signs(vecs):
     return vecs * signs
 
 
-def _deflated_eigh(A, S, kernel):
+def _deflated_eigh(A, S, kernel, count):
     """Generalized eigensolve of (A, S) with an exactly known A-kernel.
 
     The kernel columns span functions with zero energy by construction
     (rigid motions, constants); solving on their S-orthogonal complement
     reports them as exact zero eigenvalues instead of eigensolver roundoff
-    scaled by ||A||. Returns all eigenvalues ascending and S-orthonormal
-    eigenvectors, the kernel block first.
+    scaled by ||A||. Returns all eigenvalues ascending and the first `count`
+    S-orthonormal eigenvectors, the kernel block first. When `count` is at
+    most the kernel dimension those vectors are the kernel block alone, so
+    the reduced problem is solved for its values only.
     """
     L = sla.cholesky(S, lower=True)
     # standard form A v = w S v  ->  (L^-1 A L^-T) y = w y with y = L^T v
@@ -42,10 +44,17 @@ def _deflated_eigh(A, S, kernel):
     Q, _ = np.linalg.qr(Y, mode="complete")
     k = kernel.shape[1]
     Qc = Q[:, k:]
-    w_red, Z = sla.eigh(Qc.T @ At @ Qc)
+    B = Qc.T @ At @ Qc
+    if count <= k:
+        w_red = sla.eigh(B, eigvals_only=True)
+        Y_kept = Q[:, :count]
+    else:
+        # a subset solve would pick a different member of a degenerate pair
+        # that `count` splits (ROADMAP item 1), which changes the history
+        w_red, Z = sla.eigh(B)
+        Y_kept = np.hstack([Q[:, :k], Qc @ Z[:, :count - k]])
     w = np.concatenate([np.zeros(k), w_red])
-    Y_all = np.hstack([Q[:, :k], Qc @ Z])
-    vecs = sla.solve_triangular(L, Y_all, lower=True, trans="T")
+    vecs = sla.solve_triangular(L, Y_kept, lower=True, trans="T")
     return w, vecs
 
 
@@ -76,8 +85,8 @@ def solve_local_spectral(ops, element, n_u, n_p=None):
     out = []
     for family, count in (("u", n_u), ("p", n_p)):
         w, v = _deflated_eigh(mats["stiff_" + family], mats["aux_" + family],
-                              ops.kernel(family, nodes))
-        out += [w, _fix_signs(v[:, :count])]
+                              ops.kernel(family, nodes), count)
+        out += [w, _fix_signs(v)]
     return ElementSpectra(nodes, *out)
 
 

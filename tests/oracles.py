@@ -12,10 +12,17 @@ from cemporo.grid import oversample_element
 
 def build_element_basis(ops, aux, family, element, layers):
     """Zero-extended basis columns seeded by one element's auxiliary modes:
-    one full-length interior-dof vector per mode, in mode order."""
+    one full-length interior-dof vector per mode, in mode order, each a
+    refined penalized solve of its own column of U (`PatchSolver.column`).
+    The offline basis solves a patch's columns in one batch instead."""
     patch = oversample_element(ops.grid, element, layers)
     solver = cembasis.PatchSolver(ops, aux, patch, family)
-    return cembasis._element_columns(aux, solver, element)
+    count = aux.modes(family)
+    cols = []
+    for j in range(count):
+        pos = np.searchsorted(solver.aux_cols, element * count + j)
+        cols.append(solver.column(solver.U[:, pos].toarray().ravel()))
+    return cols
 
 
 def build_global_basis_oracle(ops, aux):

@@ -4,8 +4,9 @@ traces. Every public method, and every function the package exports, has a
 caller outside the tests, and every attribute the package stores has a
 reader outside them. A global sparse form is factored only by
 `cembasis.spd_factor` (SuperLU) and a patch form only by
-`cembasis.BandedCholesky` (LAPACK pbtrf), and only `assembly` takes a
-triangle of a sparse form."""
+`cembasis.BandedCholesky` (LAPACK pbtrf), a local eigenproblem is solved
+only by `spectral._deflated_eigh`, and only `assembly` takes a triangle of a
+sparse form."""
 
 import ast
 import importlib
@@ -244,6 +245,14 @@ def test_band_factors_go_through_banded_cholesky():
     callers = {caller for caller, callee in _calls()
                if callee.rpartition(".")[2] == "dpbtrf"}
     assert callers == {"cembasis.BandedCholesky.__init__"}
+
+
+def test_eigensolves_go_through_deflated_eigh():
+    # the local kernels are deflated exactly and only the kept vectors are
+    # computed in one place; a second eigh would do neither
+    callers = {caller for caller, callee in _calls()
+               if callee.rpartition(".")[2] == "eigh"}
+    assert callers == {"spectral._deflated_eigh"}
 
 
 def test_forms_are_symmetrized_only_in_assembly():

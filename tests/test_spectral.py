@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg as sla
 
+from cemporo import spectral
 from cemporo.assembly import assemble_operators
 from cemporo.grid import build_grids, partition_of_unity
 from cemporo.material import synth_channels
@@ -51,6 +52,40 @@ def test_eigenvalues_match_nonsymmetric_oracle(setup):
         mine = spec.eigvals_u if fam == "u" else spec.eigvals_p
         scale = max(abs(w[-1]), 1.0)
         npt.assert_allclose(mine, w, atol=1e-8 * scale)
+
+
+# the local kernels have dimension 3 (u) and 1 (p): (2, 1) and (3, 1) keep
+# no vector of the reduced problem, (4, 2) keeps one of each family
+@pytest.mark.parametrize("n_u, n_p", [(2, 1), (3, 1), (4, 2)])
+def test_reduced_vectors_only_when_kept(setup, monkeypatch, n_u, n_p):
+    grid, ops = setup
+    e = 4
+    nodes, mats = ops.local_matrices(grid.fine_cells_of_coarse_cell(e))
+    eigh = spectral.sla.eigh
+    vectors_requested = []
+
+    def recorded(*args, **kwargs):
+        vectors_requested.append(not kwargs.get("eigvals_only", False))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.sla, "eigh", recorded)
+    spec = solve_local_spectral(ops, e, n_u, n_p)
+    assert vectors_requested == [n_u > 3, n_p > 1]
+    for fam, count, w, vecs in (("u", n_u, spec.eigvals_u, spec.vecs_u),
+                                ("p", n_p, spec.eigvals_p, spec.vecs_p)):
+        A, S = mats["stiff_" + fam], mats["aux_" + fam]
+        # the QZ oracle of test_eigenvalues_match_nonsymmetric_oracle
+        qz = np.sort(sla.eig(A, S, right=False).real)
+        npt.assert_allclose(w, qz, atol=1e-8 * max(abs(qz[-1]), 1.0))
+        # every vector from the full reduced solve, the leading ones kept
+        _, full = spectral._deflated_eigh(A, S, ops.kernel(fam, nodes),
+                                          A.shape[0])
+        expected = spectral._fix_signs(full[:, :count])
+        assert vecs.shape == expected.shape
+        npt.assert_allclose(vecs, expected, rtol=0,
+                            atol=1e-12 * np.abs(expected).max())
+        npt.assert_allclose(vecs.T @ S @ vecs, np.eye(count), atol=1e-12)
+    assert vectors_requested[2:] == [True, True]
 
 
 def test_eigenvector_normalization_and_signs(setup):
