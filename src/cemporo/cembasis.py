@@ -22,14 +22,13 @@ followed by one step of iterative refinement on the defining equation.
 basis factorizes each distinct patch rectangle once, solves every column
 seeded in it in one batch and frees the factorization before the next one
 is built. Both families take this path, with their forms and columns from
-the operators and the auxiliary basis; online columns, seeded by residuals,
-come from `PatchSolver.column`.
+the operators and the auxiliary basis; an online column, seeded by a
+residual, is one `PatchSolver.solve` of its own.
 """
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import check_family
 from .grid import oversample_element
@@ -37,26 +36,6 @@ from .grid import oversample_element
 
 class NumericalFailure(RuntimeError):
     """Raised when a factorization or solve breaks down."""
-
-
-def spd_factor(A):
-    """Sparse LU of a global symmetric positive definite or quasi-definite
-    matrix.
-
-    A symmetric fill-reducing ordering with diagonal pivots keeps L and U on
-    the pattern of a Cholesky factor of A. An SPD matrix needs no pivoting
-    for stability, and a quasi-definite one [[H, G^T], [G, -F]] with H and F
-    SPD has a factorization with diagonal pivots under every symmetric
-    ordering. The matrices factored here are global: the fine step matrix
-    [[A, -D^T], [-D, -(C + tau B)]], the step's flow row negated, and the
-    plain forms of the initial state and the global Riesz solves. Their band
-    grows with the mesh, so a fill-reducing ordering beats a band there;
-    patch forms go through `BandedCholesky`. Every one is exactly
-    symmetric, because assembly hands out every form so.
-    """
-    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True})
 
 
 class BandedCholesky:
@@ -131,7 +110,6 @@ class PatchSolver:
     def __init__(self, ops, aux, patch, family):
         idx = patch_index(ops.dofs, patch, family)
         self.index = idx
-        self.size = ops.dofs.size(family)
         cols = aux.columns_in_cells(family, patch.cells)
         self.A = ops.stiffness(family)[idx][:, idx]
         self.U = (ops.weight(family)[idx][:, idx].tocsc()
@@ -155,12 +133,6 @@ class PatchSolver:
         x = self._apply(rhs)
         # one refinement pass keeps the variational residual at round-off
         return x + self._apply(rhs - self.A @ x - self.U @ (self.U.T @ x))
-
-    def column(self, rhs):
-        """`solve`, zero-extended to every interior unknown of the family."""
-        full = np.zeros(self.size)
-        full[self.index] = self.solve(rhs)
-        return full
 
 
 class MultiscaleSpace:
@@ -191,9 +163,9 @@ class MultiscaleSpace:
         return getattr(self, "basis_" + check_family(family))
 
     def append(self, family, columns):
-        cols = sp.csc_matrix(np.column_stack(columns))
+        """Append the sparse block `columns` after the family's columns."""
         setattr(self, "basis_" + family,
-                sp.hstack([self.basis(family), cols], format="csc"))
+                sp.hstack([self.basis(family), columns], format="csc"))
 
     def copy(self):
         return MultiscaleSpace(self.basis_u.copy(), self.basis_p.copy())

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 import argparse
 import copy
 import json
+import math
 import numbers
 import os
 import sys
@@ -162,7 +163,9 @@ def resolve_config(raw):
 
 
 def _is_real(v):
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    """A finite number; JSON's NaN and Infinity are not accepted."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v))
 
 
 def _is_int(v):
@@ -301,7 +304,9 @@ class Experiment:
 
 
 def _derived_info(exp, space):
-    return {
+    """Derived quantities of a run, each non-finite number as None, so that
+    the manifest is strict JSON (an infinite decay factor is written null)."""
+    info = {
         "n_steps": exp.time_grid.n_steps,
         "coarse_h": exp.grid.H,
         "fine_h": exp.grid.h,
@@ -315,6 +320,8 @@ def _derived_info(exp, space):
         "decay_factor": exp.diag.decay_factor(exp.cfg["offline"]["layers"]),
         "degenerate_spectral_gap": exp.diag.degenerate,
     }
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in info.items()}
 
 
 def cmd_run(cfg, out_dir, seed_override=None):

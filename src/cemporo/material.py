@@ -39,13 +39,16 @@ class MaterialField:
         kappa = np.asarray(kappa, dtype=float).ravel()
         if E.size != grid.n_fine_cells or kappa.size != grid.n_fine_cells:
             raise ValueError("field arrays must have one value per fine cell")
-        if np.any(E <= 0.0) or np.any(kappa <= 0.0):
-            raise ValueError("E and kappa must be strictly positive")
         scalars = (poisson, alpha, biot_modulus, viscosity)
         if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
                    for v in scalars):
             raise TypeError("poisson, alpha, biot_modulus and viscosity "
                             "must be numbers")
+        if not (np.all(np.isfinite(E)) and np.all(np.isfinite(kappa))
+                and np.all(np.isfinite(scalars))):
+            raise ValueError("E, kappa and the scalars must be finite")
+        if np.any(E <= 0.0) or np.any(kappa <= 0.0):
+            raise ValueError("E and kappa must be strictly positive")
         if biot_modulus <= 0.0 or viscosity <= 0.0:
             raise ValueError("storage modulus and viscosity must be positive")
         if alpha < 0.0:

@@ -9,16 +9,18 @@ solves of one iteration use the residual snapshot taken at its start. Both
 families run through one loop; the operators and the space answer for each.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .grid import oversample_element, oversample_neighborhood
-from .cembasis import BandedCholesky, PatchSolver, patch_index, spd_factor
-from .timestepping import PivotedCholesky
+from .cembasis import BandedCholesky, PatchSolver, patch_index
+from .timestepping import spd_factor
 
 
 @dataclass
@@ -44,6 +46,8 @@ class OnlineConfig:
         if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
                    for v in [self.theta, self.gamma] + optional):
             raise TypeError("theta, gamma, tol and eps must be numbers")
+        if not all(math.isfinite(v) for v in optional):
+            raise ValueError("tol and eps must be finite")
         if not 0.0 <= self.theta <= 1.0 or not 0.0 <= self.gamma <= 1.0:
             raise ValueError("bulk tolerances must lie in [0, 1]")
         if self.strategy not in ("neighborhood", "element"):
@@ -105,7 +109,6 @@ class Enricher:
             self.regions = np.arange(grid.n_coarse_cells)
         self._riesz = {}
         self._global_riesz = {}
-        self._localizers = {}
 
     # ---- plumbing ------------------------------------------------------
 
@@ -133,18 +136,15 @@ class Enricher:
     def _localizer(self, family, region):
         """Nodal residual weights of the region: the hat function for node
         neighborhoods, the 0/1 cell mask for elements."""
-        key = (family, region)
-        if key not in self._localizers:
-            grid = self.ops.grid
-            if self.config.strategy == "neighborhood":
-                w = self.pou.vector(region)
-            else:
-                w = np.zeros(grid.n_fine_nodes)
-                rect = self._region_patch(region, 0).rect
-                w[grid.fine_nodes_of_cell_rect(*rect)] = 1.0
-            d = self.ops.dofs
-            self._localizers[key] = d.spread(w[d.p_nodes], family)
-        return self._localizers[key]
+        grid = self.ops.grid
+        if self.config.strategy == "neighborhood":
+            w = self.pou.vector(region)
+        else:
+            w = np.zeros(grid.n_fine_nodes)
+            rect = self._region_patch(region, 0).rect
+            w[grid.fine_nodes_of_cell_rect(*rect)] = 1.0
+        d = self.ops.dofs
+        return d.spread(w[d.p_nodes], family)
 
     # ---- indicators ------------------------------------------------------
 
@@ -171,18 +171,20 @@ class Enricher:
     # ---- basis growth ----------------------------------------------------
 
     def build_online_column(self, family, region, res):
-        """One penalized patch solve against the localized residual."""
+        """One penalized patch solve against the localized residual: the
+        column's interior positions on the patch and its values there."""
         patch = self._region_patch(int(region), self.config.layers)
         solver = PatchSolver(self.ops, self.aux, patch, family)
         r = getattr(res, "r_" + family)
-        return solver.column(
+        return solver.index, solver.solve(
             (self._localizer(family, int(region)) * r)[solver.index])
 
     def _filter_and_append(self, space, family, columns, factor, current):
         """Energy near-dependence filter, then append survivors in order,
         each scaled to unit energy.
 
-        `factor` is the `PivotedCholesky` factor of the stiffness projected
+        `columns` holds each candidate's (positions, values) on its patch.
+        `factor` is the coarse solver's factor of the stiffness projected
         onto the family's current columns; it is not modified. Its rows stop
         at the numerical rank, so the singular Gram of a redundant space
         takes the same path. A candidate's energy left outside the span is
@@ -203,8 +205,13 @@ class Enricher:
         R = space.basis(family)
         A = self.ops.stiffness(family)
         floor = 1e-18 * float(current @ (A @ current))
-        cand = np.column_stack(columns)
-        images = A @ cand
+        index, values = zip(*columns)
+        cand = sp.csc_matrix((np.concatenate(values), (np.concatenate(index),
+                              np.repeat(np.arange(len(index)),
+                                        [i.size for i in index]))),
+                             shape=(A.shape[0], len(index)))
+        # dense: sparse-by-sparse products of wide patches' columns cost more
+        images = (A @ cand).toarray()
         # energy products of the candidates with the space and each other
         with_space = R.T @ images
         with_cand = cand.T @ images
@@ -235,7 +242,7 @@ class Enricher:
             accepted.append(j)
             scales.append(s)
         if accepted:
-            space.append(family, list((cand[:, accepted] * scales).T))
+            space.append(family, cand[:, accepted] @ sp.diags(scales))
         return len(accepted)
 
     # ---- one adaptive iteration -------------------------------------------
@@ -252,15 +259,15 @@ class Enricher:
         eta_u, eta_p = self.compute_indicators(res)
         space = solver.space
         added = []
-        # the solver's projections and its u factor are current: each
-        # family's columns change only in its own append
-        for family, eta, bulk, factor in (
-                ("u", eta_u, cfg.theta, solver.factor_u),
-                ("p", eta_p, cfg.gamma, PivotedCholesky(solver.stiff_p))):
+        # the solver's factors stay current until set_space: each family's
+        # columns change only in its own append
+        for family, eta, bulk in (("u", eta_u, cfg.theta),
+                                  ("p", eta_p, cfg.gamma)):
             cols = [self.build_online_column(family, region, res)
                     for region in self.regions[select_regions(eta, bulk)]]
             added.append(self._filter_and_append(
-                space, family, cols, factor, getattr(state, family)))
+                space, family, cols, getattr(solver, "factor_" + family),
+                getattr(state, family)))
 
         if any(added):
             solver.set_space(space)

@@ -15,11 +15,11 @@ exactly symmetric because assembly hands out A, B and C exactly symmetric.
 The coarse solver keeps its own projections of the forms and borders them
 when its space grows (`_project`). It eliminates the displacement,
 A u = D^T p, and solves the symmetric positive semidefinite pressure Schur
-complement C + tau B + D A^- D^T (A^- a generalized inverse); A and the
-Schur complement are factored
-once per space by a Cholesky with complete pivoting that stops at the
-numerical rank (`PivotedCholesky`), so deliberately redundant spaces, whose
-projected matrices are singular but consistent, take the same path.
+complement C + tau B + D A^- D^T (A^- a generalized inverse); A, B and the
+Schur complement are factored once per space, and only there, by a Cholesky
+with complete pivoting that stops at the numerical rank (`PivotedCholesky`),
+so deliberately redundant spaces, whose projected matrices are singular but
+consistent, take the same path.
 Previous-step terms always enter through fine-grid lifts, so the right-hand
 side stays meaningful when the space is enriched between steps.
 """
@@ -29,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .assembly import assemble_load
-from .cembasis import NumericalFailure, spd_factor
+from .cembasis import NumericalFailure
 
 
 @dataclass
@@ -61,6 +62,26 @@ class State:
     n: int
     u: np.ndarray
     p: np.ndarray
+
+
+def spd_factor(A):
+    """Sparse LU of a global symmetric positive definite or quasi-definite
+    matrix.
+
+    A symmetric fill-reducing ordering with diagonal pivots keeps L and U on
+    the pattern of a Cholesky factor of A. An SPD matrix needs no pivoting
+    for stability, and a quasi-definite one [[H, G^T], [G, -F]] with H and F
+    SPD has a factorization with diagonal pivots under every symmetric
+    ordering. The matrices factored here are global: the fine step matrix
+    [[A, -D^T], [-D, -(C + tau B)]], the step's flow row negated, and the
+    plain forms of the initial state and the global Riesz solves. Their band
+    grows with the mesh, so a fill-reducing ordering beats a band there;
+    patch forms go through `cembasis.BandedCholesky`. Every one is exactly
+    symmetric, because assembly hands out every form so.
+    """
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
 
 
 def _initial_pressure(ops, p0):
@@ -187,10 +208,12 @@ class CoarseSolver:
     `factor_u` the pivoted Cholesky factor of `stiff_u` and W the solution
     of stiff_u W = coupling^T it gives, the step's pressure solves the Schur
     complement S = mass_p + tau stiff_p + coupling W, factored the same way,
-    and its displacement is W times the pressure. Both are factored once per
-    space. A redundant space makes `stiff_u` and S singular but every system
-    consistent; their null spaces are those of the bases, so the fine lifts
-    do not depend on which solution the factors pick.
+    and its displacement is W times the pressure. `factor_p` factors
+    `stiff_p` for the initial state and, with `factor_u`, for the online
+    filter. All three are factored once per space. A redundant space makes
+    `stiff_u` and S singular but every system consistent; their null spaces
+    are those of the bases, so the fine lifts do not depend on which
+    solution the factors pick.
     """
 
     def __init__(self, ops, space, tau):
@@ -200,10 +223,10 @@ class CoarseSolver:
         self.set_space(space)
 
     def set_space(self, space):
-        """Project onto `space` and factor the displacement block and the
-        pressure Schur complement. Handed the current space again, after
-        `append` grew it, only the appended rows and columns are projected,
-        and both are factored anew."""
+        """Project onto `space` and factor the displacement block, the
+        pressure Schur complement and the pressure stiffness. Handed the
+        current space again, after `append` grew it, only the appended rows
+        and columns are projected, and all three are factored anew."""
         if space is not self.space:
             self.stiff_u = self.stiff_p = self.mass_p = self.coupling = \
                 np.empty((0, 0))
@@ -218,6 +241,7 @@ class CoarseSolver:
         self._W = self.factor_u.solve(self.coupling.T)
         self._factor_s = PivotedCholesky(
             self.mass_p + self.tau * self.stiff_p + self.coupling @ self._W)
+        self.factor_p = PivotedCholesky(self.stiff_p)
 
     @property
     def block(self):
@@ -231,7 +255,7 @@ class CoarseSolver:
         """Flow-form projection of the fine initial pressure, then the elastic solve."""
         space = self.space
         rhs_p = space.basis_p.T @ (self.ops.stiff_p @ p0_fine)
-        pc = PivotedCholesky(self.stiff_p).solve(rhs_p)
+        pc = self.factor_p.solve(rhs_p)
         return State(0, space.basis_u @ (self._W @ pc), space.basis_p @ pc)
 
     def step(self, prev, load, n):

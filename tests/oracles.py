@@ -5,24 +5,27 @@ space."""
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from cemporo import cembasis
 from cemporo.grid import oversample_element
 
 
 def build_element_basis(ops, aux, family, element, layers):
-    """Zero-extended basis columns seeded by one element's auxiliary modes:
-    one full-length interior-dof vector per mode, in mode order, each a
-    refined penalized solve of its own column of U (`PatchSolver.column`).
-    The offline basis solves a patch's columns in one batch instead."""
+    """Basis columns seeded by one element's auxiliary modes, as the CSC
+    block `MultiscaleSpace.append` takes: one column per mode, in mode
+    order, each a refined penalized solve of its own column of U, zero off
+    the patch. The offline basis solves a patch's columns in one batch
+    instead."""
     patch = oversample_element(ops.grid, element, layers)
     solver = cembasis.PatchSolver(ops, aux, patch, family)
     count = aux.modes(family)
-    cols = []
+    cols = np.zeros((ops.dofs.size(family), count))
     for j in range(count):
         pos = np.searchsorted(solver.aux_cols, element * count + j)
-        cols.append(solver.column(solver.U[:, pos].toarray().ravel()))
-    return cols
+        cols[solver.index, j] = solver.solve(
+            solver.U[:, pos].toarray().ravel())
+    return sp.csc_matrix(cols)
 
 
 def build_global_basis_oracle(ops, aux):

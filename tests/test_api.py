@@ -3,10 +3,11 @@ name the package exports resolves, and so does every name the benchmark
 traces. Every public method, and every function the package exports, has a
 caller outside the tests, and every attribute the package stores has a
 reader outside them. A global sparse form is factored only by
-`cembasis.spd_factor` (SuperLU) and a patch form only by
-`cembasis.BandedCholesky` (LAPACK pbtrf), a local eigenproblem is solved
-only by `spectral._deflated_eigh`, and only `assembly` takes a triangle of a
-sparse form."""
+`timestepping.spd_factor` (SuperLU), a patch form only by
+`cembasis.BandedCholesky` (LAPACK pbtrf) and a projected coarse matrix only
+in `timestepping.CoarseSolver.set_space` (`PivotedCholesky`, LAPACK pstrf),
+a local eigenproblem is solved only by `spectral._deflated_eigh`, and only
+`assembly` takes a triangle of a sparse form."""
 
 import ast
 import importlib
@@ -236,7 +237,7 @@ def test_sparse_factors_go_through_spd_factor():
     # and its unsymmetric fill
     callers = {caller for caller, callee in _calls()
                if callee.rpartition(".")[2] == "splu"}
-    assert callers == {"cembasis.spd_factor"}
+    assert callers == {"timestepping.spd_factor"}
 
 
 def test_band_factors_go_through_banded_cholesky():
@@ -245,6 +246,15 @@ def test_band_factors_go_through_banded_cholesky():
     callers = {caller for caller, callee in _calls()
                if callee.rpartition(".")[2] == "dpbtrf"}
     assert callers == {"cembasis.BandedCholesky.__init__"}
+
+
+def test_coarse_factors_go_through_set_space():
+    # the coarse solver factors each projected matrix once per space, and
+    # the initial state and the online filter read those factors; a factor
+    # built elsewhere would repeat that work for every call
+    callers = {caller for caller, callee in _calls()
+               if callee.rpartition(".")[2] == "PivotedCholesky"}
+    assert callers == {"timestepping.CoarseSolver.set_space"}
 
 
 def test_eigensolves_go_through_deflated_eigh():

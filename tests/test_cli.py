@@ -131,6 +131,18 @@ BAD_INPUTS = {
     "synth-contrast-bool": {"material": {"synth": {"contrast": True}}},
     # nothing read the top-level seed; manifests written with it are refused
     "top-level-seed": {"seed": 0},
+    # JSON's NaN and Infinity are numbers to Python, not to the model: they
+    # would end in a traceback or a numerical failure
+    "synth-background-nan": {"material": {"synth": {"background": math.nan}}},
+    "synth-contrast-infinity": {"material": {"synth": {"contrast": math.inf}}},
+    "source-value-nan": {"source": {"value": math.nan}},
+    "source-table-infinity": {"source": {"kind": "table",
+                                         "values": [-math.inf] * 16}},
+    "initial-pressure-scale-infinity": {
+        "initial_pressure": {"scale": math.inf}},
+    "time-tau-nan": {"time": {"tau": math.nan}},
+    "online-tol-nan": {"online": {"tol": math.nan}},
+    "online-eps-infinity": {"online": {"tol": 1e-3, "eps": math.inf}},
 }
 
 
@@ -257,7 +269,8 @@ def test_exit_code_grid_too_small_for_field(tmp_path, capsys):
 @pytest.mark.parametrize("patch", [
     {"material": {"file": "nope"}}, {"scalars": {"alpha": "0.9"}},
     {"scalars": {"poisson": "0.2"}},
-    {"scalars": {"alpha": True, "viscosity": True}}])
+    {"scalars": {"alpha": True, "viscosity": True}},
+    {"scalars": {"alpha": math.nan}}, {"scalars": {"viscosity": math.inf}}])
 def test_exit_code_bad_material(tmp_path, capsys, patch):
     # a missing field file or a non-numeric or boolean scalar fails when the
     # field is built, as a configuration error instead of a traceback
@@ -272,8 +285,9 @@ def test_exit_code_bad_material(tmp_path, capsys, patch):
 def test_exit_code_numerical_failure(tmp_path, capsys):
     cfg = dict(TINY, snapshots=False, reference=False)
     cfg["online"] = {"layers": 1, "iterations": 0, "schedule": "none"}
-    cfg["source"] = {"kind": "table",
-                     "values": [float("nan")] * 16}  # 4x4 fine cells
+    # finite data whose coarse solve overflows; a NaN is refused as a
+    # configuration error before any solve
+    cfg["initial_pressure"] = {"kind": "bump", "scale": 1e308}
     rc = main(["run", "--config", _write(tmp_path, cfg),
                "--out", str(tmp_path / "out")])
     assert rc == 2
@@ -405,3 +419,16 @@ def test_cli_runs_artifacts(cli_runs):
     assert len(history) == 4  # iterations 0..3 at the final level
     levels = {r["level"] for r in history.rows}
     assert levels == {10}
+
+
+def test_cli_run_manifest_is_strict_json(cli_runs):
+    # FROZEN keeps two modes a cell, inside the u kernel, so its spectral
+    # gap is degenerate and the decay bound infinite: JSON has no Infinity
+    def no_constants(name):
+        raise ValueError("non-standard JSON constant %s" % name)
+
+    path = os.path.join(cli_runs.by_threads[1].dir, "manifest.json")
+    with open(path) as fh:
+        derived = json.load(fh, parse_constant=no_constants)["derived"]
+    assert derived["degenerate_spectral_gap"] is True
+    assert derived["decay_factor"] is None

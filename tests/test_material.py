@@ -51,6 +51,27 @@ def test_field_shape_mismatch():
         MaterialField(g, np.ones(5), np.ones(5), 0.2, 0.9, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("where, value", [
+    ("E", np.nan), ("kappa", np.inf), ("alpha", np.nan),
+    ("biot_modulus", np.inf), ("viscosity", np.nan)])
+def test_field_rejects_non_finite_values(tmp_path, where, value):
+    # a NaN coupling, storage or viscosity passes every sign check; caught
+    # here, it cannot reach a factorization, also when read from a file
+    g = build_grids(2, 2, 2)
+    args = {"E": np.ones(g.n_fine_cells), "kappa": np.ones(g.n_fine_cells),
+            "poisson": 0.2, "alpha": 0.9, "biot_modulus": 1.0,
+            "viscosity": 1.0}
+    if where in ("E", "kappa"):
+        f = MaterialField(g, **args)
+        getattr(f, where)[3] = value
+        save_field(f, str(tmp_path / "field"))
+        with pytest.raises(ValueError, match="finite"):
+            load_field(str(tmp_path / "field"), g)
+        value = np.where(np.arange(g.n_fine_cells) == 3, value, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        MaterialField(g, **dict(args, **{where: value}))
+
+
 def test_save_load_roundtrip(tmp_path):
     g = build_grids(3, 2, 2)
     rng = np.random.default_rng(11)
