@@ -24,6 +24,13 @@ seeded in it in one batch and frees the factorization before the next one
 is built. Both families take this path, with their forms and columns from
 the operators and the auxiliary basis; an online column, seeded by a
 residual, is one `PatchSolver.solve` of its own.
+
+`BandedCholesky` factors the global SPD forms too (the initial state, the
+online loop's global dual norms) in the grid's x-fastest numbering, whose
+band, set by the mesh's x-width, is as narrow as any on a square mesh. It
+factors faster than SuperLU up to 200 x 200 fine cells at least; its storage
+passes SuperLU's at about 90 x 90 fine cells for the pressure forms and
+120 x 120 for the displacement stiffness.
 """
 
 import numpy as np
@@ -39,14 +46,14 @@ class NumericalFailure(RuntimeError):
 
 
 class BandedCholesky:
-    """A = L L^T of a sparse symmetric positive definite matrix, in LAPACK
-    lower band storage.
+    """A = L L^T of a sparse symmetric positive definite form, of a patch or
+    of the whole grid, in LAPACK lower band storage.
 
     The half-bandwidth kd is the largest distance of a stored entry from the
     diagonal, so the factor keeps (kd + 1) n numbers and costs about n kd^2
     flops (pbtrf). `solve_lower` and `solve_upper` apply L^-1 and L^-T
-    (tbtrs). A matrix that is not finite and positive definite raises
-    `NumericalFailure`.
+    (tbtrs), and `solve` applies A^-1. A matrix that is not finite and
+    positive definite raises `NumericalFailure`.
     """
 
     def __init__(self, A):
@@ -61,7 +68,7 @@ class BandedCholesky:
         self.ab, info = sla.lapack.dpbtrf(band, lower=1, overwrite_ab=1)
         if info or not np.all(np.isfinite(self.ab[0])):
             raise NumericalFailure(
-                "patch matrix is not finite and positive definite")
+                "matrix is not finite and positive definite")
 
     def solve_lower(self, b):
         """L^-1 b for a vector or the columns of a matrix.
@@ -88,6 +95,10 @@ class BandedCholesky:
     def solve_upper(self, b):
         """L^-T b."""
         return sla.lapack.dtbtrs(self.ab, b, uplo="L", trans="T")[0]
+
+    def solve(self, b):
+        """A^-1 b = L^-T L^-1 b."""
+        return self.solve_upper(self.solve_lower(b))
 
 
 def patch_index(dofs, patch, family):

@@ -20,7 +20,6 @@ import scipy.sparse as sp
 
 from .grid import oversample_element, oversample_neighborhood
 from .cembasis import BandedCholesky, PatchSolver, patch_index
-from .timestepping import spd_factor
 
 
 @dataclass
@@ -46,8 +45,8 @@ class OnlineConfig:
         if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
                    for v in [self.theta, self.gamma] + optional):
             raise TypeError("theta, gamma, tol and eps must be numbers")
-        if not all(math.isfinite(v) for v in optional):
-            raise ValueError("tol and eps must be finite")
+        if not all(math.isfinite(v) and v >= 0.0 for v in optional):
+            raise ValueError("tol and eps must be finite and nonnegative")
         if not 0.0 <= self.theta <= 1.0 or not 0.0 <= self.gamma <= 1.0:
             raise ValueError("bulk tolerances must lie in [0, 1]")
         if self.strategy not in ("neighborhood", "element"):
@@ -129,7 +128,7 @@ class Enricher:
 
     def _global_riesz_solver(self, family):
         if family not in self._global_riesz:
-            self._global_riesz[family] = spd_factor(
+            self._global_riesz[family] = BandedCholesky(
                 self.ops.stiffness(family))
         return self._global_riesz[family]
 
@@ -149,12 +148,12 @@ class Enricher:
     # ---- indicators ------------------------------------------------------
 
     def global_norms(self, res):
-        """Dual norms of both residuals over the whole interior space."""
-        out = []
-        for family, r in (("u", res.r_u), ("p", res.r_p)):
-            w = self._global_riesz_solver(family).solve(r)
-            out.append(float(np.sqrt(max(r @ w, 0.0))))
-        return out[0], out[1]
+        """Dual norms of both residuals over the whole interior space,
+        |L^-1 r| with L the Cholesky factor of the family's global stiffness,
+        as `compute_indicators` takes them over regions."""
+        return tuple(
+            float(np.linalg.norm(self._global_riesz_solver(f).solve_lower(r)))
+            for f, r in (("u", res.r_u), ("p", res.r_p)))
 
     def compute_indicators(self, res):
         """Local dual norms (eta_u, eta_p) of the residuals, one per region."""

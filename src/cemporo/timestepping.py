@@ -10,8 +10,9 @@ symmetric quasi-definite
 
     [[A, -D^T], [-D, -(C + tau B)]],
 
-and factors it once per step size with diagonal pivots (`spd_factor`); it is
+and factors it once per step size with SuperLU and diagonal pivots; it is
 exactly symmetric because assembly hands out A, B and C exactly symmetric.
+The initial state's SPD forms factor with `cembasis.BandedCholesky`.
 The coarse solver keeps its own projections of the forms and borders them
 when its space grows (`_project`). It eliminates the displacement,
 A u = D^T p, and solves the symmetric positive semidefinite pressure Schur
@@ -32,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_load
-from .cembasis import NumericalFailure
+from .cembasis import BandedCholesky, NumericalFailure
 
 
 @dataclass
@@ -64,26 +65,6 @@ class State:
     p: np.ndarray
 
 
-def spd_factor(A):
-    """Sparse LU of a global symmetric positive definite or quasi-definite
-    matrix.
-
-    A symmetric fill-reducing ordering with diagonal pivots keeps L and U on
-    the pattern of a Cholesky factor of A. An SPD matrix needs no pivoting
-    for stability, and a quasi-definite one [[H, G^T], [G, -F]] with H and F
-    SPD has a factorization with diagonal pivots under every symmetric
-    ordering. The matrices factored here are global: the fine step matrix
-    [[A, -D^T], [-D, -(C + tau B)]], the step's flow row negated, and the
-    plain forms of the initial state and the global Riesz solves. Their band
-    grows with the mesh, so a fill-reducing ordering beats a band there;
-    patch forms go through `cembasis.BandedCholesky`. Every one is exactly
-    symmetric, because assembly hands out every form so.
-    """
-    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True})
-
-
 def _initial_pressure(ops, p0):
     """Interior mass projection of a callable or nodal initial pressure."""
     if callable(p0):
@@ -94,15 +75,17 @@ def _initial_pressure(ops, p0):
             raise ValueError("nodal initial pressure has wrong length")
         load = ops.field.biot_modulus * (ops.mass_p_full @ vals)
     mass = ops.field.biot_modulus * ops.mass_p
-    return spd_factor(mass).solve(ops.dofs.restrict_p(load))
+    return BandedCholesky(mass).solve(ops.dofs.restrict_p(load))
 
 
 class FineSolver:
     """Reference solver on the fine grid.
 
     A and C + tau B are SPD and, as assembled, exactly symmetric, so the step
-    matrix with its flow row negated is symmetric quasi-definite; its
-    diagonal-pivot factor is built on first use.
+    matrix with its flow row negated is symmetric quasi-definite, which has a
+    factorization with diagonal pivots under every symmetric ordering. Its
+    SuperLU factor, built on first use, takes a symmetric fill-reducing
+    ordering and no pivoting; LAPACK has no pivot-free band LDL^T.
     """
 
     def __init__(self, ops, tau):
@@ -120,14 +103,16 @@ class FineSolver:
                  [-ops.coupling, -(ops.mass_p + self.tau * ops.stiff_p)]],
                 format="csc")
             try:
-                self._lu = spd_factor(self._block)
+                self._lu = spla.splu(self._block, permc_spec="MMD_AT_PLUS_A",
+                                     diag_pivot_thresh=0.0,
+                                     options={"SymmetricMode": True})
             except RuntimeError as err:
                 raise NumericalFailure("fine step factorization failed: %s" % err)
 
     def initial_state(self, p0_fine):
         """The fine initial pressure, then the balancing elastic solve."""
         ops = self.ops
-        elastic = spd_factor(ops.stiff_u)
+        elastic = BandedCholesky(ops.stiff_u)
         rhs = ops.coupling.T @ p0_fine
         u = elastic.solve(rhs)
         u += elastic.solve(rhs - ops.stiff_u @ u)

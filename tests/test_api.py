@@ -2,10 +2,11 @@
 name the package exports resolves, and so does every name the benchmark
 traces. Every public method, and every function the package exports, has a
 caller outside the tests, and every attribute the package stores has a
-reader outside them. A global sparse form is factored only by
-`timestepping.spd_factor` (SuperLU), a patch form only by
-`cembasis.BandedCholesky` (LAPACK pbtrf) and a projected coarse matrix only
-in `timestepping.CoarseSolver.set_space` (`PivotedCholesky`, LAPACK pstrf),
+reader outside them. Every sparse SPD form, global or on a patch, is
+factored only by `cembasis.BandedCholesky` (LAPACK pbtrf), the fine step's
+quasi-definite block only in `timestepping.FineSolver._factorize` (SuperLU)
+and a projected coarse matrix only in
+`timestepping.CoarseSolver.set_space` (`PivotedCholesky`, LAPACK pstrf),
 a local eigenproblem is solved only by `spectral._deflated_eigh`, and only
 `assembly` takes a triangle of a sparse form."""
 
@@ -231,18 +232,17 @@ def _calls():
     return calls
 
 
-def test_sparse_factors_go_through_spd_factor():
-    # every sparse matrix the package factors is SPD or symmetric
-    # quasi-definite: a second splu call would bring back partial pivoting
-    # and its unsymmetric fill
+def test_splu_factors_only_the_fine_step():
+    # the fine step's quasi-definite block is the one sparse form that is
+    # not SPD; an splu call elsewhere would factor an SPD form a second way
     callers = {caller for caller, callee in _calls()
                if callee.rpartition(".")[2] == "splu"}
-    assert callers == {"timestepping.spd_factor"}
+    assert callers == {"timestepping.FineSolver._factorize"}
 
 
 def test_band_factors_go_through_banded_cholesky():
-    # every patch form is SPD and banded; one owner of pbtrf keeps its
-    # failure check in one place
+    # every sparse SPD form, global or on a patch, is banded; one owner of
+    # pbtrf keeps its failure check in one place
     callers = {caller for caller, callee in _calls()
                if callee.rpartition(".")[2] == "dpbtrf"}
     assert callers == {"cembasis.BandedCholesky.__init__"}

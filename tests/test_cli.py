@@ -143,6 +143,9 @@ BAD_INPUTS = {
     "time-tau-nan": {"time": {"tau": math.nan}},
     "online-tol-nan": {"online": {"tol": math.nan}},
     "online-eps-infinity": {"online": {"tol": 1e-3, "eps": math.inf}},
+    # a negative tol is never met and a negative eps never stops the loop
+    "online-tol-negative": {"online": {"tol": -1.0}},
+    "online-eps-negative": {"online": {"tol": 1e-3, "eps": -5.0}},
 }
 
 

@@ -66,13 +66,13 @@ def test_coarse_run_skips_the_fine_elastic_solve(setup, monkeypatch):
     aux = build_aux_basis(ops, 2)
     space = build_offline_basis(ops, aux, 1)
     factored = []
-    factor = timestepping.spd_factor
+    factor = timestepping.BandedCholesky
 
     def counted(A):
         factored.append(A.shape)
         return factor(A)
 
-    monkeypatch.setattr(timestepping, "spd_factor", counted)
+    monkeypatch.setattr(timestepping, "BandedCholesky", counted)
     run(ops, TimeGrid(0.1, 2), _source, _p0,
         solver=CoarseSolver(ops, space, 0.1))
     assert factored == [(ops.dofs.n_p, ops.dofs.n_p)]
@@ -85,8 +85,7 @@ def test_initial_state_zero_pressure(setup):
     npt.assert_allclose(st.p, 0.0, atol=1e-14)
 
 
-def test_initial_state_dense_oracle(setup):
-    _, ops = setup
+def _check_initial_state_dense_oracle(ops):
     st = _fine_initial(ops, _p0)
     # pressure is the weighted mass projection of the initial datum
     mass = (ops.field.biot_modulus * ops.mass_p).toarray()
@@ -98,6 +97,26 @@ def test_initial_state_dense_oracle(setup):
     u_ref = np.linalg.solve(ops.stiff_u.toarray(),
                             np.asarray(ops.coupling.T @ st.p))
     npt.assert_allclose(st.u, u_ref, atol=1e-11 * np.abs(u_ref).max())
+
+
+def test_initial_state_dense_oracle(setup):
+    _check_initial_state_dense_oracle(setup[1])
+
+
+def test_wide_mesh_band_solves_dense_oracle():
+    # with nfx != nfy the global forms are banded in the x-fastest
+    # numbering, a band as wide as a row of the mesh
+    grid = build_grids(3, 2, 3)
+    ops = assemble_operators(grid, synth_channels(grid, 1.0, 50.0, seed=9),
+                             partition_of_unity(grid))
+    assert grid.nfx != grid.nfy
+    rng = np.random.default_rng(0)
+    for form in (ops.stiff_u, ops.stiff_p, ops.mass_p):
+        b = rng.standard_normal(form.shape[0])
+        ref = np.linalg.solve(form.toarray(), b)
+        x = timestepping.BandedCholesky(form).solve(b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    _check_initial_state_dense_oracle(ops)
 
 
 def test_initial_state_reproduces_fe_member(setup):
