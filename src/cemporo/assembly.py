@@ -2,11 +2,11 @@
 
 Bilinear quadrilaterals, 2x2 Gauss quadrature, coefficients constant per fine
 cell. Displacement unknowns are interleaved (x-component at 2*n, y-component
-at 2*n+1 for fine node n). Assembled matrices are kept both over all nodes
-and restricted to interior (Dirichlet-eliminated) unknowns; per-cell element
-matrices are retained for local Neumann problems on coarse cells. Every
-square form leaves this module exactly symmetric, so no later layer
-symmetrizes or mirrors one. The split
+at 2*n+1 for fine node n). Assembled matrices are kept restricted to
+interior (Dirichlet-eliminated) unknowns, the stiffnesses and the pressure
+mass over all nodes as well; per-cell element matrices are retained for
+local Neumann problems on coarse cells. Every square form leaves this module
+exactly symmetric, so no later layer symmetrizes or mirrors one. The split
 into the displacement ("u") and pressure ("p") families lives here alone:
 `layout` places a family's unknowns, and `DofMap` and `OperatorSet` answer
 for either family, rejecting any other with a ValueError.
@@ -118,10 +118,14 @@ def _mirror_lower(mat):
 class OperatorSet:
     """Assembled forms of the coupled system plus spectral weight masses.
 
-    Attributes named *_full act on all nodes; the short names act on interior
-    unknowns only. cell_* arrays hold the per-fine-cell element matrices.
-    Each square form keeps the lower triangle of its assembly, mirrored
-    (`_mirror_lower`), so it is exactly symmetric.
+    The short names act on interior unknowns only. Of the forms over all
+    nodes, only the stiffnesses (`stiff_u_full`, `stiff_p_full`) and the
+    pressure mass (`mass_p_full`, which maps a nodal initial pressure to its
+    load) are kept. cell_* arrays hold the per-fine-cell element matrices,
+    and `pou` is the partition of unity the spectral weights and the online
+    residual weights are taken from. Each square form keeps the lower
+    triangle of its assembly, mirrored (`_mirror_lower`), so it is exactly
+    symmetric.
     """
 
     def __init__(self, grid, field, pou):
@@ -194,25 +198,25 @@ class OperatorSet:
             self._scalar_csr(self.cell_stiff_p, nodes, nn))
         self.mass_p_full = _mirror_lower(
             self._scalar_csr(cell_mass_p, nodes, nn))
-        self.aux_p_full = _mirror_lower(
+        aux_p_full = _mirror_lower(
             self._scalar_csr(self.cell_aux_p, nodes, nn))
         udofs = layout(nodes, "u")
         self.stiff_u_full = _mirror_lower(
             self._scalar_csr(self.cell_stiff_u, udofs, 2 * nn))
-        self.aux_u_full = _mirror_lower(
+        aux_u_full = _mirror_lower(
             self._scalar_csr(self.cell_aux_u, udofs, 2 * nn))
         rows = np.repeat(nodes, 8, axis=1).ravel()
         cols = np.tile(udofs, (1, 4)).ravel()
-        self.coupling_full = sp.csr_matrix(
+        coupling_full = sp.csr_matrix(
             (cell_coupling.ravel(), (rows, cols)), shape=(nn, 2 * nn))
 
         d = self.dofs
         self.stiff_u = self.stiff_u_full[d.u_dofs][:, d.u_dofs].tocsr()
         self.stiff_p = self.stiff_p_full[d.p_nodes][:, d.p_nodes].tocsr()
         self.mass_p = self.mass_p_full[d.p_nodes][:, d.p_nodes].tocsr()
-        self.aux_u = self.aux_u_full[d.u_dofs][:, d.u_dofs].tocsr()
-        self.aux_p = self.aux_p_full[d.p_nodes][:, d.p_nodes].tocsr()
-        self.coupling = self.coupling_full[d.p_nodes][:, d.u_dofs].tocsr()
+        self.aux_u = aux_u_full[d.u_dofs][:, d.u_dofs].tocsr()
+        self.aux_p = aux_p_full[d.p_nodes][:, d.p_nodes].tocsr()
+        self.coupling = coupling_full[d.p_nodes][:, d.u_dofs].tocsr()
 
     def stiffness(self, family):
         """The family's stiffness form over interior unknowns."""

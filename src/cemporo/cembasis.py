@@ -101,9 +101,9 @@ class BandedCholesky:
         return self.solve_upper(self.solve_lower(b))
 
 
-def patch_index(dofs, patch, family):
-    """Interior positions of the family's unknowns on the patch, its nodes
-    numbered across the patch's shorter side first.
+def patch_nodes(patch):
+    """The patch's interior fine nodes, numbered across its shorter side
+    first.
 
     A node then couples only with nodes at most short + 1 places away, so a
     patch form has half-bandwidth short + 1 for "p" and 2 (short + 1) + 1
@@ -112,7 +112,13 @@ def patch_index(dofs, patch, family):
     nodes = patch.interior_fine_nodes.reshape(patch.shape)
     if nodes.shape[1] > nodes.shape[0]:
         nodes = nodes.T
-    return dofs.index(nodes.ravel(), family)
+    return nodes.ravel()
+
+
+def patch_index(dofs, patch, family):
+    """Interior positions of the family's unknowns on the patch, node by
+    node in `patch_nodes` order."""
+    return dofs.index(patch_nodes(patch), family)
 
 
 class PatchSolver:

@@ -254,8 +254,8 @@ class Experiment:
         self.cfg = cfg
         self.grid = build_grids(mesh["ncx"], mesh["ncy"], mesh["refinement"])
         self.field = build_field(cfg, self.grid, seed_override)
-        self.pou = partition_of_unity(self.grid)
-        self.ops = assemble_operators(self.grid, self.field, self.pou)
+        self.ops = assemble_operators(self.grid, self.field,
+                                      partition_of_unity(self.grid))
         self.time_grid = TimeGrid.from_horizon(cfg["time"]["tau"],
                                                cfg["time"]["T"])
         self.source = make_source(cfg)
@@ -278,7 +278,7 @@ class Experiment:
                                           **(overrides or {})))
         steps = schedule_steps(sched, self.time_grid.n_steps)
         space = self.space.copy()
-        enricher = Enricher(self.ops, self.aux, self.pou, ocfg)
+        enricher = Enricher(self.ops, self.aux, ocfg)
         rows = []
 
         def hook(n, solver, state, prev, load):

@@ -83,13 +83,6 @@ class GridPair:
         fj = np.arange(cj * r, (cj + 1) * r)
         return (fj[:, None] * self.nfx + fi[None, :]).ravel()
 
-    def fine_nodes_of_cell_rect(self, cx0, cx1, cy0, cy1):
-        """All fine nodes of the closed coarse-cell rectangle [cx0..cx1]x[cy0..cy1]."""
-        r = self.refinement
-        fi = np.arange(cx0 * r, (cx1 + 1) * r + 1)
-        fj = np.arange(cy0 * r, (cy1 + 1) * r + 1)
-        return np.sort((fj[:, None] * (self.nfx + 1) + fi[None, :]).ravel())
-
 
 class Patch:
     """The coarse-cell rectangle [cx0..cx1] x [cy0..cy1] with its fine node
@@ -103,6 +96,7 @@ class Patch:
     def __init__(self, grid, cx0, cx1, cy0, cy1):
         if not (0 <= cx0 <= cx1 < grid.ncx and 0 <= cy0 <= cy1 < grid.ncy):
             raise ValueError("patch rectangle outside the coarse grid")
+        self.grid = grid
         self.rect = (cx0, cx1, cy0, cy1)
         ci = np.arange(cx0, cx1 + 1)
         cj = np.arange(cy0, cy1 + 1)
@@ -113,6 +107,14 @@ class Patch:
         self.interior_fine_nodes = (fj[:, None] * (grid.nfx + 1)
                                     + fi[None, :]).ravel()
         self.shape = (fj.size, fi.size)
+
+    def covers(self, nodes):
+        """Whether each given fine node lies in the closed rectangle."""
+        r = self.grid.refinement
+        j, i = np.divmod(np.asarray(nodes), self.grid.nfx + 1)
+        cx0, cx1, cy0, cy1 = self.rect
+        return ((cx0 * r <= i) & (i <= (cx1 + 1) * r)
+                & (cy0 * r <= j) & (j <= (cy1 + 1) * r))
 
 
 def _expand_rect(grid, cx0, cx1, cy0, cy1, layers):
@@ -152,7 +154,6 @@ class PartitionOfUnity:
 
     def __init__(self, grid):
         self.grid = grid
-        self._xy = grid.fine_node_xy()
 
     def _hat(self, m, x, y):
         g = self.grid
@@ -162,9 +163,10 @@ class PartitionOfUnity:
         ty = np.clip(1.0 - np.abs(y - yi) / g.Hy, 0.0, 1.0)
         return tx * ty
 
-    def vector(self, m):
-        """Dense fine-nodal sample vector of hat m."""
-        return self._hat(m, self._xy[:, 0], self._xy[:, 1])
+    def values(self, m, nodes):
+        """Hat m at the given fine nodes."""
+        xy = self.grid.fine_node_xy(nodes)
+        return self._hat(m, xy[:, 0], xy[:, 1])
 
     def grad_sq_sum(self, x, y):
         """Sum over all hats of |grad chi|^2 at the given points.

@@ -19,7 +19,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .grid import oversample_element, oversample_neighborhood
-from .cembasis import BandedCholesky, PatchSolver, patch_index
+from .cembasis import (BandedCholesky, PatchSolver, patch_index,
+                       patch_nodes)
 
 
 @dataclass
@@ -94,77 +95,64 @@ def select_regions(indicators, bulk):
 
 
 class Enricher:
-    """Caches and operations for adaptive enrichment on one problem."""
+    """Caches and operations for adaptive enrichment on one problem.
 
-    def __init__(self, ops, aux, pou, config):
+    The strategy fixes the regions, interior coarse nodes or coarse cells,
+    their patches and their residual weights: the node's hat or the cell's
+    closed mask, evaluated on a column's own patch only.
+    """
+
+    def __init__(self, ops, aux, config):
         self.ops = ops
         self.aux = aux
-        self.pou = pou
         self.config = config
         grid = ops.grid
         if config.strategy == "neighborhood":
             self.regions = grid.interior_coarse_nodes.copy()
+            self._patch = oversample_neighborhood
+            self._weights = ops.pou.values
         else:
             self.regions = np.arange(grid.n_coarse_cells)
+            self._patch = oversample_element
+            self._weights = self._cell_mask
         self._riesz = {}
-        self._global_riesz = {}
 
     # ---- plumbing ------------------------------------------------------
 
-    def _region_patch(self, region, layers):
-        grid = self.ops.grid
-        if self.config.strategy == "neighborhood":
-            return oversample_neighborhood(grid, region, layers)
-        return oversample_element(grid, region, layers)
+    def _cell_mask(self, cell, nodes):
+        return self._patch(self.ops.grid, cell, 0).covers(nodes)
 
-    def _riesz_solver(self, family, region):
+    def _dual_norm(self, family, r, region=None):
+        """|L^-1 r|, the dual norm of r, with L L^T the family's stiffness
+        on the region's patch without oversampling or, for no region, on the
+        whole interior; each factor is built once and kept."""
         key = (family, region)
         if key not in self._riesz:
-            patch = self._region_patch(region, 0)
-            idx = patch_index(self.ops.dofs, patch, family)
-            self._riesz[key] = (
-                BandedCholesky(self.ops.stiffness(family)[idx][:, idx]), idx)
-        return self._riesz[key]
-
-    def _global_riesz_solver(self, family):
-        if family not in self._global_riesz:
-            self._global_riesz[family] = BandedCholesky(
-                self.ops.stiffness(family))
-        return self._global_riesz[family]
-
-    def _localizer(self, family, region):
-        """Nodal residual weights of the region: the hat function for node
-        neighborhoods, the 0/1 cell mask for elements."""
-        grid = self.ops.grid
-        if self.config.strategy == "neighborhood":
-            w = self.pou.vector(region)
-        else:
-            w = np.zeros(grid.n_fine_nodes)
-            rect = self._region_patch(region, 0).rect
-            w[grid.fine_nodes_of_cell_rect(*rect)] = 1.0
-        d = self.ops.dofs
-        return d.spread(w[d.p_nodes], family)
+            A, index = self.ops.stiffness(family), slice(None)
+            if region is not None:  # slicing with slice(None) would copy A
+                index = patch_index(self.ops.dofs,
+                                    self._patch(self.ops.grid, region, 0),
+                                    family)
+                A = A[index][:, index]
+            self._riesz[key] = (BandedCholesky(A), index)
+        factor, index = self._riesz[key]
+        return np.linalg.norm(factor.solve_lower(r[index]))
 
     # ---- indicators ------------------------------------------------------
 
     def global_norms(self, res):
-        """Dual norms of both residuals over the whole interior space,
-        |L^-1 r| with L the Cholesky factor of the family's global stiffness,
-        as `compute_indicators` takes them over regions."""
-        return tuple(
-            float(np.linalg.norm(self._global_riesz_solver(f).solve_lower(r)))
-            for f, r in (("u", res.r_u), ("p", res.r_p)))
+        """Dual norms of both residuals over the whole interior space, as
+        `compute_indicators` takes them over regions."""
+        return (float(self._dual_norm("u", res.r_u)),
+                float(self._dual_norm("p", res.r_p)))
 
     def compute_indicators(self, res):
         """Local dual norms (eta_u, eta_p) of the residuals, one per region."""
         eta_u = np.empty(self.regions.size)
         eta_p = np.empty(self.regions.size)
         for k, region in enumerate(self.regions):
-            for family, r, dest in (("u", res.r_u, eta_u),
-                                    ("p", res.r_p, eta_p)):
-                factor, index = self._riesz_solver(family, int(region))
-                # r^T A^-1 r = |L^-1 r|^2
-                dest[k] = np.linalg.norm(factor.solve_lower(r[index]))
+            eta_u[k] = self._dual_norm("u", res.r_u, int(region))
+            eta_p[k] = self._dual_norm("p", res.r_p, int(region))
         return eta_u, eta_p
 
     # ---- basis growth ----------------------------------------------------
@@ -172,11 +160,12 @@ class Enricher:
     def build_online_column(self, family, region, res):
         """One penalized patch solve against the localized residual: the
         column's interior positions on the patch and its values there."""
-        patch = self._region_patch(int(region), self.config.layers)
+        patch = self._patch(self.ops.grid, int(region), self.config.layers)
         solver = PatchSolver(self.ops, self.aux, patch, family)
+        weights = self.ops.dofs.spread(
+            self._weights(int(region), patch_nodes(patch)), family)
         r = getattr(res, "r_" + family)
-        return solver.index, solver.solve(
-            (self._localizer(family, int(region)) * r)[solver.index])
+        return solver.index, solver.solve(weights * r[solver.index])
 
     def _filter_and_append(self, space, family, columns, factor, current):
         """Energy near-dependence filter, then append survivors in order,

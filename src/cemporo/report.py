@@ -54,21 +54,6 @@ class EnrichmentHistory:
     def __init__(self, rows=None):
         self.rows = [dict(r) for r in rows] if rows else []
 
-    def __len__(self):
-        return len(self.rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, EnrichmentHistory):
-            return NotImplemented
-        if len(self.rows) != len(other.rows):
-            return False
-        for a, b in zip(self.rows, other.rows):
-            for col in HISTORY_COLUMNS:
-                if _format_value(col, a.get(col, np.nan)) != \
-                        _format_value(col, b.get(col, np.nan)):
-                    return False
-        return True
-
     def to_csv(self, path):
         """Six-significant-digit CSV, one row per (level, iteration).
 

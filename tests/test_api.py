@@ -2,8 +2,8 @@
 name the package exports resolves, and so does every name the benchmark
 traces. Every public method, and every function the package exports, has a
 caller outside the tests, and every attribute the package stores has a
-reader outside them. Every sparse SPD form, global or on a patch, is
-factored only by `cembasis.BandedCholesky` (LAPACK pbtrf), the fine step's
+reader outside them: a load on `self` in its own class, or on another
+object. Every sparse SPD form, global or on a patch, is factored only by `cembasis.BandedCholesky` (LAPACK pbtrf), the fine step's
 quasi-definite block only in `timestepping.FineSolver._factorize` (SuperLU)
 and a projected coarse matrix only in
 `timestepping.CoarseSolver.set_space` (`PivotedCholesky`, LAPACK pstrf),
@@ -171,33 +171,51 @@ def _stored_attributes():
 
 
 def _loaded_attributes():
-    """Every attribute name the package and the benchmark load: `x.name`,
-    `getattr(x, "name")`, and `getattr(x, "prefix_" + family)` as both
+    """Where each attribute is loaded: (C, name) for `self.name` inside
+    package class C, and (None, name) for a load on any other object in the
+    package or the benchmark's non-test files. A load is `x.name`,
+    `getattr(x, "name")`, or `getattr(x, "prefix_" + family)` as both
     `prefix_u` and `prefix_p`."""
     loaded = set()
-    for tree in list(_trees(PKG)) + list(_trees(PERFBENCH)):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
-                                                              ast.Load):
-                loaded.add(node.attr)
-            elif (isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Name)
-                  and node.func.id in ("getattr", "hasattr")
-                  and len(node.args) >= 2):
-                name = node.args[1]
-                if isinstance(name, ast.Constant):
-                    loaded.add(name.value)
-                elif (isinstance(name, ast.BinOp)
-                      and isinstance(name.left, ast.Constant)):
-                    loaded.update(name.left.value + f for f in ("u", "p"))
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef) and cls != "perfbench":
+            cls = node.name
+        obj, names = None, ()
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            obj, names = node.value, (node.attr,)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "hasattr")
+              and len(node.args) >= 2):
+            obj, name = node.args[:2]
+            if isinstance(name, ast.Constant):
+                names = (name.value,)
+            elif (isinstance(name, ast.BinOp)
+                  and isinstance(name.left, ast.Constant)):
+                names = tuple(name.left.value + f for f in ("u", "p"))
+        if isinstance(obj, ast.Name) and obj.id == "self":
+            # a benchmark class is no package class: its loads stay apart
+            loaded.update((cls, n) for n in names)
+        else:
+            loaded.update((None, n) for n in names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    for tree in _trees(PKG):
+        visit(tree, None)
+    for tree in _trees(PERFBENCH, skip=tuple(
+            f for f in os.listdir(PERFBENCH) if f.startswith("test_"))):
+        visit(tree, "perfbench")
     return loaded
 
 
 def test_stored_attributes_have_readers_outside_tests():
-    # state that only the tests read is dead weight, like an unused method
+    # state that only the tests read is dead weight, like an unused method;
+    # a read of the same name on another class's `self` does not count
     loaded = _loaded_attributes()
-    unread = sorted("%s.%s" % pair for pair in _stored_attributes()
-                    if pair[1] not in loaded)
+    unread = sorted("%s.%s" % (cls, name)
+                    for cls, name in _stored_attributes()
+                    if not {(cls, name), (None, name)} & loaded)
     assert not unread, unread
 
 

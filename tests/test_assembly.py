@@ -107,9 +107,13 @@ def test_all_forms_match_oracle(setup):
     npt.assert_allclose(ops.stiff_u_full.toarray(), A_u, atol=1e-12)
     npt.assert_allclose(ops.stiff_p_full.toarray(), A_p, atol=1e-13)
     npt.assert_allclose(ops.mass_p_full.toarray(), M_p, atol=1e-14)
-    npt.assert_allclose(ops.aux_u_full.toarray(), S_u, atol=1e-10)
-    npt.assert_allclose(ops.aux_p_full.toarray(), S_p, atol=1e-10)
-    npt.assert_allclose(ops.coupling_full.toarray(), D, atol=1e-13)
+    d = ops.dofs
+    npt.assert_allclose(ops.aux_u.toarray(), S_u[np.ix_(d.u_dofs, d.u_dofs)],
+                        atol=1e-10)
+    npt.assert_allclose(ops.aux_p.toarray(),
+                        S_p[np.ix_(d.p_nodes, d.p_nodes)], atol=1e-10)
+    npt.assert_allclose(ops.coupling.toarray(),
+                        D[np.ix_(d.p_nodes, d.u_dofs)], atol=1e-13)
 
 
 def test_interior_restriction(setup):
@@ -140,8 +144,10 @@ def test_square_forms_are_exactly_symmetric_with_assembled_pattern(setup):
                                       np.tile(dofs, (1, k)).ravel())),
             shape=getattr(ops, names[0] + "_full").shape)
         for name in names:
-            for form, raw in ((getattr(ops, name + "_full"), pattern),
-                              (getattr(ops, name), pattern[index][:, index])):
+            forms = [(getattr(ops, name), pattern[index][:, index])]
+            if not name.startswith("aux"):  # no weight is kept on all nodes
+                forms.append((getattr(ops, name + "_full"), pattern))
+            for form, raw in forms:
                 assert (form != form.T).nnz == 0, name
                 assert form.nnz == raw.nnz, name
 
@@ -170,12 +176,17 @@ def test_interior_blocks_positive_definite(setup):
 def test_coupling_divergence_identity(setup):
     grid, field, _, ops = setup
     # for u = (x, 0) the divergence is one, so D u equals alpha times the
-    # load vector of the unit source
+    # load vector of the unit source; the interior coupling leaves out the
+    # boundary values, so compare at nodes with no boundary neighbour
+    d = ops.dofs
     xy = grid.fine_node_xy()
     u = np.column_stack([xy[:, 0], np.zeros(grid.n_fine_nodes)]).ravel()
     unit_load = assemble_load(grid, lambda t, x, y: np.ones_like(x))
-    npt.assert_allclose(ops.coupling_full @ u, field.alpha * unit_load,
-                        atol=1e-14)
+    j, i = np.divmod(d.p_nodes, grid.nfx + 1)
+    deep = (i > 1) & (i < grid.nfx - 1) & (j > 1) & (j < grid.nfy - 1)
+    assert deep.any()
+    npt.assert_allclose((ops.coupling @ u[d.u_dofs])[deep],
+                        field.alpha * unit_load[d.p_nodes][deep], atol=1e-14)
 
 
 def test_mass_total(setup):
@@ -196,6 +207,13 @@ def test_single_cell_laplacian_stencil():
                          [-1.0, -2.0, 4.0, -1.0],
                          [-2.0, -1.0, -1.0, 4.0]]) / 6.0
     npt.assert_allclose(ops.stiff_p_full.toarray(), expected, atol=1e-14)
+
+
+def test_field_of_another_grid_is_refused():
+    grid = build_grids(2, 2, 2)
+    field = synth_channels(build_grids(3, 2, 2), 1.0, 10.0, seed=1)
+    with pytest.raises(ValueError, match="different grid"):
+        assemble_operators(grid, field, partition_of_unity(grid))
 
 
 def test_load_constant_and_sine():

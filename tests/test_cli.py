@@ -1,5 +1,6 @@
 """Configuration handling and the command line entry point."""
 
+import csv
 import importlib.util
 import json
 import math
@@ -241,6 +242,16 @@ def test_make_initial_pressure_kinds():
             "kind": "table", "values": [1.0, 2.0]}})
 
 
+def test_make_initial_pressure_skew_bump():
+    # x^2 (1 - x) y^2 (1 - y) peaks at (2/3, 2/3), off the centre
+    cfg = resolve_config({"initial_pressure": {"kind": "skew-bump",
+                                               "scale": 729.0}})
+    p0 = make_initial_pressure(cfg)
+    assert p0(2.0 / 3.0, 2.0 / 3.0) == pytest.approx(16.0)
+    assert p0(0.5, 0.5) == pytest.approx(729.0 / 64.0)
+    assert p0(1.0, 0.5) == 0.0
+
+
 # ---- exit codes --------------------------------------------------------------
 
 
@@ -341,7 +352,7 @@ def test_run_artifacts_and_manifest_roundtrip(tmp_path, capsys):
     assert "level" in stdout and "%" in stdout
 
     history = EnrichmentHistory.from_csv(str(out1 / "history.csv"))
-    assert len(history) == 2  # final-step schedule, one iteration
+    assert len(history.rows) == 2  # final-step schedule, one iteration
     assert history.rows[0]["level"] == 2 and history.rows[0]["iteration"] == 0
     assert np.isfinite(history.rows[0]["err_u"])
 
@@ -368,6 +379,25 @@ def test_run_artifacts_and_manifest_roundtrip(tmp_path, capsys):
         (out1 / "history.csv").read_bytes()
     assert (out2 / "errors.csv").read_bytes() == \
         (out1 / "errors.csv").read_bytes()
+
+
+def test_run_without_reference(tmp_path, capsys):
+    # no fine trajectory: errors.csv keeps its header only, the history's
+    # errors are nan, and report prints them as "-"
+    cfg = dict(TINY, reference=False, snapshots=False)
+    out = tmp_path / "run"
+    assert main(["run", "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    assert (out / "errors.csv").read_text() == "level,err_u,err_p\n"
+    with open(out / "history.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    assert all(r["err_u"] == r["err_p"] == "nan" for r in rows)
+    capsys.readouterr()
+    assert main(["report", "--history", str(out / "history.csv")]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(lines) == 2
+    assert all(line.split()[4:6] == ["-", "-"] for line in lines)
 
 
 def test_compare_command(tmp_path, capsys):
@@ -419,7 +449,7 @@ def test_cli_runs_artifacts(cli_runs):
         assert os.path.exists(os.path.join(run1.dir, name))
     history = EnrichmentHistory.from_csv(os.path.join(run1.dir,
                                                       "history.csv"))
-    assert len(history) == 4  # iterations 0..3 at the final level
+    assert len(history.rows) == 4  # iterations 0..3 at the final level
     levels = {r["level"] for r in history.rows}
     assert levels == {10}
 

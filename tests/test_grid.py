@@ -167,7 +167,9 @@ def test_patch_rejects_bad_cells():
 def test_pou_sums_to_one_everywhere():
     g = build_grids(10, 10, 5)
     pou = partition_of_unity(g)
-    vals = np.column_stack([pou.vector(m) for m in range(g.n_coarse_nodes)])
+    nodes = np.arange(g.n_fine_nodes)
+    vals = np.column_stack([pou.values(m, nodes)
+                            for m in range(g.n_coarse_nodes)])
     npt.assert_allclose(vals.sum(axis=1), 1.0, atol=1e-14)
     assert vals.min() >= 0.0 and vals.max() <= 1.0
 
@@ -177,7 +179,7 @@ def test_pou_nodal_values():
     pou = partition_of_unity(g)
     # every hat equals one at its own coarse node, zero at the others
     for m in range(g.n_coarse_nodes):
-        v = pou.vector(m)
+        v = pou.values(m, np.arange(g.n_fine_nodes))
         m_all = np.arange(g.n_coarse_nodes)
         fi = m_all % (g.ncx + 1) * g.refinement
         fj = m_all // (g.ncx + 1) * g.refinement
@@ -212,7 +214,8 @@ def test_pou_grad_sq_sum_closed_form():
 def test_pou_partition_property(ncx, ncy, refinement):
     g = build_grids(ncx, ncy, refinement)
     pou = partition_of_unity(g)
-    sums = sum(pou.vector(m) for m in range(g.n_coarse_nodes))
+    nodes = np.arange(g.n_fine_nodes)
+    sums = sum(pou.values(m, nodes) for m in range(g.n_coarse_nodes))
     npt.assert_allclose(sums, 1.0, atol=1e-13)
 
 

@@ -1,5 +1,7 @@
 """Material fields: Lame parameters, storage format, synthetic generator."""
 
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -151,3 +153,38 @@ def test_synth_seeded_fields_unchanged():
     f = synth_channels(build_grids(5, 5, 4), 1.0, 1e4, seed=3)
     high = np.flatnonzero(f.E > 1.0)
     assert (high.size, int(high.sum())) == (87, 16113)
+
+
+@pytest.mark.parametrize("where, value, message", [
+    ("E", 0.0, "strictly positive"), ("E", -1.0, "strictly positive"),
+    ("biot_modulus", 0.0, "storage modulus"),
+    ("biot_modulus", -2.0, "storage modulus"),
+    ("alpha", -0.1, "coupling coefficient")])
+def test_field_rejects_out_of_range_values(where, value, message):
+    g = build_grids(2, 2, 2)
+    args = {"E": np.ones(g.n_fine_cells), "kappa": np.ones(g.n_fine_cells),
+            "poisson": 0.2, "alpha": 0.9, "biot_modulus": 1.0,
+            "viscosity": 1.0}
+    if where == "E":
+        value = np.where(np.arange(g.n_fine_cells) == 3, value, 1.0)
+    with pytest.raises(ValueError, match=message):
+        MaterialField(g, **dict(args, **{where: value}))
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("header", "missing entry 'alpha'"), ("array", "shape")])
+def test_load_field_rejects_damaged_files(tmp_path, damage, message):
+    g = build_grids(2, 2, 2)
+    stem = str(tmp_path / "field")
+    save_field(synth_channels(g, 1.0, 10.0, seed=1), stem)
+    if damage == "header":
+        with open(stem + ".json") as fh:
+            header = json.load(fh)
+        del header["alpha"]
+        with open(stem + ".json", "w") as fh:
+            json.dump(header, fh)
+    else:
+        np.savetxt(stem + "_kappa.csv", np.ones((g.nfy, g.nfx + 1)),
+                   delimiter=",")
+    with pytest.raises(ValueError, match=message):
+        load_field(stem, g)

@@ -7,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cemporo.assembly import assemble_load, assemble_operators
-from cemporo.cembasis import PatchSolver, build_offline_basis
-from cemporo.grid import (build_grids, oversample_element,
-                          oversample_neighborhood, partition_of_unity)
+from cemporo.cembasis import PatchSolver, build_offline_basis, patch_nodes
+from cemporo.grid import (Patch, PartitionOfUnity, build_grids,
+                          oversample_element, oversample_neighborhood,
+                          partition_of_unity)
 from cemporo.material import MaterialField, synth_channels
 from cemporo.online import (Enricher, OnlineConfig, ResidualSet,
                             compute_residuals, select_regions)
@@ -77,13 +78,26 @@ def test_fine_solution_has_zero_residual(setup):
 def test_enrichment_is_noop_on_fine_solution(setup):
     ops, aux, pou, space, tg, fine, loads = setup
     solver = CoarseSolver(ops, space.copy(), tg.tau)
-    enr = Enricher(ops, aux, pou, OnlineConfig(theta=0.3, gamma=0.3, layers=1))
+    enr = Enricher(ops, aux, OnlineConfig(theta=0.3, gamma=0.3, layers=1))
     n_u, n_p = solver.space.n_u, solver.space.n_p
     out, added_u, added_p = enr.enrich_once(
         solver, fine[2], fine[1], loads[2], 1)
     assert (added_u, added_p) == (0, 0)
     assert out is fine[2]
     assert (solver.space.n_u, solver.space.n_p) == (n_u, n_p)
+
+
+def test_enrich_once_on_zero_data_keeps_the_state(setup):
+    # a zero state with zero loads leaves no residual, so no region is
+    # picked and nothing reaches the filter
+    ops, aux, pou, space, tg, fine, loads = setup
+    solver = CoarseSolver(ops, space.copy(), tg.tau)
+    prev, zero = (State(n, np.zeros(ops.dofs.n_u), np.zeros(ops.dofs.n_p))
+                  for n in (0, 1))
+    out, added_u, added_p = Enricher(ops, aux, OnlineConfig()).enrich_once(
+        solver, zero, prev, np.zeros(ops.dofs.n_p), 1)
+    assert out is zero
+    assert (added_u, added_p) == (0, 0)
 
 
 # ---- region selection ------------------------------------------------------
@@ -151,7 +165,7 @@ def test_global_norms_dense_oracle(setup):
     coarse = run(ops, tg, _source, _p0, solver=CoarseSolver(
         ops, build_offline_basis(ops, aux, 1), tg.tau))
     res = compute_residuals(ops, tg.tau, coarse[1], coarse[0], loads[1])
-    enr = Enricher(ops, aux, pou, OnlineConfig())
+    enr = Enricher(ops, aux, OnlineConfig())
     gu, gp = enr.global_norms(res)
     for mat, r, got in ((ops.stiff_u, res.r_u, gu),
                         (ops.stiff_p, res.r_p, gp)):
@@ -168,7 +182,7 @@ def test_indicator_regions_by_strategy(setup):
             ("neighborhood", ops.grid.interior_coarse_nodes),
             ("element", np.arange(ops.grid.n_coarse_cells))):
         res = compute_residuals(ops, tg.tau, coarse[1], coarse[0], loads[1])
-        enr = Enricher(ops, aux, pou, OnlineConfig(strategy=strategy))
+        enr = Enricher(ops, aux, OnlineConfig(strategy=strategy))
         eta_u, eta_p = enr.compute_indicators(res)
         npt.assert_array_equal(enr.regions, expected)
         assert eta_u.shape == eta_p.shape == expected.shape
@@ -188,14 +202,15 @@ def test_online_column_defining_equation(setup):
                               int(ops.grid.interior_coarse_nodes[0])),
                              ("element", 4)):
         cfg = OnlineConfig(strategy=strategy, layers=1)
-        enr = Enricher(ops, aux, pou, cfg)
+        enr = Enricher(ops, aux, cfg)
         for family, r in (("u", res.r_u), ("p", res.r_p)):
             index, col = enr.build_online_column(family, region, res)
             patch = (oversample_neighborhood(ops.grid, region, 1)
                      if strategy == "neighborhood"
                      else oversample_element(ops.grid, region, 1))
             solver = PatchSolver(ops, aux, patch, family)
-            rhs = (enr._localizer(family, region) * r)[solver.index]
+            rhs = ops.dofs.spread(enr._weights(region, patch_nodes(patch)),
+                                  family) * r[solver.index]
             defect = patch_residual(solver, col, rhs)
             assert defect <= 1e-10 * np.linalg.norm(rhs)
             # support confined to the oversampled patch
@@ -209,12 +224,41 @@ def test_online_column_deterministic(setup):
     res = compute_residuals(ops, tg.tau, coarse[1], coarse[0], loads[1])
     cfg = OnlineConfig(layers=1)
     region = int(ops.grid.interior_coarse_nodes[1])
-    a = Enricher(ops, aux, pou, cfg).build_online_column("p", region, res)
-    b = Enricher(ops, aux, pou, cfg).build_online_column("p", region, res)
+    a = Enricher(ops, aux, cfg).build_online_column("p", region, res)
+    b = Enricher(ops, aux, cfg).build_online_column("p", region, res)
     for x, y in zip(a, b):
         npt.assert_array_equal(x, y)
     with pytest.raises(ValueError, match="family"):
-        Enricher(ops, aux, pou, cfg).build_online_column("q", region, res)
+        Enricher(ops, aux, cfg).build_online_column("q", region, res)
+
+
+@pytest.mark.parametrize("strategy", ["neighborhood", "element"])
+def test_online_column_reads_only_its_patch(setup, monkeypatch, strategy):
+    # the residual weights are evaluated at the patch's interior nodes only,
+    # never over the whole grid
+    ops, aux, pou, space, tg, fine, loads = setup
+    counts = []
+
+    def recorded(method):
+        def wrapper(self, *args):
+            counts.append(np.asarray(args[-1]).size)
+            return method(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(PartitionOfUnity, "values",
+                        recorded(PartitionOfUnity.values))
+    monkeypatch.setattr(Patch, "covers", recorded(Patch.covers))
+    coarse = run(ops, tg, _source, _p0,
+                 solver=CoarseSolver(ops, space.copy(), tg.tau))
+    res = compute_residuals(ops, tg.tau, coarse[1], coarse[0], loads[1])
+    enr = Enricher(ops, aux, OnlineConfig(strategy=strategy, layers=0))
+    for region in enr.regions:
+        size = enr._patch(ops.grid, int(region), 0).interior_fine_nodes.size
+        assert size < ops.dofs.n_p
+        for family in ("u", "p"):
+            counts.clear()
+            enr.build_online_column(family, region, res)
+            assert counts == [size]
 
 
 # ---- the adaptive loop -----------------------------------------------------
@@ -224,7 +268,7 @@ def test_enrich_once_decreases_dual_norms(setup):
     ops, aux, pou, space, tg, fine, loads = setup
     solver = CoarseSolver(ops, space.copy(), tg.tau)
     states = run(ops, tg, _source, _p0, solver=solver)
-    enr = Enricher(ops, aux, pou,
+    enr = Enricher(ops, aux,
                    OnlineConfig(theta=0.5, gamma=0.5, layers=1))
     res0 = compute_residuals(ops, tg.tau, states[1], states[0], loads[1])
     before = sum(enr.global_norms(res0))
@@ -254,7 +298,7 @@ def test_online_columns_have_unit_energy_at_any_load_scale(setup):
         solver = CoarseSolver(ops, space.copy(), tg.tau)
         state, prev = (State(st.n, c * st.u, c * st.p)
                        for st in (states[1], states[0]))
-        enr = Enricher(ops, aux, pou, OnlineConfig(layers=1))
+        enr = Enricher(ops, aux, OnlineConfig(layers=1))
         _, added_u, added_p = enr.enrich_once(solver, state, prev,
                                               c * loads[1], 1)
         assert added_u > 0 and added_p > 0
@@ -291,7 +335,7 @@ def _dense_filter(A, R, columns, current):
 def test_filter_matches_dense_least_squares(setup):
     ops, aux, pou, space, tg, fine, loads = setup
     rng = np.random.default_rng(3)
-    enr = Enricher(ops, aux, pou, OnlineConfig())
+    enr = Enricher(ops, aux, OnlineConfig())
     for family in "up":
         A = ops.stiffness(family)
         R = space.basis(family).toarray()
@@ -325,7 +369,7 @@ def test_adaptive_loop_zero_iterations(setup):
     ops, aux, pou, space, tg, fine, loads = setup
     solver = CoarseSolver(ops, space.copy(), tg.tau)
     states = run(ops, tg, _source, _p0, solver=solver)
-    enr = Enricher(ops, aux, pou, OnlineConfig(iterations=0))
+    enr = Enricher(ops, aux, OnlineConfig(iterations=0))
     history = []
     out = enr.adaptive_loop(solver, states[1], states[0], loads[1],
                             reference=fine[1], history=history)
@@ -340,7 +384,7 @@ def test_adaptive_loop_history_and_tolerance(setup):
     ops, aux, pou, space, tg, fine, loads = setup
     solver = CoarseSolver(ops, space.copy(), tg.tau)
     states = run(ops, tg, _source, _p0, solver=solver)
-    enr = Enricher(ops, aux, pou,
+    enr = Enricher(ops, aux,
                    OnlineConfig(theta=0.5, gamma=0.5, layers=1, iterations=2))
     history = []
     enr.adaptive_loop(solver, states[1], states[0], loads[1],
@@ -356,7 +400,7 @@ def test_adaptive_loop_history_and_tolerance(setup):
     # a tolerance above the starting dual norm stops immediately
     solver2 = CoarseSolver(ops, space.copy(), tg.tau)
     states2 = run(ops, tg, _source, _p0, solver=solver2)
-    lazy = Enricher(ops, aux, pou,
+    lazy = Enricher(ops, aux,
                     OnlineConfig(layers=1, iterations=5, tol=10 * etas[0]))
     hist2 = []
     out = lazy.adaptive_loop(solver2, states2[1], states2[0], loads[1],
@@ -370,9 +414,9 @@ def test_adaptive_loop_stagnation_guard_stops_fixed_loop(setup):
     solver = CoarseSolver(ops, space.copy(), tg.tau)
     states = run(ops, tg, _source, _p0, solver=solver)
     res = compute_residuals(ops, tg.tau, states[1], states[0], loads[1])
-    eta0 = sum(Enricher(ops, aux, pou, OnlineConfig()).global_norms(res))
+    eta0 = sum(Enricher(ops, aux, OnlineConfig()).global_norms(res))
     # no change of eta can exceed eps, so the first iteration stagnates
-    enr = Enricher(ops, aux, pou, OnlineConfig(
+    enr = Enricher(ops, aux, OnlineConfig(
         theta=0.5, gamma=0.5, layers=1, iterations=5, eps=10 * eta0))
     history = []
     enr.adaptive_loop(solver, states[1], states[0], loads[1], history=history)
@@ -388,7 +432,7 @@ def test_adaptive_loop_tolerance_loop_iterates_to_tol(setup):
         solver = CoarseSolver(ops, space.copy(), tg.tau)
         states = run(ops, tg, _source, _p0, solver=solver)
         history = []
-        Enricher(ops, aux, pou, cfg).adaptive_loop(
+        Enricher(ops, aux, cfg).adaptive_loop(
             solver, states[1], states[0], loads[1], history=history)
         return [row["eta"] for row in history]
 
@@ -419,7 +463,7 @@ def test_patch_without_interior_unknowns_is_rejected():
     for family in ("u", "p"):
         with pytest.raises(ValueError, match="no interior unknowns"):
             PatchSolver(ops, aux, patch, family)
-    enr = Enricher(ops, aux, pou, OnlineConfig(strategy="element"))
+    enr = Enricher(ops, aux, OnlineConfig(strategy="element"))
     res = ResidualSet(np.ones(ops.dofs.n_u), np.ones(ops.dofs.n_p))
     with pytest.raises(ValueError, match="no interior unknowns"):
         enr.compute_indicators(res)

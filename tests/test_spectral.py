@@ -9,8 +9,8 @@ from cemporo import spectral
 from cemporo.assembly import assemble_operators
 from cemporo.grid import build_grids, partition_of_unity
 from cemporo.material import synth_channels
-from cemporo.spectral import (build_aux_basis, solve_local_spectral,
-                              spectral_diagnostics)
+from cemporo.spectral import (AuxBasis, build_aux_basis,
+                              solve_local_spectral, spectral_diagnostics)
 
 from oracles import project_pi
 
@@ -109,6 +109,10 @@ def test_spectral_argument_validation(setup):
         solve_local_spectral(ops, 0, 10 ** 6)
 
 
+def test_aux_basis_needs_a_mode_per_family(setup):
+    _, ops = setup
+    with pytest.raises(ValueError, match="at least one"):
+        AuxBasis(ops, 0)
 def test_aux_basis_shapes(setup):
     grid, ops = setup
     aux = build_aux_basis(ops, 2, 3)

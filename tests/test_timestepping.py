@@ -333,6 +333,26 @@ def test_non_finite_matrix_raises_when_factored():
         PivotedCholesky(bad)
 
 
+def test_nodal_initial_pressure_of_wrong_length_is_refused(setup):
+    _, ops = setup
+    with pytest.raises(ValueError, match="wrong length"):
+        run(ops, TimeGrid(0.1, 1), _source,
+            np.zeros(ops.grid.n_fine_nodes - 1))
+
+
+def test_fine_factorization_breakdown_is_a_numerical_failure(setup,
+                                                             monkeypatch):
+    _, ops = setup
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", broken)
+    state = _fine_initial(ops, _p0)
+    with pytest.raises(NumericalFailure, match="exactly singular"):
+        FineSolver(ops, 0.1).step(state, np.zeros(ops.dofs.n_p), 1)
+
+
 def test_coarse_block_is_factored_once_per_space(setup, monkeypatch):
     _, ops = setup
     aux = build_aux_basis(ops, 2)
