@@ -4,16 +4,20 @@ Bilinear quadrilaterals, 2x2 Gauss quadrature, coefficients constant per fine
 cell. Displacement unknowns are interleaved (x-component at 2*n, y-component
 at 2*n+1 for fine node n). Assembled matrices are kept restricted to
 interior (Dirichlet-eliminated) unknowns, the stiffnesses and the pressure
-mass over all nodes as well; per-cell element matrices are retained for
-local Neumann problems on coarse cells. Every square form leaves this module
-exactly symmetric, so no later layer symmetrizes or mirrors one. The split
-into the displacement ("u") and pressure ("p") families lives here alone:
-`layout` places a family's unknowns, and `DofMap` and `OperatorSet` answer
-for either family, rejecting any other with a ValueError.
+mass over all nodes as well. Element matrices are not kept: the local
+Neumann problems of a coarse cell recompute theirs from the field and the
+reference blocks, which depend only on the fine cell size. Every square form
+leaves this module exactly symmetric, so no later layer symmetrizes or
+mirrors one. The split into the displacement ("u") and pressure ("p")
+families lives here alone: `layout` places a family's unknowns, and
+`DofMap` and `OperatorSet` answer for either family, rejecting any other
+with a ValueError.
 """
 
 import numpy as np
 import scipy.sparse as sp
+
+from .grid import partition_of_unity
 
 _GPTS = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _QX, _QY = [a.ravel() for a in np.meshgrid(_GPTS, _GPTS)]
@@ -115,96 +119,74 @@ def _mirror_lower(mat):
           np.concatenate([low.col, low.row[off]]))), shape=mat.shape)
 
 
+def _reference_blocks(hx, hy):
+    """Unit-coefficient element forms of one hx x hy fine cell, shared by
+    every cell: the Laplacian `lap`, the mass `mass`, the elasticity parts
+    `k_shear` and `k_div`, the coupling `cpl` (4 x 8), and the shape values
+    `N` with the quadrature weights `wd` that the spectral weights need."""
+    N, dNdX, dNdY = _shape_values()
+    dNdx = dNdX / hx
+    dNdy = dNdY / hy
+    wd = _QW * (hx * hy)
+    B = np.zeros((4, 3, 8))
+    B[:, 0, 0::2] = dNdx
+    B[:, 1, 1::2] = dNdy
+    B[:, 2, 0::2] = dNdy
+    B[:, 2, 1::2] = dNdx
+    voigt = np.diag([1.0, 1.0, 0.5])
+    div = np.zeros((4, 8))
+    div[:, 0::2] = dNdx
+    div[:, 1::2] = dNdy
+    return {"N": N, "wd": wd,
+            "lap": np.einsum("q,qa,qb->ab", wd, dNdx, dNdx)
+            + np.einsum("q,qa,qb->ab", wd, dNdy, dNdy),
+            "mass": np.einsum("q,qa,qb->ab", wd, N, N),
+            "k_shear": np.einsum("q,qia,ij,qjb->ab", wd, B, voigt, B),
+            "k_div": np.einsum("q,qa,qb->ab", wd, div, div),
+            "cpl": np.einsum("q,qa,qb->ab", wd, N, div)}
+
+
 class OperatorSet:
     """Assembled forms of the coupled system plus spectral weight masses.
 
     The short names act on interior unknowns only. Of the forms over all
     nodes, only the stiffnesses (`stiff_u_full`, `stiff_p_full`) and the
     pressure mass (`mass_p_full`, which maps a nodal initial pressure to its
-    load) are kept. cell_* arrays hold the per-fine-cell element matrices,
-    and `pou` is the partition of unity the spectral weights and the online
-    residual weights are taken from. Each square form keeps the lower
-    triangle of its assembly, mirrored (`_mirror_lower`), so it is exactly
-    symmetric.
+    load) are kept. `pou` is the grid's partition of unity, which the
+    spectral weights and the online residual weights are taken from. No
+    element matrix outlives the assembly: `local_matrices` recomputes those
+    of the fine cells it is given. Each square form keeps the lower triangle
+    of its assembly, mirrored (`_mirror_lower`), so it is exactly symmetric.
     """
 
-    def __init__(self, grid, field, pou):
+    def __init__(self, grid, field):
         self.grid = grid
         self.field = field
-        self.pou = pou
+        self.pou = partition_of_unity(grid)
         self.dofs = DofMap(grid)
-
-        N, dNdX, dNdY = _shape_values()
-        hx, hy = grid.hx, grid.hy
-        detJ = hx * hy
-        dNdx = dNdX / hx
-        dNdy = dNdY / hy
-        wd = _QW * detJ
-
-        # reference blocks shared by every cell
-        lap = np.einsum("q,qa,qb->ab", wd, dNdx, dNdx) \
-            + np.einsum("q,qa,qb->ab", wd, dNdy, dNdy)
-        mass = np.einsum("q,qa,qb->ab", wd, N, N)
-
-        B = np.zeros((4, 3, 8))
-        B[:, 0, 0::2] = dNdx
-        B[:, 1, 1::2] = dNdy
-        B[:, 2, 0::2] = dNdy
-        B[:, 2, 1::2] = dNdx
-        voigt = np.diag([1.0, 1.0, 0.5])
-        k_shear = np.einsum("q,qia,ij,qjb->ab", wd, B, voigt, B)
-        div = np.zeros((4, 8))
-        div[:, 0::2] = dNdx
-        div[:, 1::2] = dNdy
-        k_div = np.einsum("q,qa,qb->ab", wd, div, div)
-        cpl = np.einsum("q,qa,qb->ab", wd, N, div)  # 4 x 8
+        self._ref = _reference_blocks(grid.hx, grid.hy)
 
         nc = grid.n_fine_cells
-        lam = field.lam
-        mu = field.mu
-        self.cell_stiff_u = (2.0 * mu)[:, None, None] * k_shear \
-            + lam[:, None, None] * k_div
-        self.cell_stiff_p = field.mobility[:, None, None] * lap
+        cell = self._element_matrices(np.arange(nc))
         cell_mass_p = np.broadcast_to(
-            mass / field.biot_modulus, (nc, 4, 4)).copy()
+            self._ref["mass"] / field.biot_modulus, (nc, 4, 4)).copy()
         cell_coupling = field.alpha * np.broadcast_to(
-            cpl, (nc, 4, 8)).copy()
-
-        # spectral weight = coefficient * sum over hats of |grad chi|^2,
-        # periodic over the coarse cell, sampled at each quadrature point
-        r = grid.refinement
-        ci = np.arange(nc) % grid.nfx
-        cj = np.arange(nc) // grid.nfx
-        x0 = ci * hx
-        y0 = cj * hy
-        qx = x0[:, None] + _QX[None, :] * hx
-        qy = y0[:, None] + _QY[None, :] * hy
-        # avoid the periodic seam: quadrature points are strictly inside cells
-        g = pou.grad_sq_sum(qx, qy)  # (nc, 4)
-        w_aux = wd[None, :] * g
-        aux_p_ref = np.einsum("cq,qa,qb->cab", w_aux, N, N)
-        self.cell_aux_p = field.mobility[:, None, None] * aux_p_ref
-        aux_u = np.zeros((nc, 8, 8))
-        scal = field.p_wave_modulus[:, None, None] * aux_p_ref
-        aux_u[:, 0::2, 0::2] = scal
-        aux_u[:, 1::2, 1::2] = scal
-        self.cell_aux_u = aux_u
+            self._ref["cpl"], (nc, 4, 8)).copy()
 
         nodes = grid.fine_cell_nodes()
-        self._cell_nodes = nodes
         nn = grid.n_fine_nodes
 
         self.stiff_p_full = _mirror_lower(
-            self._scalar_csr(self.cell_stiff_p, nodes, nn))
+            self._scalar_csr(cell["stiff_p"], nodes, nn))
         self.mass_p_full = _mirror_lower(
             self._scalar_csr(cell_mass_p, nodes, nn))
         aux_p_full = _mirror_lower(
-            self._scalar_csr(self.cell_aux_p, nodes, nn))
+            self._scalar_csr(cell["aux_p"], nodes, nn))
         udofs = layout(nodes, "u")
         self.stiff_u_full = _mirror_lower(
-            self._scalar_csr(self.cell_stiff_u, udofs, 2 * nn))
+            self._scalar_csr(cell["stiff_u"], udofs, 2 * nn))
         aux_u_full = _mirror_lower(
-            self._scalar_csr(self.cell_aux_u, udofs, 2 * nn))
+            self._scalar_csr(cell["aux_u"], udofs, 2 * nn))
         rows = np.repeat(nodes, 8, axis=1).ravel()
         cols = np.tile(udofs, (1, 4)).ravel()
         coupling_full = sp.csr_matrix(
@@ -217,6 +199,33 @@ class OperatorSet:
         self.aux_u = aux_u_full[d.u_dofs][:, d.u_dofs].tocsr()
         self.aux_p = aux_p_full[d.p_nodes][:, d.p_nodes].tocsr()
         self.coupling = coupling_full[d.p_nodes][:, d.u_dofs].tocsr()
+
+    def _element_matrices(self, cells):
+        """Stiffness and spectral weight element matrices of the given fine
+        cells, keyed "stiff_u", "stiff_p", "aux_u" and "aux_p"."""
+        grid, field, ref = self.grid, self.field, self._ref
+        mu = field.mu[cells]
+        mob = field.mobility[cells]
+        out = {"stiff_u": (2.0 * mu)[:, None, None] * ref["k_shear"]
+               + field.lam[cells][:, None, None] * ref["k_div"],
+               "stiff_p": mob[:, None, None] * ref["lap"]}
+
+        # spectral weight = coefficient * sum over hats of |grad chi|^2,
+        # periodic over the coarse cell, sampled at each quadrature point
+        hx, hy = grid.hx, grid.hy
+        qx = ((cells % grid.nfx) * hx)[:, None] + _QX[None, :] * hx
+        qy = ((cells // grid.nfx) * hy)[:, None] + _QY[None, :] * hy
+        # avoid the periodic seam: quadrature points are strictly inside cells
+        w_aux = ref["wd"][None, :] * self.pou.grad_sq_sum(qx, qy)
+        N = ref["N"]
+        aux_p_ref = np.einsum("cq,qa,qb->cab", w_aux, N, N)
+        out["aux_p"] = mob[:, None, None] * aux_p_ref
+        aux_u = np.zeros((cells.size, 8, 8))
+        scal = field.p_wave_modulus[cells][:, None, None] * aux_p_ref
+        aux_u[:, 0::2, 0::2] = scal
+        aux_u[:, 1::2, 1::2] = scal
+        out["aux_u"] = aux_u
+        return out
 
     def stiffness(self, family):
         """The family's stiffness form over interior unknowns."""
@@ -243,17 +252,17 @@ class OperatorSet:
         matrix is averaged with its transpose, so it is exactly symmetric.
         """
         cells = np.asarray(cells)
-        cell_nodes = self._cell_nodes[cells]
+        cell_nodes = self.grid.fine_cell_nodes(cells)
         nodes = np.unique(cell_nodes)
         loc = np.searchsorted(nodes, cell_nodes)
+        cell = self._element_matrices(cells)
         out = {}
         for family in ("u", "p"):
             dofs = layout(loc, family)
             for form in ("stiff", "aux"):
                 name = "%s_%s" % (form, family)
-                mat = self._scalar_csr(
-                    getattr(self, "cell_" + name)[cells], dofs,
-                    _WIDTH[family] * nodes.size).toarray()
+                mat = self._scalar_csr(cell[name], dofs,
+                                       _WIDTH[family] * nodes.size).toarray()
                 out[name] = 0.5 * (mat + mat.T)
         return nodes, out
 
@@ -271,12 +280,12 @@ class OperatorSet:
         return motions.reshape(-1, 3)  # node by node, as `layout` orders
 
 
-def assemble_operators(grid, field, pou):
+def assemble_operators(grid, field):
     if field.grid is not grid and (field.grid.ncx, field.grid.ncy,
                                    field.grid.refinement) != (
                                        grid.ncx, grid.ncy, grid.refinement):
         raise ValueError("field was built for a different grid")
-    return OperatorSet(grid, field, pou)
+    return OperatorSet(grid, field)
 
 
 def assemble_load(grid, source, t=0.0):

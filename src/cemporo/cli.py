@@ -19,7 +19,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .grid import build_grids, partition_of_unity
+from .grid import build_grids
 from .material import load_field, save_field, synth_channels
 from .assembly import assemble_operators
 from .spectral import build_aux_basis, spectral_diagnostics
@@ -254,8 +254,7 @@ class Experiment:
         self.cfg = cfg
         self.grid = build_grids(mesh["ncx"], mesh["ncy"], mesh["refinement"])
         self.field = build_field(cfg, self.grid, seed_override)
-        self.ops = assemble_operators(self.grid, self.field,
-                                      partition_of_unity(self.grid))
+        self.ops = assemble_operators(self.grid, self.field)
         self.time_grid = TimeGrid.from_horizon(cfg["time"]["tau"],
                                                cfg["time"]["T"])
         self.source = make_source(cfg)

@@ -7,6 +7,8 @@ node neighborhood grown by whole layers of cells stays one, clipped at the
 domain boundary, so a patch is known by its four cell bounds.
 """
 
+import numbers
+
 import numpy as np
 
 
@@ -22,6 +24,9 @@ class GridPair:
     """
 
     def __init__(self, ncx, ncy, refinement):
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for v in (ncx, ncy, refinement)):
+            raise TypeError("ncx, ncy and refinement must be integers")
         if ncx < 1 or ncy < 1:
             raise ValueError("coarse cell counts must be positive")
         if refinement < 1:
@@ -54,10 +59,8 @@ class GridPair:
 
     # ---- index helpers -------------------------------------------------
 
-    def fine_node_xy(self, nodes=None):
-        """Coordinates of fine nodes (all of them by default)."""
-        if nodes is None:
-            nodes = np.arange(self.n_fine_nodes)
+    def fine_node_xy(self, nodes):
+        """Coordinates of the given fine nodes."""
         nodes = np.asarray(nodes)
         i = nodes % (self.nfx + 1)
         j = nodes // (self.nfx + 1)

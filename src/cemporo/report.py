@@ -79,9 +79,15 @@ class EnrichmentHistory:
                 raise ValueError("empty history file")
             if header not in (HISTORY_COLUMNS, ["variant"] + HISTORY_COLUMNS):
                 raise ValueError("unrecognized history header: %r" % header)
-            return cls([{col: _parse_value(col, val)
-                         for col, val in zip(header, parts)}
-                        for parts in reader if parts])
+            rows = []
+            for parts in filter(None, reader):  # blank lines carry no row
+                if len(parts) != len(header):
+                    raise ValueError("history line %d has %d fields, the "
+                                     "header %d" % (reader.line_num,
+                                                    len(parts), len(header)))
+                rows.append({col: _parse_value(col, val)
+                             for col, val in zip(header, parts)})
+            return cls(rows)
 
     def to_text(self):
         """Terminal table with percent-rendered errors; a line names each

@@ -57,19 +57,18 @@ def frozen():
     """Library-level build of the reference experiment."""
     mesh = FROZEN["mesh"]
     grid = cp.build_grids(mesh["ncx"], mesh["ncy"], mesh["refinement"])
-    pou = cp.partition_of_unity(grid)
     syn = FROZEN["material"]["synth"]
     field = cp.synth_channels(grid, syn["background"], syn["contrast"],
                               n_channels=syn["n_channels"],
                               n_inclusions=syn["n_inclusions"],
                               seed=syn["seed"])
-    ops = cp.assemble_operators(grid, field, pou)
+    ops = cp.assemble_operators(grid, field)
     aux = cp.build_aux_basis(ops, FROZEN["offline"]["modes"])
     space = cp.build_offline_basis(ops, aux, FROZEN["offline"]["layers"])
     time_grid = cp.TimeGrid.from_horizon(FROZEN["time"]["tau"],
                                          FROZEN["time"]["T"])
     fine = cp.run(ops, time_grid, constant_source, bump_pressure)
-    return SimpleNamespace(grid=grid, pou=pou, field=field, ops=ops, aux=aux,
+    return SimpleNamespace(grid=grid, field=field, ops=ops, aux=aux,
                            space=space, time_grid=time_grid, fine=fine,
                            source=constant_source, p0=bump_pressure)
 

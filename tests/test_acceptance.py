@@ -35,8 +35,7 @@ def test_criterion_01_full_space_trajectory_matches_fine():
     grid = cp.build_grids(4, 4, 4)
     field = cp.synth_channels(grid, 1.0, 1e3, n_channels=2, n_inclusions=4,
                               seed=3)
-    pou = cp.partition_of_unity(grid)
-    ops = cp.assemble_operators(grid, field, pou)
+    ops = cp.assemble_operators(grid, field)
     nodes_per_cell = (grid.refinement + 1) ** 2
     aux = cp.build_aux_basis(ops, 2 * nodes_per_cell, nodes_per_cell)
     space = build_global_basis_oracle(ops, aux)
@@ -150,8 +149,7 @@ def test_criterion_04_offline_localization_decay():
     ones = np.ones(grid.n_fine_cells)
     field = cp.MaterialField(grid, ones, ones, poisson=0.2, alpha=0.9,
                              biot_modulus=1.0, viscosity=1.0)
-    pou = cp.partition_of_unity(grid)
-    ops = cp.assemble_operators(grid, field, pou)
+    ops = cp.assemble_operators(grid, field)
     aux = cp.build_aux_basis(ops, 3)
     summary = []
     for element in (0, 4, 44):
@@ -361,8 +359,7 @@ def test_criterion_09_indicators_match_brute_force():
     grid = cp.build_grids(2, 2, 4)
     field = cp.synth_channels(grid, 1.0, 1e3, n_channels=1, n_inclusions=2,
                               seed=2)
-    pou = cp.partition_of_unity(grid)
-    ops = cp.assemble_operators(grid, field, pou)
+    ops = cp.assemble_operators(grid, field)
     aux = cp.build_aux_basis(ops, 2)
     space = cp.build_offline_basis(ops, aux, 1)
     tg = cp.TimeGrid(0.25, 2)

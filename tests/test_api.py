@@ -8,7 +8,8 @@ quasi-definite block only in `timestepping.FineSolver._factorize` (SuperLU)
 and a projected coarse matrix only in
 `timestepping.CoarseSolver.set_space` (`PivotedCholesky`, LAPACK pstrf),
 a local eigenproblem is solved only by `spectral._deflated_eigh`, and only
-`assembly` takes a triangle of a sparse form."""
+`assembly` takes a triangle of a sparse form. README's library quick start
+runs as written, on a smaller mesh."""
 
 import ast
 import importlib
@@ -22,8 +23,8 @@ import cemporo
 
 PKG = os.path.dirname(cemporo.__file__)
 MODULES = sorted(f[:-3] for f in os.listdir(PKG) if f.endswith(".py"))
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 # traced names whose code is gone; their per-layer metrics read 0
 KNOWN_GONE = {"assembly.restrict"}
 
@@ -290,3 +291,18 @@ def test_forms_are_symmetrized_only_in_assembly():
                if callee in ("scipy.sparse.tril", "scipy.sparse.triu")}
     assert {caller.split(".")[0] for caller in callers} == {"assembly"}, \
         sorted(callers)
+
+
+def test_readme_quick_start_runs():
+    # a signature change that breaks the documented example fails here; the
+    # 3x3 mesh of refinement 3 keeps it to a second
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        section = fh.read().split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    full = "cp.build_grids(10, 10, 10)"
+    assert full in code
+    scope = {}
+    exec(compile(code.replace(full, "cp.build_grids(3, 3, 3)"), "README.md",
+                 "exec"), scope)
+    assert scope["ops"].grid.n_fine_cells == 81
+    assert 0.0 < scope["err_u"] < 1.0 and 0.0 < scope["err_p"] < 1.0

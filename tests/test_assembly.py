@@ -32,8 +32,9 @@ def _shapes(xi, eta):
     return n, dxi, deta
 
 
-def _oracle_matrices(grid, field, pou):
-    """Loop-and-accumulate assembly of every global form, all nodes."""
+def _oracle_matrices(grid, field, pou, cells=None):
+    """Loop-and-accumulate assembly of every form over the given fine cells
+    (all of them by default), all nodes."""
     nn = grid.n_fine_nodes
     A_u = np.zeros((2 * nn, 2 * nn))
     A_p = np.zeros((nn, nn))
@@ -42,7 +43,7 @@ def _oracle_matrices(grid, field, pou):
     S_p = np.zeros((nn, nn))
     D = np.zeros((nn, 2 * nn))
     hx, hy = grid.hx, grid.hy
-    for c in range(grid.n_fine_cells):
+    for c in range(grid.n_fine_cells) if cells is None else cells:
         nodes = grid.fine_cell_nodes([c])[0]
         udofs = np.column_stack([2 * nodes, 2 * nodes + 1]).ravel()
         lam = field.lam[c]
@@ -97,7 +98,7 @@ def setup():
     kappa = np.exp(rng.normal(size=grid.n_fine_cells))
     field = MaterialField(grid, E, kappa, 0.28, 0.7, 2.0, 1.5)
     pou = partition_of_unity(grid)
-    ops = assemble_operators(grid, field, pou)
+    ops = assemble_operators(grid, field)
     return grid, field, pou, ops
 
 
@@ -114,6 +115,33 @@ def test_all_forms_match_oracle(setup):
                         S_p[np.ix_(d.p_nodes, d.p_nodes)], atol=1e-10)
     npt.assert_allclose(ops.coupling.toarray(),
                         D[np.ix_(d.p_nodes, d.u_dofs)], atol=1e-13)
+
+
+def test_local_forms_match_oracle(setup):
+    # the Neumann forms of each coarse cell, over all of its nodes, are the
+    # oracle's sums over that cell's fine cells alone
+    grid, field, pou, ops = setup
+    for e in range(grid.n_coarse_cells):
+        cells = grid.fine_cells_of_coarse_cell(e)
+        A_u, A_p, _, S_u, S_p, _ = _oracle_matrices(grid, field, pou, cells)
+        nodes, mats = ops.local_matrices(cells)
+        npt.assert_array_equal(nodes, np.unique(grid.fine_cell_nodes(cells)))
+        ip, iu = np.ix_(nodes, nodes), np.ix_(*[layout(nodes, "u")] * 2)
+        npt.assert_allclose(mats["stiff_u"], A_u[iu], atol=1e-12)
+        npt.assert_allclose(mats["stiff_p"], A_p[ip], atol=1e-13)
+        npt.assert_allclose(mats["aux_u"], S_u[iu], atol=1e-10)
+        npt.assert_allclose(mats["aux_p"], S_p[ip], atol=1e-10)
+
+
+def test_operators_keep_no_element_matrices(setup):
+    # the element matrices live only through the assembly and each
+    # `local_matrices` call; the hats are the grid's own
+    grid, _, _, ops = setup
+    per_cell = [name for name, value in vars(ops).items()
+                if getattr(value, "shape", (None,))[0] == grid.n_fine_cells]
+    assert not per_cell
+    assert "_cell_nodes" not in vars(ops)
+    assert ops.pou.grid is ops.grid
 
 
 def test_interior_restriction(setup):
@@ -158,7 +186,7 @@ def test_stiffness_kernels(setup):
     # kernel of the full elasticity form
     ones = np.ones(grid.n_fine_nodes)
     npt.assert_allclose(ops.stiff_p_full @ ones, 0.0, atol=1e-12)
-    xy = grid.fine_node_xy()
+    xy = grid.fine_node_xy(np.arange(grid.n_fine_nodes))
     for ux, uy in ((np.ones_like(xy[:, 0]), np.zeros_like(xy[:, 0])),
                    (np.zeros_like(xy[:, 0]), np.ones_like(xy[:, 0])),
                    (-xy[:, 1], xy[:, 0])):
@@ -179,7 +207,7 @@ def test_coupling_divergence_identity(setup):
     # load vector of the unit source; the interior coupling leaves out the
     # boundary values, so compare at nodes with no boundary neighbour
     d = ops.dofs
-    xy = grid.fine_node_xy()
+    xy = grid.fine_node_xy(np.arange(grid.n_fine_nodes))
     u = np.column_stack([xy[:, 0], np.zeros(grid.n_fine_nodes)]).ravel()
     unit_load = assemble_load(grid, lambda t, x, y: np.ones_like(x))
     j, i = np.divmod(d.p_nodes, grid.nfx + 1)
@@ -201,7 +229,7 @@ def test_single_cell_laplacian_stencil():
     # 2/3, edge neighbours -1/6, opposite corner -1/3 (size independent)
     grid = build_grids(1, 1, 1)
     field = MaterialField(grid, [1.0], [1.0], 0.2, 0.9, 1.0, 1.0)
-    ops = assemble_operators(grid, field, partition_of_unity(grid))
+    ops = assemble_operators(grid, field)
     expected = np.array([[4.0, -1.0, -1.0, -2.0],
                          [-1.0, 4.0, -2.0, -1.0],
                          [-1.0, -2.0, 4.0, -1.0],
@@ -213,7 +241,7 @@ def test_field_of_another_grid_is_refused():
     grid = build_grids(2, 2, 2)
     field = synth_channels(build_grids(3, 2, 2), 1.0, 10.0, seed=1)
     with pytest.raises(ValueError, match="different grid"):
-        assemble_operators(grid, field, partition_of_unity(grid))
+        assemble_operators(grid, field)
 
 
 def test_load_constant_and_sine():
@@ -282,7 +310,7 @@ def test_patch_restriction_submatrix(setup):
 def test_disjoint_patch_union_is_block_diagonal():
     grid = build_grids(4, 4, 2)
     field = synth_channels(grid, 1.0, 10.0, seed=2)
-    ops = assemble_operators(grid, field, partition_of_unity(grid))
+    ops = assemble_operators(grid, field)
     a = oversample_element(grid, 0, 0)
     b = oversample_element(grid, 15, 0)
     idx_a, idx_b = (ops.dofs.index(q.interior_fine_nodes, "p")

@@ -11,7 +11,7 @@ from cemporo import cembasis, timestepping
 from cemporo.assembly import assemble_operators
 from cemporo.cembasis import (BandedCholesky, NumericalFailure, PatchSolver,
                               build_offline_basis)
-from cemporo.grid import build_grids, oversample_element, partition_of_unity
+from cemporo.grid import build_grids, oversample_element
 from cemporo.material import synth_channels
 from cemporo.spectral import build_aux_basis
 from cemporo.timestepping import CoarseSolver
@@ -24,8 +24,7 @@ from oracles import (build_element_basis, build_global_basis_oracle,
 def setup():
     grid = build_grids(4, 4, 2)
     field = synth_channels(grid, 1.0, 100.0, seed=6)
-    pou = partition_of_unity(grid)
-    ops = assemble_operators(grid, field, pou)
+    ops = assemble_operators(grid, field)
     aux = build_aux_basis(ops, 2)
     return grid, ops, aux
 
@@ -127,7 +126,7 @@ def test_basis_dimensions_and_origins(setup):
 def test_columns_decay_with_layers():
     grid = build_grids(6, 6, 3)
     field = synth_channels(grid, 1.0, 1.0, n_channels=0, n_inclusions=0)
-    ops = assemble_operators(grid, field, partition_of_unity(grid))
+    ops = assemble_operators(grid, field)
     aux = build_aux_basis(ops, 3)
     for family, A in (("u", ops.stiff_u), ("p", ops.stiff_p)):
         mats = {}

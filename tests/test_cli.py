@@ -441,6 +441,11 @@ def test_report_command(tmp_path, capsys):
     assert main(["report", "--history", str(empty)]) == 1
     assert "configuration error: cannot read history: empty history" \
         in capsys.readouterr().err
+    short = tmp_path / "short.csv"
+    short.write_text(open(path).read() + "10,1,431\n")
+    assert main(["report", "--history", str(short)]) == 1
+    assert "configuration error: cannot read history" \
+        in capsys.readouterr().err
 
 
 def test_cli_runs_artifacts(cli_runs):

@@ -46,6 +46,19 @@ def test_invalid_sizes():
         GridPair(2, 2, 0)
 
 
+@pytest.mark.parametrize("counts", [(2.5, 2, 2), (True, 2, 2), (2, 2.0, 2),
+                                    (2, 2, np.float64(3.0))])
+def test_non_integral_counts_are_refused(counts):
+    # a float or a bool would otherwise be truncated to some other mesh
+    with pytest.raises(TypeError, match="integers"):
+        build_grids(*counts)
+
+
+def test_numpy_integer_counts_are_accepted():
+    g = build_grids(np.int64(3), 2, np.int32(2))
+    assert (g.ncx, g.ncy, g.refinement) == (3, 2, 2)
+
+
 def test_fine_cell_nodes_order():
     # on a 1x1 coarse grid refined 4x, cell 5 sits at (i=1, j=1)
     g = build_grids(1, 1, 4)

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from cemporo.assembly import assemble_load, assemble_operators
 from cemporo.cembasis import PatchSolver, build_offline_basis, patch_nodes
 from cemporo.grid import (Patch, PartitionOfUnity, build_grids,
-                          oversample_element, oversample_neighborhood,
-                          partition_of_unity)
+                          oversample_element, oversample_neighborhood)
 from cemporo.material import MaterialField, synth_channels
 from cemporo.online import (Enricher, OnlineConfig, ResidualSet,
                             compute_residuals, select_regions)
@@ -33,8 +32,7 @@ def _p0(x, y):
 def setup():
     grid = build_grids(3, 3, 3)
     field = synth_channels(grid, 1.0, 1e3, seed=4)
-    pou = partition_of_unity(grid)
-    ops = assemble_operators(grid, field, pou)
+    ops = assemble_operators(grid, field)
     aux = build_aux_basis(ops, 2)
     space = build_offline_basis(ops, aux, 1)
     tg = TimeGrid(0.1, 2)
@@ -42,14 +40,14 @@ def setup():
     loads = [None] + [
         ops.dofs.restrict_p(assemble_load(ops.grid, _source, tg.t(n)))
         for n in (1, 2)]
-    return ops, aux, pou, space, tg, fine, loads
+    return ops, aux, space, tg, fine, loads
 
 
 # ---- residuals -----------------------------------------------------------
 
 
 def test_residual_dense_oracle(setup):
-    ops, _, _, _, tg, fine, loads = setup
+    ops, _, _, tg, fine, loads = setup
     rng = np.random.default_rng(3)
     state = fine[1]
     prev = fine[0]
@@ -68,7 +66,7 @@ def test_residual_dense_oracle(setup):
 
 
 def test_fine_solution_has_zero_residual(setup):
-    ops, _, pou, _, tg, fine, loads = setup
+    ops, _, _, tg, fine, loads = setup
     res = compute_residuals(ops, tg.tau, fine[2], fine[1], loads[2])
     scale = np.linalg.norm(loads[2])
     assert np.linalg.norm(res.r_u) <= 1e-10 * scale
@@ -76,7 +74,7 @@ def test_fine_solution_has_zero_residual(setup):
 
 
 def test_enrichment_is_noop_on_fine_solution(setup):
-    ops, aux, pou, space, tg, fine, loads = setup
+    ops, aux, space, tg, fine, loads = setup
     solver = CoarseSolver(ops, space.copy(), tg.tau)
     enr = Enricher(ops, aux, OnlineConfig(theta=0.3, gamma=0.3, layers=1))
     n_u, n_p = solver.space.n_u, solver.space.n_p
@@ -90,7 +88,7 @@ def test_enrichment_is_noop_on_fine_solution(setup):
 def test_enrich_once_on_zero_data_keeps_the_state(setup):
     # a zero state with zero loads leaves no residual, so no region is
     # picked and nothing reaches the filter
-    ops, aux, pou, space, tg, fine, loads = setup
+    ops, aux, space, tg, fine, loads = setup
     solver = CoarseSolver(ops, space.copy(), tg.tau)
     prev, zero = (State(n, np.zeros(ops.dofs.n_u), np.zeros(ops.dofs.n_p))
                   for n in (0, 1))
@@ -161,7 +159,7 @@ def test_select_regions_monotone_in_bulk(values, b1, b2):
 
 
 def test_global_norms_dense_oracle(setup):
-    ops, aux, pou, _, tg, fine, loads = setup
+    ops, aux, _, tg, fine, loads = setup
     coarse = run(ops, tg, _source, _p0, solver=CoarseSolver(
         ops, build_offline_basis(ops, aux, 1), tg.tau))
     res = compute_residuals(ops, tg.tau, coarse[1], coarse[0], loads[1])
@@ -175,7 +173,7 @@ def test_global_norms_dense_oracle(setup):
 
 
 def test_indicator_regions_by_strategy(setup):
-    ops, aux, pou, space, tg, fine, loads = setup
+    ops, aux, space, tg, fine, loads = setup
     coarse = run(ops, tg, _source, _p0,
                  solver=CoarseSolver(ops, space.copy(), tg.tau))
     for strategy, expected in (
@@ -194,7 +192,7 @@ def test_indicator_regions_by_strategy(setup):
 
 
 def test_online_column_defining_equation(setup):
-    ops, aux, pou, space, tg, fine, loads = setup
+    ops, aux, space, tg, fine, loads = setup
     coarse = run(ops, tg, _source, _p0,
                  solver=CoarseSolver(ops, space.copy(), tg.tau))
     res = compute_residuals(ops, tg.tau, coarse[1], coarse[0], loads[1])
@@ -218,7 +216,7 @@ def test_online_column_defining_equation(setup):
 
 
 def test_online_column_deterministic(setup):
-    ops, aux, pou, space, tg, fine, loads = setup
+    ops, aux, space, tg, fine, loads = setup
     coarse = run(ops, tg, _source, _p0,
                  solver=CoarseSolver(ops, space.copy(), tg.tau))
     res = compute_residuals(ops, tg.tau, coarse[1], coarse[0], loads[1])
@@ -236,7 +234,7 @@ def test_online_column_deterministic(setup):
 def test_online_column_reads_only_its_patch(setup, monkeypatch, strategy):
     # the residual weights are evaluated at the patch's interior nodes only,
     # never over the whole grid
-    ops, aux, pou, space, tg, fine, loads = setup
+    ops, aux, space, tg, fine, loads = setup
     counts = []
 
     def recorded(method):
@@ -265,7 +263,7 @@ def test_online_column_reads_only_its_patch(setup, monkeypatch, strategy):
 
 
 def test_enrich_once_decreases_dual_norms(setup):
-    ops, aux, pou, space, tg, fine, loads = setup
+    ops, aux, space, tg, fine, loads = setup
     solver = CoarseSolver(ops, space.copy(), tg.tau)
     states = run(ops, tg, _source, _p0, solver=solver)
     enr = Enricher(ops, aux,
@@ -290,7 +288,7 @@ def test_online_columns_have_unit_energy_at_any_load_scale(setup):
     # scaling the state, the previous state and the load by a power of two
     # scales every residual exactly; the appended columns must not change by
     # one bit, down to a residual 2^-40 times that of the unit load
-    ops, aux, pou, space, tg, fine, loads = setup
+    ops, aux, space, tg, fine, loads = setup
     states = run(ops, tg, _source, _p0,
                  solver=CoarseSolver(ops, space.copy(), tg.tau))
     appended = []
@@ -333,7 +331,7 @@ def _dense_filter(A, R, columns, current):
 
 
 def test_filter_matches_dense_least_squares(setup):
-    ops, aux, pou, space, tg, fine, loads = setup
+    ops, aux, space, tg, fine, loads = setup
     rng = np.random.default_rng(3)
     enr = Enricher(ops, aux, OnlineConfig())
     for family in "up":
@@ -366,7 +364,7 @@ def test_filter_matches_dense_least_squares(setup):
 
 
 def test_adaptive_loop_zero_iterations(setup):
-    ops, aux, pou, space, tg, fine, loads = setup
+    ops, aux, space, tg, fine, loads = setup
     solver = CoarseSolver(ops, space.copy(), tg.tau)
     states = run(ops, tg, _source, _p0, solver=solver)
     enr = Enricher(ops, aux, OnlineConfig(iterations=0))
@@ -381,7 +379,7 @@ def test_adaptive_loop_zero_iterations(setup):
 
 
 def test_adaptive_loop_history_and_tolerance(setup):
-    ops, aux, pou, space, tg, fine, loads = setup
+    ops, aux, space, tg, fine, loads = setup
     solver = CoarseSolver(ops, space.copy(), tg.tau)
     states = run(ops, tg, _source, _p0, solver=solver)
     enr = Enricher(ops, aux,
@@ -410,7 +408,7 @@ def test_adaptive_loop_history_and_tolerance(setup):
 
 
 def test_adaptive_loop_stagnation_guard_stops_fixed_loop(setup):
-    ops, aux, pou, space, tg, fine, loads = setup
+    ops, aux, space, tg, fine, loads = setup
     solver = CoarseSolver(ops, space.copy(), tg.tau)
     states = run(ops, tg, _source, _p0, solver=solver)
     res = compute_residuals(ops, tg.tau, states[1], states[0], loads[1])
@@ -426,7 +424,7 @@ def test_adaptive_loop_stagnation_guard_stops_fixed_loop(setup):
 
 
 def test_adaptive_loop_tolerance_loop_iterates_to_tol(setup):
-    ops, aux, pou, space, tg, fine, loads = setup
+    ops, aux, space, tg, fine, loads = setup
 
     def loop(cfg):
         solver = CoarseSolver(ops, space.copy(), tg.tau)
@@ -455,8 +453,7 @@ def test_patch_without_interior_unknowns_is_rejected():
     grid = build_grids(2, 2, 1)
     ones = np.ones(grid.n_fine_cells)
     field = MaterialField(grid, ones, ones, 0.2, 0.9, 1.0, 1.0)
-    pou = partition_of_unity(grid)
-    ops = assemble_operators(grid, field, pou)
+    ops = assemble_operators(grid, field)
     aux = build_aux_basis(ops, 1)
     patch = oversample_element(grid, 0, 0)
     assert patch.interior_fine_nodes.size == 0

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from cemporo.assembly import assemble_operators
-from cemporo.grid import build_grids, partition_of_unity
+from cemporo.grid import build_grids
 from cemporo.material import MaterialField
 from cemporo.report import (EnrichmentHistory, energy_errors,
                             export_field_snapshots, render_percent)
@@ -18,7 +18,7 @@ def ops():
     ones = np.ones(grid.n_fine_cells)
     field = MaterialField(grid, ones, ones, poisson=0.2, alpha=0.9,
                           biot_modulus=1.0, viscosity=1.0)
-    return assemble_operators(grid, field, partition_of_unity(grid))
+    return assemble_operators(grid, field)
 
 
 def _random_state(ops, seed, n=1):
@@ -107,6 +107,28 @@ def test_history_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
     with pytest.raises(ValueError, match="empty history"):
+        EnrichmentHistory.from_csv(str(path))
+
+
+def _two_row_history(path, second):
+    """A valid two-row history file whose second data row is replaced."""
+    rows = [{"level": 10, "iteration": i, "n_u": 862, "n_p": 431,
+             "err_u": 0.5, "err_p": 0.25, "eta_u": 1.0, "eta_p": 1.0,
+             "eta": 2.0, "added_u": 0, "added_p": 0} for i in (0, 1)]
+    EnrichmentHistory(rows).to_csv(str(path))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + [second(lines[2])]) + "\n")
+
+
+@pytest.mark.parametrize("second", [lambda line: "10,1,431",
+                                    lambda line: line + ",7,8"],
+                         ids=["short", "long"])
+def test_history_rejects_row_of_wrong_length(tmp_path, second):
+    # each row must carry exactly the header's fields: a short row would
+    # lose its trailing columns, a long one would pass as valid
+    path = tmp_path / "history.csv"
+    _two_row_history(path, second)
+    with pytest.raises(ValueError, match="line 3 has (3|13) fields"):
         EnrichmentHistory.from_csv(str(path))
 
 

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 
 from cemporo import spectral
 from cemporo.assembly import assemble_operators
-from cemporo.grid import build_grids, partition_of_unity
+from cemporo.grid import build_grids
 from cemporo.material import synth_channels
 from cemporo.spectral import (AuxBasis, build_aux_basis,
                               solve_local_spectral, spectral_diagnostics)
@@ -19,8 +19,7 @@ from oracles import project_pi
 def setup():
     grid = build_grids(3, 3, 3)
     field = synth_channels(grid, 1.0, 1e3, seed=4)
-    pou = partition_of_unity(grid)
-    ops = assemble_operators(grid, field, pou)
+    ops = assemble_operators(grid, field)
     return grid, ops
 
 
@@ -159,7 +158,7 @@ def test_projection_family_validation(setup):
 def test_diagnostics_homogeneous_equal_gaps():
     grid = build_grids(4, 4, 3)
     field = synth_channels(grid, 1.0, 1.0, n_channels=0, n_inclusions=0)
-    ops = assemble_operators(grid, field, partition_of_unity(grid))
+    ops = assemble_operators(grid, field)
     aux = build_aux_basis(ops, 3)
     gaps_u = [spec.eigvals_u[3] for spec in aux.spectra]
     gaps_p = [spec.eigvals_p[3] for spec in aux.spectra]

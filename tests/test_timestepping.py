@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from cemporo.assembly import assemble_load, assemble_operators
 from cemporo import timestepping
 from cemporo.cembasis import build_offline_basis
-from cemporo.grid import build_grids, partition_of_unity
+from cemporo.grid import build_grids
 from cemporo.material import MaterialField, synth_channels
 from cemporo.online import compute_residuals
 from cemporo.report import energy_errors
@@ -38,8 +38,7 @@ def _fine_initial(ops, p0):
 def setup():
     grid = build_grids(3, 3, 3)
     field = synth_channels(grid, 1.0, 50.0, seed=9)
-    pou = partition_of_unity(grid)
-    ops = assemble_operators(grid, field, pou)
+    ops = assemble_operators(grid, field)
     return grid, ops
 
 
@@ -107,8 +106,7 @@ def test_wide_mesh_band_solves_dense_oracle():
     # with nfx != nfy the global forms are banded in the x-fastest
     # numbering, a band as wide as a row of the mesh
     grid = build_grids(3, 2, 3)
-    ops = assemble_operators(grid, synth_channels(grid, 1.0, 50.0, seed=9),
-                             partition_of_unity(grid))
+    ops = assemble_operators(grid, synth_channels(grid, 1.0, 50.0, seed=9))
     assert grid.nfx != grid.nfy
     rng = np.random.default_rng(0)
     for form in (ops.stiff_u, ops.stiff_p, ops.mass_p):
@@ -183,7 +181,7 @@ def test_fine_step_factor_keeps_diagonal_pivots(setup):
 def test_full_auxiliary_space_reproduces_fine():
     grid = build_grids(2, 2, 2)
     field = synth_channels(grid, 1.0, 10.0, seed=1)
-    ops = assemble_operators(grid, field, partition_of_unity(grid))
+    ops = assemble_operators(grid, field)
     # every local eigenfunction of every cell: the multiscale space spans
     # the whole fine space and the trajectories must coincide
     nodes_per_cell = (grid.refinement + 1) ** 2
@@ -405,7 +403,7 @@ def test_redundant_space_solves_at_numerical_rank():
     grid = build_grids(4, 4, 4)
     field = synth_channels(grid, 1.0, 1e3, n_channels=2, n_inclusions=4,
                            seed=3)
-    ops = assemble_operators(grid, field, partition_of_unity(grid))
+    ops = assemble_operators(grid, field)
     nodes_per_cell = (grid.refinement + 1) ** 2
     aux = build_aux_basis(ops, 2 * nodes_per_cell, nodes_per_cell)
     space = build_global_basis_oracle(ops, aux)
