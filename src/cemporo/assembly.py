@@ -157,9 +157,14 @@ class OperatorSet:
     element matrix outlives the assembly: `local_matrices` recomputes those
     of the fine cells it is given. Each square form keeps the lower triangle
     of its assembly, mirrored (`_mirror_lower`), so it is exactly symmetric.
+    A field built for another grid is refused with a ValueError.
     """
 
     def __init__(self, grid, field):
+        if field.grid is not grid and (field.grid.ncx, field.grid.ncy,
+                                       field.grid.refinement) != (
+                                           grid.ncx, grid.ncy, grid.refinement):
+            raise ValueError("field was built for a different grid")
         self.grid = grid
         self.field = field
         self.pou = partition_of_unity(grid)
@@ -281,10 +286,6 @@ class OperatorSet:
 
 
 def assemble_operators(grid, field):
-    if field.grid is not grid and (field.grid.ncx, field.grid.ncy,
-                                   field.grid.refinement) != (
-                                       grid.ncx, grid.ncy, grid.refinement):
-        raise ValueError("field was built for a different grid")
     return OperatorSet(grid, field)
 
 

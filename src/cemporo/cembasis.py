@@ -157,10 +157,11 @@ class MultiscaleSpace:
 
     `basis_u` and `basis_p` are CSC matrices that act from coarse
     coefficients to the interior fine unknowns of their family. An offline
-    space numbers each family's columns element-major: column e * modes + j
-    is seeded by auxiliary mode j of coarse cell e. `append` is the only
-    change a space undergoes after construction, so a space's columns are
-    always a prefix of its later columns.
+    space numbers each family's columns as the auxiliary basis does: column
+    j is seeded by auxiliary column j, and `AuxBasis.columns_in_cells` says
+    which columns a coarse cell seeded. `append` is the only change a space
+    undergoes after construction, so a space's columns are always a prefix
+    of its later columns.
     """
 
     def __init__(self, basis_u, basis_p):
@@ -194,8 +195,8 @@ def build_offline_basis(ops, aux, layers):
     Elements whose patches share a rectangle share one factorization: their
     columns, seeded by their columns of U, are solved in one batch, and the
     factorization is freed before the next one is built. Each family's basis
-    is assembled from the columns' patch values, element-major (column
-    e * modes + j).
+    is assembled from the columns' patch values, as wide as the auxiliary
+    space, column j seeded by auxiliary column j.
     """
     grid = ops.grid
     patches = [oversample_element(grid, e, layers)
@@ -205,7 +206,6 @@ def build_offline_basis(ops, aux, layers):
         groups.setdefault(patch.rect, []).append(e)
     bases = []
     for family in ("u", "p"):
-        count = aux.modes(family)
         rows, cols, vals = [], [], []
         for elements in groups.values():
             solver = PatchSolver(ops, aux, patches[elements[0]], family)
@@ -219,5 +219,5 @@ def build_offline_basis(ops, aux, layers):
             del solver
         bases.append(sp.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(ops.dofs.size(family), count * grid.n_coarse_cells)))
+            shape=aux.columns(family).shape))
     return MultiscaleSpace(*bases)

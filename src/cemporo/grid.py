@@ -123,6 +123,8 @@ class Patch:
 def _expand_rect(grid, cx0, cx1, cy0, cy1, layers):
     """The patch of the rectangle grown by `layers` rings of coarse cells,
     clipped to the grid."""
+    if not isinstance(layers, numbers.Integral) or isinstance(layers, bool):
+        raise TypeError("layers must be an integer")
     if layers < 0:
         raise ValueError("layers must be nonnegative")
     return Patch(grid, max(cx0 - layers, 0), min(cx1 + layers, grid.ncx - 1),

@@ -7,6 +7,8 @@ The lowest J eigenfunctions per cell form the auxiliary space used to pin
 down the multiscale basis.
 """
 
+import numbers
+
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
@@ -94,51 +96,52 @@ class AuxBasis:
     """Auxiliary space: the retained local eigenfunctions of every coarse cell.
 
     R_u / R_p hold the zero-extended eigenvectors as columns over interior
-    unknowns, n_u / n_p the modes kept per cell; `columns(family)` and
-    `modes(family)` give them by family.
+    unknowns, cell by cell, as many as each cell's eigensolve kept of the
+    n_u / n_p asked for; owner_u / owner_p hold the coarse cell of each
+    column. `columns(family)` and `columns_in_cells` read them by family.
     """
 
     def __init__(self, ops, n_u, n_p=None):
         if n_p is None:
             n_p = n_u
-        self.n_u = int(n_u)
-        self.n_p = int(n_p)
-        if self.n_u < 1 or self.n_p < 1:
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for v in (n_u, n_p)):
+            raise TypeError("mode counts must be integers")
+        if n_u < 1 or n_p < 1:
             raise ValueError("need at least one eigenfunction per family")
-        self.spectra = [solve_local_spectral(ops, e, self.n_u, self.n_p)
+        self.spectra = [solve_local_spectral(ops, e, n_u, n_p)
                         for e in range(ops.grid.n_coarse_cells)]
-        self.R_u = self._collect(ops.dofs, "u")
-        self.R_p = self._collect(ops.dofs, "p")
+        self.R_u, self.owner_u = self._collect(ops.dofs, "u")
+        self.R_p, self.owner_p = self._collect(ops.dofs, "p")
 
     def columns(self, family):
         """The family's auxiliary columns, R_u or R_p."""
         return getattr(self, "R_" + check_family(family))
 
-    def modes(self, family):
-        """Eigenfunctions kept per coarse cell for the family."""
-        return getattr(self, "n_" + check_family(family))
-
     def _collect(self, d, family):
-        rows, cols, vals = [], [], []
-        count = self.modes(family)
+        rows, cols, vals, owner = [], [], [], []
         for e, spec in enumerate(self.spectra):
             pos = d.node_positions(spec.nodes)
             keep = np.flatnonzero(pos >= 0)
             dof = layout(pos[keep], family)
             vecs = getattr(spec, "vecs_" + family)[layout(keep, family)]
+            count = vecs.shape[1]
             rows.append(np.tile(dof, count))
-            cols.append(np.repeat(e * count + np.arange(count), dof.size))
-            vals.append(vecs[:, :count].T.ravel())
-        total = len(self.spectra) * count
-        return sp.csc_matrix(
+            cols.append(np.repeat(len(owner) + np.arange(count), dof.size))
+            vals.append(vecs.T.ravel())
+            owner += [e] * count
+        R = sp.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(d.size(family), total))
+            shape=(d.size(family), len(owner)))
+        return R, np.array(owner)
 
     def columns_in_cells(self, family, cell_set):
-        """Column indices of eigenfunctions whose coarse cell lies in cell_set."""
-        count = self.modes(family)
-        cells = np.asarray(sorted(cell_set))
-        return (cells[:, None] * count + np.arange(count)[None, :]).ravel()
+        """Column indices, ascending, of the eigenfunctions whose coarse cell
+        lies in cell_set."""
+        owner = getattr(self, "owner_" + check_family(family))
+        inside = np.zeros(len(self.spectra), dtype=bool)
+        inside[list(cell_set)] = True
+        return np.flatnonzero(inside[owner])
 
 
 def build_aux_basis(ops, n_u, n_p=None):
@@ -167,11 +170,12 @@ class SpectralDiagnostics:
 
 
 def spectral_diagnostics(aux):
-    ex_u = min(spec.eigvals_u[aux.n_u] if aux.n_u < spec.eigvals_u.size
-               else np.inf for spec in aux.spectra)
-    ex_p = min(spec.eigvals_p[aux.n_p] if aux.n_p < spec.eigvals_p.size
-               else np.inf for spec in aux.spectra)
-    # the local kernels are three rigid motions and one constant; keeping
-    # fewer modes leaves a zero in the excluded block
-    degenerate = aux.n_u < 3 or ex_u <= 0.0 or ex_p <= 0.0
-    return SpectralDiagnostics(min(ex_u, ex_p), degenerate)
+    excluded = [w[v.shape[1]] if v.shape[1] < w.size else np.inf
+                for spec in aux.spectra
+                for w, v in ((spec.eigvals_u, spec.vecs_u),
+                             (spec.eigvals_p, spec.vecs_p))]
+    # the local kernels are three rigid motions and one constant; a cell
+    # keeping fewer modes leaves a zero in its excluded block
+    degenerate = (min(spec.vecs_u.shape[1] for spec in aux.spectra) < 3
+                  or min(excluded) <= 0.0)
+    return SpectralDiagnostics(min(excluded), degenerate)

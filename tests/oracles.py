@@ -19,10 +19,9 @@ def build_element_basis(ops, aux, family, element, layers):
     instead."""
     patch = oversample_element(ops.grid, element, layers)
     solver = cembasis.PatchSolver(ops, aux, patch, family)
-    count = aux.modes(family)
-    cols = np.zeros((ops.dofs.size(family), count))
-    for j in range(count):
-        pos = np.searchsorted(solver.aux_cols, element * count + j)
+    seeds = aux.columns_in_cells(family, [element])
+    cols = np.zeros((ops.dofs.size(family), seeds.size))
+    for j, pos in enumerate(np.searchsorted(solver.aux_cols, seeds)):
         cols[solver.index, j] = solver.solve(
             solver.U[:, pos].toarray().ravel())
     return sp.csc_matrix(cols)

@@ -80,28 +80,27 @@ def test_criterion_03_basis_defining_identities(frozen):
     space = frozen.space
     worst = 0.0
     checked = 0
-    for family, basis, count in (("u", space.basis_u, aux.n_u),
-                                 ("p", space.basis_p, aux.n_p)):
-        assert basis.shape[1] == ops.grid.n_coarse_cells * count
-        rect = solver = None
-        for i in range(basis.shape[1]):
-            # column i is seeded by mode i % count of element i // count,
-            # which is auxiliary column i
-            patch = oversample_element(ops.grid, i // count,
+    for family, basis in (("u", space.basis_u), ("p", space.basis_p)):
+        # each auxiliary column belongs to one element, element by element,
+        # and offline column i is seeded by auxiliary column i
+        seeds = [aux.columns_in_cells(family, [e])
+                 for e in range(ops.grid.n_coarse_cells)]
+        assert np.array_equal(np.concatenate(seeds),
+                              np.arange(aux.columns(family).shape[1]))
+        assert basis.shape[1] == aux.columns(family).shape[1]
+        for e, cols in enumerate(seeds):
+            patch = oversample_element(ops.grid, e,
                                        FROZEN["offline"]["layers"])
-            # columns of one element are consecutive: reuse its solver
-            if patch.rect != rect:
-                rect = patch.rect
-                solver = PatchSolver(ops, aux, patch, family)
-            pos = int(np.searchsorted(solver.aux_cols, i))
-            rhs = np.asarray(solver.U[:, pos].todense()).ravel()
-            col = np.asarray(basis[:, i].todense()).ravel()
-            defect = patch_residual(solver, col[solver.index], rhs)
-            rel = defect / np.linalg.norm(rhs)
-            worst = max(worst, rel)
-            assert rel <= 1e-10, \
-                "offline %s column %d defect %.2e" % (family, i, rel)
-            checked += 1
+            solver = PatchSolver(ops, aux, patch, family)
+            for i, pos in zip(cols, np.searchsorted(solver.aux_cols, cols)):
+                rhs = np.asarray(solver.U[:, pos].todense()).ravel()
+                col = np.asarray(basis[:, i].todense()).ravel()
+                defect = patch_residual(solver, col[solver.index], rhs)
+                rel = defect / np.linalg.norm(rhs)
+                worst = max(worst, rel)
+                assert rel <= 1e-10, \
+                    "offline %s column %d defect %.2e" % (family, i, rel)
+                checked += 1
 
     # online columns built from the final-step residual of the plain
     # offline-space trajectory

@@ -5,8 +5,8 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
-from cemporo.assembly import (DofMap, assemble_load, assemble_operators,
-                              layout)
+from cemporo.assembly import (DofMap, OperatorSet, assemble_load,
+                              assemble_operators, layout)
 from cemporo.cembasis import PatchSolver
 from cemporo.grid import build_grids, oversample_element, partition_of_unity
 from cemporo.material import MaterialField, synth_channels
@@ -239,9 +239,13 @@ def test_single_cell_laplacian_stencil():
 
 def test_field_of_another_grid_is_refused():
     grid = build_grids(2, 2, 2)
-    field = synth_channels(build_grids(3, 2, 2), 1.0, 10.0, seed=1)
-    with pytest.raises(ValueError, match="different grid"):
-        assemble_operators(grid, field)
+    # a field with more cells than the grid would fill the grid's cells
+    # from its first values
+    for other in (build_grids(3, 2, 2), build_grids(3, 3, 2)):
+        field = synth_channels(other, 1.0, 10.0, seed=1)
+        for construct in (assemble_operators, OperatorSet):
+            with pytest.raises(ValueError, match="different grid"):
+                construct(grid, field)
 
 
 def test_load_constant_and_sine():

@@ -7,13 +7,13 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
-from cemporo import cembasis, timestepping
+from cemporo import cembasis, spectral, timestepping
 from cemporo.assembly import assemble_operators
 from cemporo.cembasis import (BandedCholesky, NumericalFailure, PatchSolver,
                               build_offline_basis)
 from cemporo.grid import build_grids, oversample_element
 from cemporo.material import synth_channels
-from cemporo.spectral import build_aux_basis
+from cemporo.spectral import build_aux_basis, spectral_diagnostics
 from cemporo.timestepping import CoarseSolver
 
 from oracles import (build_element_basis, build_global_basis_oracle,
@@ -52,24 +52,58 @@ def test_global_patch_matches_dense_solve(setup):
             npt.assert_allclose(mine, expected, atol=1e-11 * scale)
 
 
-def test_offline_columns_satisfy_defining_equation(setup):
-    grid, ops, aux = setup
-    space = build_offline_basis(ops, aux, 1)
+def _assert_defining_equations(ops, aux, space, layers):
+    """Each offline column solves the penalized problem of its own
+    element's patch, seeded by the auxiliary column of the same index."""
     for family, basis in (("u", space.basis_u), ("p", space.basis_p)):
-        rect = solver = None
-        for j in range(basis.shape[1]):
-            # column j is seeded by mode j % 2 of element j // 2, which is
-            # auxiliary column j
-            patch = oversample_element(grid, j // 2, 1)
-            # columns of one element are consecutive: reuse its solver
-            if patch.rect != rect:
-                rect = patch.rect
-                solver = PatchSolver(ops, aux, patch, family)
-            pos = int(np.searchsorted(solver.aux_cols, j))
-            rhs = np.asarray(solver.U[:, pos].todense()).ravel()
-            psi = np.asarray(basis[:, j].todense()).ravel()[solver.index]
-            res = patch_residual(solver, psi, rhs)
-            assert res <= 1e-12 * np.linalg.norm(rhs)
+        for e in range(ops.grid.n_coarse_cells):
+            patch = oversample_element(ops.grid, e, layers)
+            solver = PatchSolver(ops, aux, patch, family)
+            cols = aux.columns_in_cells(family, [e])
+            for j, pos in zip(cols, np.searchsorted(solver.aux_cols, cols)):
+                rhs = np.asarray(solver.U[:, pos].todense()).ravel()
+                psi = np.asarray(basis[:, j].todense()).ravel()[solver.index]
+                res = patch_residual(solver, psi, rhs)
+                assert res <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_offline_columns_satisfy_defining_equation(setup):
+    _, ops, aux = setup
+    _assert_defining_equations(ops, aux, build_offline_basis(ops, aux, 1), 1)
+
+
+def test_kept_counts_may_vary_per_cell(setup, monkeypatch):
+    """The eigensolve, not the requested count, says how many columns a
+    cell owns: here odd cells keep at least one more pressure eigenvector."""
+    grid, ops, _ = setup
+    solve = spectral.solve_local_spectral
+    monkeypatch.setattr(
+        spectral, "solve_local_spectral",
+        lambda ops, e, n_u, n_p: solve(ops, e, n_u, n_p + e % 2))
+    aux = build_aux_basis(ops, 3, 2)
+    kept = np.array([spec.vecs_p.shape[1] for spec in aux.spectra])
+    assert np.all(kept >= 2 + np.arange(grid.n_coarse_cells) % 2)
+    assert np.ptp(kept) > 0
+    assert aux.columns("u").shape[1] == 3 * grid.n_coarse_cells
+    assert aux.columns("p").shape[1] == kept.sum()
+    # cell e owns the kept[e] columns after those of the cells before it
+    first = np.concatenate([[0], np.cumsum(kept)])
+    for cell_set in ([0], [1], [3, 2], [15, 0], []):
+        expected = [j for e in sorted(cell_set)
+                    for j in range(first[e], first[e + 1])]
+        npt.assert_array_equal(aux.columns_in_cells("p", cell_set), expected)
+    npt.assert_array_equal(aux.columns_in_cells("u", [1, 15]),
+                           [3, 4, 5, 45, 46, 47])
+    space = build_offline_basis(ops, aux, 1)
+    assert space.basis_u.shape == aux.columns("u").shape
+    assert space.basis_p.shape == aux.columns("p").shape
+    _assert_defining_equations(ops, aux, space, 1)
+    # the first excluded eigenvalue is each cell's own
+    diag = spectral_diagnostics(aux)
+    assert diag.min_excluded == min(
+        min(spec.eigvals_u[3], spec.eigvals_p[k])
+        for spec, k in zip(aux.spectra, kept))
+    assert not diag.degenerate
 
 
 # on 4x4 cells, 2 layers give 3 distinct patch intervals per direction;
@@ -103,7 +137,8 @@ def test_offline_factors_one_per_rectangle_then_freed(setup, monkeypatch,
         for e in (0, 5, grid.n_coarse_cells - 1):
             expected = build_element_basis(ops, aux, family, e,
                                            depth).toarray()
-            diff = basis[:, 2 * e:2 * e + 2].toarray() - expected
+            cols = aux.columns_in_cells(family, [e])
+            diff = basis[:, cols].toarray() - expected
             assert np.all(np.linalg.norm(diff, axis=0)
                           <= 1e-12 * np.linalg.norm(expected, axis=0))
 
@@ -111,15 +146,20 @@ def test_offline_factors_one_per_rectangle_then_freed(setup, monkeypatch,
 def test_basis_dimensions_and_origins(setup):
     grid, ops, aux = setup
     space = build_offline_basis(ops, aux, 2)
-    assert space.n_u == 2 * grid.n_coarse_cells
-    assert space.n_p == 2 * grid.n_coarse_cells
-    # column j belongs to element j // 2 and is supported on its patch only
+    assert space.n_u == aux.columns("u").shape[1]
+    assert space.n_p == aux.columns("p").shape[1]
+    # each column belongs to the element of its auxiliary column, every
+    # column to one element, and is supported on its patch only
     for family, basis in (("u", space.basis_u), ("p", space.basis_p)):
-        for j in range(basis.shape[1]):
-            patch = oversample_element(grid, j // 2, 2)
+        owned = []
+        for e in range(grid.n_coarse_cells):
+            patch = oversample_element(grid, e, 2)
             inside = ops.dofs.index(patch.interior_fine_nodes, family)
-            col = basis[:, j].toarray().ravel()
-            npt.assert_array_equal(np.delete(col, inside), 0.0)
+            for j in aux.columns_in_cells(family, [e]):
+                col = basis[:, j].toarray().ravel()
+                npt.assert_array_equal(np.delete(col, inside), 0.0)
+                owned.append(j)
+        npt.assert_array_equal(owned, np.arange(basis.shape[1]))
         assert basis.has_sorted_indices
 
 
@@ -147,6 +187,8 @@ def test_build_rejects_negative_layers(setup):
     _, ops, aux = setup
     with pytest.raises(ValueError):
         build_offline_basis(ops, aux, -1)
+    with pytest.raises(TypeError, match="layers"):
+        build_offline_basis(ops, aux, 1.5)
 
 
 def test_space_copy_is_independent(setup):

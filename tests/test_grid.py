@@ -175,6 +175,10 @@ def test_patch_rejects_bad_cells():
     for oversample in (oversample_element, oversample_neighborhood):
         with pytest.raises(ValueError, match="layers"):
             oversample(g, 0, -1)
+        # a fractional depth is no number of rings, and neither is a bool
+        for layers in (1.5, True):
+            with pytest.raises(TypeError, match="layers"):
+                oversample(g, 0, layers)
 
 
 def test_pou_sums_to_one_everywhere():

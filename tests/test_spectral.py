@@ -112,6 +112,12 @@ def test_aux_basis_needs_a_mode_per_family(setup):
     _, ops = setup
     with pytest.raises(ValueError, match="at least one"):
         AuxBasis(ops, 0)
+    # a fractional or boolean count is no number of modes
+    for counts in ((2.7,), (True,), (2, 1.5), (2, False)):
+        with pytest.raises(TypeError, match="integers"):
+            AuxBasis(ops, *counts)
+
+
 def test_aux_basis_shapes(setup):
     grid, ops = setup
     aux = build_aux_basis(ops, 2, 3)
