@@ -178,24 +178,18 @@ class OperatorSet:
         cell_coupling = field.alpha * np.broadcast_to(
             self._ref["cpl"], (nc, 4, 8)).copy()
 
-        nodes = grid.fine_cell_nodes()
-        nn = grid.n_fine_nodes
+        # each family's dofs of every fine cell, and its number of unknowns
+        p = (grid.fine_cell_nodes(), grid.n_fine_nodes)
+        u = (layout(p[0], "u"), 2 * grid.n_fine_nodes)
 
         self.stiff_p_full = _mirror_lower(
-            self._scalar_csr(cell["stiff_p"], nodes, nn))
-        self.mass_p_full = _mirror_lower(
-            self._scalar_csr(cell_mass_p, nodes, nn))
-        aux_p_full = _mirror_lower(
-            self._scalar_csr(cell["aux_p"], nodes, nn))
-        udofs = layout(nodes, "u")
+            self._scalar_csr(cell["stiff_p"], p, p))
+        self.mass_p_full = _mirror_lower(self._scalar_csr(cell_mass_p, p, p))
+        aux_p_full = _mirror_lower(self._scalar_csr(cell["aux_p"], p, p))
         self.stiff_u_full = _mirror_lower(
-            self._scalar_csr(cell["stiff_u"], udofs, 2 * nn))
-        aux_u_full = _mirror_lower(
-            self._scalar_csr(cell["aux_u"], udofs, 2 * nn))
-        rows = np.repeat(nodes, 8, axis=1).ravel()
-        cols = np.tile(udofs, (1, 4)).ravel()
-        coupling_full = sp.csr_matrix(
-            (cell_coupling.ravel(), (rows, cols)), shape=(nn, 2 * nn))
+            self._scalar_csr(cell["stiff_u"], u, u))
+        aux_u_full = _mirror_lower(self._scalar_csr(cell["aux_u"], u, u))
+        coupling_full = self._scalar_csr(cell_coupling, p, u)
 
         d = self.dofs
         self.stiff_u = self.stiff_u_full[d.u_dofs][:, d.u_dofs].tocsr()
@@ -241,11 +235,14 @@ class OperatorSet:
         return getattr(self, "aux_" + check_family(family))
 
     @staticmethod
-    def _scalar_csr(cell_mats, cell_dofs, n):
-        k = cell_dofs.shape[1]
-        rows = np.repeat(cell_dofs, k, axis=1).ravel()
-        cols = np.tile(cell_dofs, (1, k)).ravel()
-        return sp.csr_matrix((cell_mats.ravel(), (rows, cols)), shape=(n, n))
+    def _scalar_csr(cell_mats, rows, cols):
+        """Sum the element matrices into a CSR matrix. `rows` and `cols`
+        are each (cell dofs, one row per cell; number of unknowns)."""
+        (row_dofs, n_rows), (col_dofs, n_cols) = rows, cols
+        i = np.repeat(row_dofs, col_dofs.shape[1], axis=1).ravel()
+        j = np.tile(col_dofs, (1, row_dofs.shape[1])).ravel()
+        return sp.csr_matrix((cell_mats.ravel(), (i, j)),
+                             shape=(n_rows, n_cols))
 
     def local_matrices(self, cells):
         """Assemble the stiffness and spectral weight forms over a subset of
@@ -263,11 +260,10 @@ class OperatorSet:
         cell = self._element_matrices(cells)
         out = {}
         for family in ("u", "p"):
-            dofs = layout(loc, family)
+            dofs = (layout(loc, family), _WIDTH[family] * nodes.size)
             for form in ("stiff", "aux"):
                 name = "%s_%s" % (form, family)
-                mat = self._scalar_csr(cell[name], dofs,
-                                       _WIDTH[family] * nodes.size).toarray()
+                mat = self._scalar_csr(cell[name], dofs, dofs).toarray()
                 out[name] = 0.5 * (mat + mat.T)
         return nodes, out
 

@@ -36,6 +36,8 @@ class ConfigError(ValueError):
 
 # ---- configuration -------------------------------------------------------
 
+# the configuration's schema: every key with its default value, whose type
+# a given value must have (see `_merge`)
 _DEFAULTS = {
     "mesh": {"ncx": 10, "ncy": 10, "refinement": 10},
     "material": {"synth": {"background": 1.0, "contrast": 1e4,
@@ -44,122 +46,15 @@ _DEFAULTS = {
                 "viscosity": 1.0},
     "time": {"tau": 0.05, "T": 1.0},
     "offline": {"modes": 2, "layers": 2},
-    "online": dict({f.name: f.default for f in fields(OnlineConfig)},
-                   schedule="final-step"),
+    "online": {f.name: f.default for f in fields(OnlineConfig)},
     "source": {"kind": "constant", "value": 1.0},
     "initial_pressure": {"kind": "bump", "scale": 100.0},
     "reference": True,
     "snapshots": False,
 }
-
-
-def _merge(defaults, given):
-    out = copy.deepcopy(defaults)
-    for key, val in given.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
-
-
-def _reject_unknown(where, keys, known):
-    unknown = set(keys) - set(known)
-    if unknown:
-        raise ConfigError("unknown %s keys: %s"
-                          % (where, ", ".join(sorted(unknown))))
-
-
-def _online_config(section, where="online"):
-    """Check a merged online section, `schedule` included.
-
-    Returns (OnlineConfig, schedule); OnlineConfig checks its own fields."""
-    _reject_unknown(where, section, _DEFAULTS["online"])
-    sched = section["schedule"]
-    if not (sched in ("none", "final-step")
-            or (isinstance(sched, dict) and set(sched) == {"every"}
-                and _is_int(sched["every"]) and sched["every"] > 0)):
-        raise ConfigError("%s.schedule must be 'none', 'final-step' or "
-                          "{'every': k}" % where)
-    try:
-        return OnlineConfig(**{k: v for k, v in section.items()
-                               if k != "schedule"}), sched
-    except (TypeError, ValueError) as err:
-        raise ConfigError("%s: %s" % (where, err))
-
-
-def load_config(path):
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise ConfigError("cannot read configuration: %s" % err)
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration must be a JSON object")
-    if "config" in raw and "derived" in raw:
-        raw = raw["config"]  # a manifest round-trips as a config
-    return resolve_config(raw)
-
-
-def resolve_config(raw):
-    _reject_unknown("configuration", raw, list(_DEFAULTS) + ["variants"])
-    cfg = _merge(_DEFAULTS, raw)
-    for name, default in _DEFAULTS.items():
-        if isinstance(default, dict) and not isinstance(cfg[name], dict):
-            raise ConfigError("%s must be an object" % name)
-    for name in ("mesh", "scalars", "time", "offline"):
-        _reject_unknown(name, cfg[name], _DEFAULTS[name])
-    _reject_unknown("material", cfg["material"], ["synth", "file"])
-    if not isinstance(cfg["material"]["synth"], dict):
-        raise ConfigError("material.synth must be an object")
-    syn = cfg["material"]["synth"]
-    _reject_unknown("material.synth", syn, _DEFAULTS["material"]["synth"])
-    if not all(_is_int(syn[k])
-               for k in ("n_channels", "n_inclusions", "seed")):
-        raise ConfigError("material.synth counts and seed must be integers")
-    if not (_is_real(syn["background"]) and _is_real(syn["contrast"])):
-        raise ConfigError("material.synth background and contrast must be "
-                          "numbers")
-    mesh = cfg["mesh"]
-    for key in ("ncx", "ncy", "refinement"):
-        if not _is_int(mesh[key]) or mesh[key] < 1:
-            raise ConfigError("mesh.%s must be a positive integer" % key)
-    for key in ("reference", "snapshots"):
-        if not isinstance(cfg[key], bool):
-            raise ConfigError("%s must be true or false" % key)
-    if not (_is_real(cfg["time"]["tau"]) and _is_real(cfg["time"]["T"])):
-        raise ConfigError("time.tau and time.T must be numbers")
-    try:
-        TimeGrid.from_horizon(cfg["time"]["tau"], cfg["time"]["T"])
-    except ValueError as err:
-        raise ConfigError("time: %s" % err)
-    off = cfg["offline"]
-    if not _is_int(off["modes"]) or off["modes"] < 1:
-        raise ConfigError("offline.modes must be a positive integer")
-    if off["modes"] > (mesh["refinement"] + 1) ** 2:
-        raise ConfigError("offline.modes must not exceed the %d pressure "
-                          "unknowns of a coarse cell"
-                          % (mesh["refinement"] + 1) ** 2)
-    if not _is_int(off["layers"]) or off["layers"] < 0:
-        raise ConfigError("offline.layers must be a nonnegative integer")
-    _online_config(cfg["online"])
-    variants = cfg.get("variants", [])
-    if not isinstance(variants, list):
-        raise ConfigError("variants must be a list")
-    for k, variant in enumerate(variants):
-        if not isinstance(variant, dict) or "name" not in variant:
-            raise ConfigError("each variant needs at least a 'name'")
-        overrides = {key: v for key, v in variant.items() if key != "name"}
-        _online_config(dict(cfg["online"], **overrides), "variants[%d]" % k)
-    nfx = mesh["ncx"] * mesh["refinement"]
-    nfy = mesh["ncy"] * mesh["refinement"]
-    _check_data("source", cfg["source"], "value",
-                ("constant", "separable-sine", "time-scaled-sine", "table"),
-                nfx * nfy, "fine cell")
-    _check_data("initial_pressure", cfg["initial_pressure"], "scale",
-                ("bump", "skew-bump", "zero", "table"),
-                (nfx + 1) * (nfy + 1), "fine node")
-    return cfg
+# keys without a default, each checked where it is read
+_OPTIONAL = {"variants", "material.file", "source.values",
+             "initial_pressure.values"}
 
 
 def _is_real(v):
@@ -172,50 +67,132 @@ def _is_int(v):
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def _check_data(where, section, number, kinds, table_size, entity):
-    """Check a source or initial-pressure section: its keys, its `number`
-    (the constant's value or the bump's scale) and, for a table, one number
-    per `entity` of the mesh."""
-    _reject_unknown(where, section, list(_DEFAULTS[where]) + ["values"])
-    kind = section["kind"]
-    if kind not in kinds:
-        raise ConfigError("unknown %s.kind %r" % (where, kind))
-    if not _is_real(section[number]):
-        raise ConfigError("%s.%s must be a number" % (where, number))
-    if kind == "table":
-        vals = section.get("values")
-        if not (isinstance(vals, list) and len(vals) == table_size
-                and all(_is_real(v) for v in vals)):
+# the rule on a value, by the type of its default; a key whose default is a
+# string or None is checked by its owner
+_VALUE_RULES = {bool: (lambda v: isinstance(v, bool), "true or false"),
+                int: (_is_int, "an integer"),
+                float: (_is_real, "a finite number")}
+
+
+def _merge(defaults, given, where=""):
+    """`defaults` with the values of `given` in place, checked on the way:
+    `given` must be an object with no key outside `defaults` and
+    `_OPTIONAL`, an object where the default is one, and a value of its
+    default's kind (`_VALUE_RULES`) elsewhere."""
+    if not isinstance(given, dict):
+        raise ConfigError("%s must be an object" % (where or "configuration"))
+    out = copy.deepcopy(defaults)
+    for key, val in given.items():
+        path = where + "." + key if where else key
+        if key not in defaults and path not in _OPTIONAL:
+            raise ConfigError("unknown configuration key %s" % path)
+        default = defaults.get(key)
+        if isinstance(default, dict):
+            out[key] = _merge(default, val, path)
+            continue
+        rule = _VALUE_RULES.get(type(default))
+        if rule and not rule[0](val):
+            raise ConfigError("%s must be %s" % (path, rule[1]))
+        out[key] = copy.deepcopy(val)
+    return out
+
+
+def _online_config(section, where="online"):
+    """The OnlineConfig of a merged online section; its complaints are
+    configuration errors."""
+    try:
+        return OnlineConfig(**section)
+    except (TypeError, ValueError) as err:
+        raise ConfigError("%s: %s" % (where, err))
+
+
+def load_config(path):
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, json.JSONDecodeError) as err:
+        raise ConfigError("cannot read configuration: %s" % err)
+    if isinstance(raw, dict) and "config" in raw and "derived" in raw:
+        raw = raw["config"]  # a manifest round-trips as a config
+    return resolve_config(raw)
+
+
+def resolve_config(raw):
+    """The configuration `raw` with the defaults filled in; each key is
+    checked by `_merge`, and here the rules that relate values."""
+    cfg = _merge(_DEFAULTS, raw)
+    mesh = cfg["mesh"]
+    if min(mesh.values()) < 1:
+        raise ConfigError("mesh.ncx, ncy and refinement must be positive")
+    try:
+        TimeGrid.from_horizon(cfg["time"]["tau"], cfg["time"]["T"])
+    except ValueError as err:
+        raise ConfigError("time: %s" % err)
+    off = cfg["offline"]
+    n_p = (mesh["refinement"] + 1) ** 2
+    if not 1 <= off["modes"] <= n_p:
+        raise ConfigError("offline.modes must lie between 1 and the %d "
+                          "pressure unknowns of a coarse cell" % n_p)
+    if off["layers"] < 0:
+        raise ConfigError("offline.layers must be nonnegative")
+    _online_config(cfg["online"])
+    variants = cfg.get("variants", [])
+    if not isinstance(variants, list):
+        raise ConfigError("variants must be a list")
+    for k, variant in enumerate(variants):
+        if not isinstance(variant, dict) or "name" not in variant:
+            raise ConfigError("each variant needs at least a 'name'")
+        overrides = {key: v for key, v in variant.items() if key != "name"}
+        _online_config(dict(cfg["online"], **overrides), "variants[%d]" % k)
+    nfx = mesh["ncx"] * mesh["refinement"]
+    nfy = mesh["ncy"] * mesh["refinement"]
+    for where, kinds, size, entity in (
+            ("source", _SOURCES, nfx * nfy, "fine cell"),
+            ("initial_pressure", _INITIAL_PRESSURES, (nfx + 1) * (nfy + 1),
+             "fine node")):
+        kind, vals = cfg[where]["kind"], cfg[where].get("values")
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigError("unknown %s.kind %r" % (where, kind))
+        if kinds[kind] is _table and not (isinstance(vals, list)
+                                          and len(vals) == size
+                                          and all(_is_real(v) for v in vals)):
             raise ConfigError("%s.values must list one number per %s (%d)"
-                              % (where, entity, table_size))
+                              % (where, entity, size))
+    return cfg
+
+
+def _table(section):
+    return np.asarray(section["values"], dtype=float)
+
+
+# each kind of data section, and the builder of its function, or of a
+# table's values, from the section
+_SOURCES = {
+    "constant": lambda src: lambda t, x, y:
+        np.full_like(np.asarray(x, dtype=float), float(src["value"])),
+    "separable-sine": lambda src: lambda t, x, y:
+        2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y),
+    "time-scaled-sine": lambda src: lambda t, x, y:
+        2.0 * np.pi ** 2 * t * np.sin(np.pi * x) * np.sin(np.pi * y),
+    "table": _table,
+}
+_INITIAL_PRESSURES = {
+    "bump": lambda ip: lambda x, y:
+        float(ip["scale"]) * x * (1 - x) * y * (1 - y),
+    "skew-bump": lambda ip: lambda x, y:
+        float(ip["scale"]) * x ** 2 * (1 - x) * y ** 2 * (1 - y),
+    "zero": lambda ip: lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
+    "table": _table,
+}
 
 
 def make_source(cfg):
-    src = cfg["source"]
-    kind = src["kind"]
-    if kind == "constant":
-        value = float(src["value"])
-        return lambda t, x, y: np.full_like(np.asarray(x, dtype=float), value)
-    if kind == "separable-sine":
-        return lambda t, x, y: \
-            2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
-    if kind == "time-scaled-sine":
-        return lambda t, x, y: \
-            2.0 * np.pi ** 2 * t * np.sin(np.pi * x) * np.sin(np.pi * y)
-    return np.asarray(src["values"], dtype=float)
+    return _SOURCES[cfg["source"]["kind"]](cfg["source"])
 
 
 def make_initial_pressure(cfg):
     ip = cfg["initial_pressure"]
-    kind = ip["kind"]
-    scale = float(ip["scale"])
-    if kind == "bump":
-        return lambda x, y: scale * x * (1 - x) * y * (1 - y)
-    if kind == "skew-bump":
-        return lambda x, y: scale * x ** 2 * (1 - x) * y ** 2 * (1 - y)
-    if kind == "zero":
-        return lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
-    return np.asarray(ip["values"], dtype=float)
+    return _INITIAL_PRESSURES[ip["kind"]](ip)
 
 
 def build_field(cfg, grid, seed_override=None):
@@ -233,15 +210,6 @@ def build_field(cfg, grid, seed_override=None):
             biot_modulus=sc["biot_modulus"], viscosity=sc["viscosity"])
     except (OSError, TypeError, ValueError) as err:
         raise ConfigError("material: %s" % err)
-
-
-def schedule_steps(sched, n_steps):
-    if sched == "none":
-        return set()
-    if sched == "final-step":
-        return {n_steps}
-    every = sched["every"]
-    return set(range(every, n_steps + 1, every))
 
 
 # ---- experiment driver -----------------------------------------------------
@@ -273,9 +241,8 @@ class Experiment:
 
         `overrides` replace entries of the online configuration. Returns
         (states, history rows, final space)."""
-        ocfg, sched = _online_config(dict(self.cfg["online"],
-                                          **(overrides or {})))
-        steps = schedule_steps(sched, self.time_grid.n_steps)
+        ocfg = _online_config(dict(self.cfg["online"], **(overrides or {})))
+        steps = ocfg.steps(self.time_grid.n_steps)
         space = self.space.copy()
         enricher = Enricher(self.ops, self.aux, ocfg)
         rows = []

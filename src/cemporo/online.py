@@ -12,7 +12,7 @@ families run through one loop; the operators and the space answer for each.
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 import scipy.linalg as sla
@@ -30,9 +30,16 @@ class ResidualSet:
     r_p: np.ndarray
 
 
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass
 class OnlineConfig:
-    """Settings of the online stage; every rule on them is checked here."""
+    """Settings of the online stage; every rule on them is checked here.
+
+    `schedule` says after which time steps the adaptive loop runs: "none",
+    "final-step", or {"every": k} for every k-th step (`steps`)."""
     theta: float = 0.3
     gamma: float = 0.3
     layers: int = 2
@@ -40,6 +47,7 @@ class OnlineConfig:
     iterations: int = 1
     tol: Optional[float] = None
     eps: Optional[float] = None
+    schedule: Union[str, dict] = "final-step"
 
     def __post_init__(self):
         optional = [v for v in (self.tol, self.eps) if v is not None]
@@ -52,11 +60,23 @@ class OnlineConfig:
             raise ValueError("bulk tolerances must lie in [0, 1]")
         if self.strategy not in ("neighborhood", "element"):
             raise ValueError("strategy must be 'neighborhood' or 'element'")
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                   for v in (self.layers, self.iterations)):
+        if not all(_is_int(v) for v in (self.layers, self.iterations)):
             raise TypeError("layers and iterations must be integers")
         if self.layers < 0 or self.iterations < 0:
             raise ValueError("layers and iterations must be nonnegative")
+        s = self.schedule
+        if not (s in ("none", "final-step")
+                or (isinstance(s, dict) and set(s) == {"every"}
+                    and _is_int(s["every"]) and s["every"] > 0)):
+            raise ValueError("schedule must be 'none', 'final-step' or "
+                             "{'every': k} with a positive integer k")
+
+    def steps(self, n_steps):
+        """The steps, out of 1 to n_steps, after which the loop runs."""
+        if isinstance(self.schedule, dict):
+            every = self.schedule["every"]
+            return set(range(every, n_steps + 1, every))
+        return {n_steps} if self.schedule == "final-step" else set()
 
 
 def compute_residuals(ops, tau, state, prev, load):

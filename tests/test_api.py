@@ -9,17 +9,20 @@ and a projected coarse matrix only in
 `timestepping.CoarseSolver.set_space` (`PivotedCholesky`, LAPACK pstrf),
 a local eigenproblem is solved only by `spectral._deflated_eigh`, and only
 `assembly` takes a triangle of a sparse form. README's library quick start
-runs as written, on a smaller mesh."""
+runs as written, on a smaller mesh, and its configuration block lists the
+defaults the program uses."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import re
 from collections import defaultdict
 from types import SimpleNamespace
 
 import cemporo
+from cemporo import cli
 
 PKG = os.path.dirname(cemporo.__file__)
 MODULES = sorted(f[:-3] for f in os.listdir(PKG) if f.endswith(".py"))
@@ -306,3 +309,10 @@ def test_readme_quick_start_runs():
                  "exec"), scope)
     assert scope["ops"].grid.n_fine_cells == 81
     assert 0.0 < scope["err_u"] < 1.0 and 0.0 < scope["err_p"] < 1.0
+
+
+def test_readme_configuration_block_is_the_defaults():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        section = fh.read().split("## Configuration", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    assert json.loads(block) == cli._DEFAULTS

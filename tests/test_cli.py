@@ -12,7 +12,8 @@ import pytest
 from cemporo import cli
 from cemporo.assembly import OperatorSet
 from cemporo.cli import (ConfigError, load_config, main, make_initial_pressure,
-                         make_source, resolve_config, schedule_steps)
+                         make_source, resolve_config)
+from cemporo.online import OnlineConfig
 from cemporo.report import EnrichmentHistory
 
 from conftest import FROZEN
@@ -130,6 +131,11 @@ BAD_INPUTS = {
     "snapshots-int": {"snapshots": 1},
     "synth-channels-bool": {"material": {"synth": {"n_channels": True}}},
     "synth-contrast-bool": {"material": {"synth": {"contrast": True}}},
+    "scalars-poisson-string": {"scalars": {"poisson": "0.2"}},
+    "scalars-alpha-bool": {"scalars": {"alpha": True}},
+    # a kind that is no string is an unknown kind, not a traceback
+    "source-kind-list": {"source": {"kind": ["table"]}},
+    "initial-pressure-kind-object": {"initial_pressure": {"kind": {}}},
     # nothing read the top-level seed; manifests written with it are refused
     "top-level-seed": {"seed": 0},
     # JSON's NaN and Infinity are numbers to Python, not to the model: they
@@ -194,10 +200,18 @@ def test_load_config_errors(tmp_path):
 
 
 def test_schedule_steps():
-    assert schedule_steps("none", 10) == set()
-    assert schedule_steps("final-step", 10) == {10}
-    assert schedule_steps({"every": 2}, 5) == {2, 4}
-    assert schedule_steps({"every": 1}, 3) == {1, 2, 3}
+    assert OnlineConfig(schedule="none").steps(10) == set()
+    assert OnlineConfig(schedule="final-step").steps(10) == {10}
+    assert OnlineConfig(schedule={"every": 2}).steps(5) == {2, 4}
+    assert OnlineConfig(schedule={"every": 1}).steps(3) == {1, 2, 3}
+
+
+@pytest.mark.parametrize("schedule", [
+    "sometimes", {"every": 0}, {"every": 2.0}, {"every": True},
+    {"every": 2, "x": 1}, ["final-step"]])
+def test_online_config_rejects_bad_schedules(schedule):
+    with pytest.raises((TypeError, ValueError)):
+        OnlineConfig(schedule=schedule)
 
 
 def test_make_source_kinds():
