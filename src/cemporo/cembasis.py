@@ -186,7 +186,10 @@ class MultiscaleSpace:
                 sp.hstack([self.basis(family), columns], format="csc"))
 
     def copy(self):
-        return MultiscaleSpace(self.basis_u.copy(), self.basis_p.copy())
+        """A space over the same basis matrices. `append` replaces a
+        family's matrix and never changes one, so the copy grows without
+        touching the original, and no matrix is copied."""
+        return MultiscaleSpace(self.basis_u, self.basis_p)
 
 
 def build_offline_basis(ops, aux, layers):

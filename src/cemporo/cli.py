@@ -139,9 +139,14 @@ def resolve_config(raw):
     variants = cfg.get("variants", [])
     if not isinstance(variants, list):
         raise ConfigError("variants must be a list")
+    names = set()
     for k, variant in enumerate(variants):
         if not isinstance(variant, dict) or "name" not in variant:
             raise ConfigError("each variant needs at least a 'name'")
+        if not isinstance(variant["name"], str) or variant["name"] in names:
+            raise ConfigError("variants[%d]: the name must be a string no "
+                              "other variant has" % k)
+        names.add(variant["name"])
         overrides = {key: v for key, v in variant.items() if key != "name"}
         _online_config(dict(cfg["online"], **overrides), "variants[%d]" % k)
     nfx = mesh["ncx"] * mesh["refinement"]
@@ -195,7 +200,7 @@ def make_initial_pressure(cfg):
     return _INITIAL_PRESSURES[ip["kind"]](ip)
 
 
-def build_field(cfg, grid, seed_override=None):
+def build_field(cfg, grid):
     mat = cfg["material"]
     sc = cfg["scalars"]
     syn = mat["synth"]
@@ -205,7 +210,7 @@ def build_field(cfg, grid, seed_override=None):
         return synth_channels(
             grid, syn["background"], syn["contrast"],
             n_channels=syn["n_channels"], n_inclusions=syn["n_inclusions"],
-            seed=syn["seed"] if seed_override is None else seed_override,
+            seed=syn["seed"],
             poisson=sc["poisson"], alpha=sc["alpha"],
             biot_modulus=sc["biot_modulus"], viscosity=sc["viscosity"])
     except (OSError, TypeError, ValueError) as err:
@@ -217,11 +222,11 @@ def build_field(cfg, grid, seed_override=None):
 class Experiment:
     """Everything assembled for one configuration."""
 
-    def __init__(self, cfg, seed_override=None):
+    def __init__(self, cfg):
         mesh = cfg["mesh"]
         self.cfg = cfg
         self.grid = build_grids(mesh["ncx"], mesh["ncy"], mesh["refinement"])
-        self.field = build_field(cfg, self.grid, seed_override)
+        self.field = build_field(cfg, self.grid)
         self.ops = assemble_operators(self.grid, self.field)
         self.time_grid = TimeGrid.from_horizon(cfg["time"]["tau"],
                                                cfg["time"]["T"])
@@ -290,9 +295,9 @@ def _derived_info(exp, space):
             for k, v in info.items()}
 
 
-def cmd_run(cfg, out_dir, seed_override=None):
+def cmd_run(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    exp = Experiment(cfg, seed_override)
+    exp = Experiment(cfg)
     states, rows, space = exp.run_multiscale()
     history = EnrichmentHistory(rows)
     history.to_csv(os.path.join(out_dir, "history.csv"))
@@ -315,10 +320,10 @@ def cmd_run(cfg, out_dir, seed_override=None):
     return 0
 
 
-def cmd_make_field(cfg, out_stem, seed_override=None):
+def cmd_make_field(cfg, out_stem):
     mesh = cfg["mesh"]
     grid = build_grids(mesh["ncx"], mesh["ncy"], mesh["refinement"])
-    field = build_field(cfg, grid, seed_override)
+    field = build_field(cfg, grid)
     os.makedirs(os.path.dirname(out_stem) or ".", exist_ok=True)
     save_field(field, out_stem)
     sys.stdout.write("wrote %s_{E,kappa}.csv (contrast %.3g)\n"
@@ -326,11 +331,11 @@ def cmd_make_field(cfg, out_stem, seed_override=None):
     return 0
 
 
-def cmd_compare(cfg, out_dir, seed_override=None):
+def cmd_compare(cfg, out_dir):
     if not cfg.get("variants"):
         raise ConfigError("compare needs a nonempty 'variants' list")
     os.makedirs(out_dir, exist_ok=True)
-    exp = Experiment(cfg, seed_override)
+    exp = Experiment(cfg)
     merged = []
     for variant in cfg["variants"]:
         overrides = {k: v for k, v in variant.items() if k != "name"}
@@ -392,11 +397,14 @@ def main(argv=None):
         if args.command == "report":
             return cmd_report(args.history)
         cfg = load_config(args.config)
+        if args.seed is not None:
+            # in the config, so that the manifest replays the same field
+            cfg["material"]["synth"]["seed"] = args.seed
         if args.command == "run":
-            return cmd_run(cfg, args.out, args.seed)
+            return cmd_run(cfg, args.out)
         if args.command == "make-field":
-            return cmd_make_field(cfg, args.out, args.seed)
-        return cmd_compare(cfg, args.out, args.seed)
+            return cmd_make_field(cfg, args.out)
+        return cmd_compare(cfg, args.out)
     except ConfigError as err:
         sys.stderr.write("configuration error: %s\n" % err)
         return 1

@@ -142,18 +142,15 @@ class Enricher:
     def _cell_mask(self, cell, nodes):
         return self._patch(self.ops.grid, cell, 0).covers(nodes)
 
-    def _dual_norm(self, family, r, region=None):
+    def _dual_norm(self, family, r, region):
         """|L^-1 r|, the dual norm of r, with L L^T the family's stiffness
-        on the region's patch without oversampling or, for no region, on the
-        whole interior; each factor is built once and kept."""
+        on the region's patch without oversampling; each region's factor is
+        built once and kept."""
         key = (family, region)
         if key not in self._riesz:
-            A, index = self.ops.stiffness(family), slice(None)
-            if region is not None:  # slicing with slice(None) would copy A
-                index = patch_index(self.ops.dofs,
-                                    self._patch(self.ops.grid, region, 0),
-                                    family)
-                A = A[index][:, index]
+            index = patch_index(self.ops.dofs,
+                                self._patch(self.ops.grid, region, 0), family)
+            A = self.ops.stiffness(family)[index][:, index]
             self._riesz[key] = (BandedCholesky(A), index)
         factor, index = self._riesz[key]
         return np.linalg.norm(factor.solve_lower(r[index]))
@@ -161,10 +158,14 @@ class Enricher:
     # ---- indicators ------------------------------------------------------
 
     def global_norms(self, res):
-        """Dual norms of both residuals over the whole interior space, as
-        `compute_indicators` takes them over regions."""
-        return (float(self._dual_norm("u", res.r_u)),
-                float(self._dual_norm("p", res.r_p)))
+        """|L^-1 r| of both residuals with L L^T the family's stiffness on
+        the whole interior, as `compute_indicators` takes them over regions.
+        Each family's factor lives only while its norm is taken: kept, the
+        two would be the online stage's largest arrays."""
+        return tuple(
+            float(np.linalg.norm(
+                BandedCholesky(self.ops.stiffness(family)).solve_lower(r)))
+            for family, r in (("u", res.r_u), ("p", res.r_p)))
 
     def compute_indicators(self, res):
         """Local dual norms (eta_u, eta_p) of the residuals, one per region."""

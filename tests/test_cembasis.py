@@ -195,10 +195,17 @@ def test_space_copy_is_independent(setup):
     _, ops, aux = setup
     space = build_offline_basis(ops, aux, 1)
     last = space.basis_p[:, -1].toarray()
+    n_u, n_p = space.n_u, space.n_p
     clone = space.copy()
+    # no matrix is copied: the copy shares the bases until it grows
+    assert clone.basis_u is space.basis_u and clone.basis_p is space.basis_p
     clone.append("p", sp.csc_matrix((ops.dofs.n_p, 1)))
-    assert clone.n_p == space.n_p + 1
-    # the original keeps its own last column, an offline one
+    assert clone.n_p == n_p + 1
+    assert clone.basis_p is not space.basis_p
+    assert clone.basis_u is space.basis_u
+    # the original keeps its dimensions and its own last column, an offline
+    # one
+    assert (space.n_u, space.n_p) == (n_u, n_p)
     assert np.array_equal(space.basis_p[:, -1].toarray(), last)
     assert np.any(last)
 

@@ -98,6 +98,10 @@ BAD_INPUTS = {
                                                  "theta": 1.5}]},
     "online-layers-fraction": {"online": {"layers": 1.5}},
     "variant-unknown-key": {"variants": [{"name": "typo", "thetta": 0.5}]},
+    # compare could not tell such variants' rows apart
+    "variant-name-repeated": {"variants": [{"name": "a"},
+                                           {"name": "a", "theta": 0.9}]},
+    "variant-name-not-string": {"variants": [{"name": ["x", 1]}]},
     "mesh-unknown-key": {"mesh": {"nxc": 4}},
     "online-unknown-key": {"online": {"thetta": 0.5}},
     "material-unknown-key": {"material": {"fiel": "fields/channels"}},
@@ -356,6 +360,21 @@ def test_make_field_artifacts_and_seed_override(tmp_path, capsys):
     assert main(["make-field", "--config", cfg_path, "--out", stem_c]) == 0
     np.testing.assert_array_equal(a, np.loadtxt(stem_c + "_E.csv",
                                                 delimiter=","))
+
+
+def test_seed_run_manifest_replays_the_same_history(tmp_path, capsys):
+    # --seed draws the field, so the manifest must record it
+    cfg = dict(TINY, mesh={"ncx": 3, "ncy": 3, "refinement": 4},
+               snapshots=False)
+    out1, out2 = tmp_path / "seeded", tmp_path / "replay"
+    assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out1),
+                 "--seed", "6"]) == 0
+    with open(out1 / "manifest.json") as fh:
+        assert json.load(fh)["config"]["material"]["synth"]["seed"] == 6
+    assert main(["run", "--config", str(out1 / "manifest.json"),
+                 "--out", str(out2)]) == 0
+    assert ((out1 / "history.csv").read_bytes()
+            == (out2 / "history.csv").read_bytes())
 
 
 def test_run_artifacts_and_manifest_roundtrip(tmp_path, capsys):

@@ -41,8 +41,8 @@ def _run(modes, medium, scale):
                    scale=scale * FROZEN["initial_pressure"]["scale"]))
     build = cli.build_field
 
-    def build_field(cfg, grid, seed_override=None):
-        field = build(cfg, grid, seed_override)
+    def build_field(cfg, grid):
+        field = build(cfg, grid)
         E, kappa = (MEDIA[medium](a.reshape(grid.nfy, grid.nfx)).ravel()
                     for a in (field.E, field.kappa))
         return MaterialField(grid, E, kappa, field.poisson, field.alpha,

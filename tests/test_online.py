@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cemporo.assembly import assemble_load, assemble_operators
-from cemporo.cembasis import PatchSolver, build_offline_basis, patch_nodes
+from cemporo.cembasis import (BandedCholesky, PatchSolver, build_offline_basis,
+                              patch_nodes)
 from cemporo.grid import (Patch, PartitionOfUnity, build_grids,
                           oversample_element, oversample_neighborhood)
 from cemporo.material import MaterialField, synth_channels
@@ -169,7 +170,11 @@ def test_global_norms_dense_oracle(setup):
                         (ops.stiff_p, res.r_p, gp)):
         w = np.linalg.solve(mat.toarray(), r)
         assert got == pytest.approx(np.sqrt(r @ w), rel=1e-10)
+        # bit for bit |L^-1 r| of a freshly built whole-interior factor
+        assert got == float(np.linalg.norm(
+            BandedCholesky(mat).solve_lower(r)))
     assert gu > 0 and gp > 0
+    assert enr.global_norms(res) == (gu, gp)
 
 
 def test_indicator_regions_by_strategy(setup):
@@ -421,6 +426,23 @@ def test_adaptive_loop_stagnation_guard_stops_fixed_loop(setup):
     assert [row["iteration"] for row in history] == [0, 1]
     assert history[0]["eta"] == pytest.approx(eta0, rel=1e-12)
     assert history[1]["added_u"] + history[1]["added_p"] > 0
+
+
+@pytest.mark.parametrize("strategy", ["neighborhood", "element"])
+def test_adaptive_loop_caches_region_factors_only(setup, strategy):
+    # the whole-interior factors of the history's dual norms are not kept
+    ops, aux, space, tg, fine, loads = setup
+    solver = CoarseSolver(ops, space.copy(), tg.tau)
+    states = run(ops, tg, _source, _p0, solver=solver)
+    enr = Enricher(ops, aux, OnlineConfig(strategy=strategy, layers=1,
+                                          iterations=2))
+    history = []
+    enr.adaptive_loop(solver, states[1], states[0], loads[1], history=history)
+    assert len(history) == 3
+    assert enr._riesz
+    regions = set(enr.regions.tolist())
+    assert all(family in ("u", "p") and region in regions
+               for family, region in enr._riesz)
 
 
 def test_adaptive_loop_tolerance_loop_iterates_to_tol(setup):
