@@ -159,9 +159,9 @@ class MultiscaleSpace:
     coefficients to the interior fine unknowns of their family. An offline
     space numbers each family's columns as the auxiliary basis does: column
     j is seeded by auxiliary column j, and `AuxBasis.columns_in_cells` says
-    which columns a coarse cell seeded. `append` is the only change a space
-    undergoes after construction, so a space's columns are always a prefix
-    of its later columns.
+    which columns a coarse cell seeded. `append`, which only `CoarseSolver`
+    calls, is the only change a space undergoes after construction, so a
+    space's columns are always a prefix of its later columns.
     """
 
     def __init__(self, basis_u, basis_p):
@@ -184,12 +184,6 @@ class MultiscaleSpace:
         """Append the sparse block `columns` after the family's columns."""
         setattr(self, "basis_" + family,
                 sp.hstack([self.basis(family), columns], format="csc"))
-
-    def copy(self):
-        """A space over the same basis matrices. `append` replaces a
-        family's matrix and never changes one, so the copy grows without
-        touching the original, and no matrix is copied."""
-        return MultiscaleSpace(self.basis_u, self.basis_p)
 
 
 def build_offline_basis(ops, aux, layers):

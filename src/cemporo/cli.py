@@ -19,7 +19,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .grid import build_grids
+from .grid import build_grids, is_integer
 from .material import load_field, save_field, synth_channels
 from .assembly import assemble_operators
 from .spectral import build_aux_basis, spectral_diagnostics
@@ -63,14 +63,10 @@ def _is_real(v):
             and math.isfinite(v))
 
 
-def _is_int(v):
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 # the rule on a value, by the type of its default; a key whose default is a
 # string or None is checked by its owner
 _VALUE_RULES = {bool: (lambda v: isinstance(v, bool), "true or false"),
-                int: (_is_int, "an integer"),
+                int: (is_integer, "an integer"),
                 float: (_is_real, "a finite number")}
 
 
@@ -133,8 +129,10 @@ def resolve_config(raw):
     if not 1 <= off["modes"] <= n_p:
         raise ConfigError("offline.modes must lie between 1 and the %d "
                           "pressure unknowns of a coarse cell" % n_p)
-    if off["layers"] < 0:
-        raise ConfigError("offline.layers must be nonnegative")
+    syn = cfg["material"]["synth"]
+    if min(off["layers"], syn["n_channels"], syn["n_inclusions"]) < 0:
+        raise ConfigError("offline.layers, material.synth.n_channels and "
+                          "n_inclusions must be nonnegative")
     _online_config(cfg["online"])
     variants = cfg.get("variants", [])
     if not isinstance(variants, list):
@@ -242,13 +240,12 @@ class Experiment:
                                  self.p0)
 
     def run_multiscale(self, overrides=None):
-        """Multiscale trajectory on a copy of the offline space.
+        """Multiscale trajectory from the offline space, which stays as is.
 
         `overrides` replace entries of the online configuration. Returns
         (states, history rows, final space)."""
         ocfg = _online_config(dict(self.cfg["online"], **(overrides or {})))
         steps = ocfg.steps(self.time_grid.n_steps)
-        space = self.space.copy()
         enricher = Enricher(self.ops, self.aux, ocfg)
         rows = []
 
@@ -259,10 +256,10 @@ class Experiment:
                                               reference=ref, history=rows)
             return state
 
-        solver = CoarseSolver(self.ops, space, self.time_grid.tau)
+        solver = CoarseSolver(self.ops, self.space, self.time_grid.tau)
         states = run(self.ops, self.time_grid, self.source, self.p0,
                      hook=hook, solver=solver)
-        return states, rows, space
+        return states, rows, solver.space
 
     def per_step_errors(self, states):
         rows = []

@@ -12,6 +12,11 @@ import numbers
 import numpy as np
 
 
+def is_integer(v):
+    """Whether `v` is an integer and not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 class GridPair:
     """Conforming coarse and fine rectangular meshes of (0,1)^2.
 
@@ -24,8 +29,7 @@ class GridPair:
     """
 
     def __init__(self, ncx, ncy, refinement):
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                   for v in (ncx, ncy, refinement)):
+        if not all(is_integer(v) for v in (ncx, ncy, refinement)):
             raise TypeError("ncx, ncy and refinement must be integers")
         if ncx < 1 or ncy < 1:
             raise ValueError("coarse cell counts must be positive")
@@ -123,7 +127,7 @@ class Patch:
 def _expand_rect(grid, cx0, cx1, cy0, cy1, layers):
     """The patch of the rectangle grown by `layers` rings of coarse cells,
     clipped to the grid."""
-    if not isinstance(layers, numbers.Integral) or isinstance(layers, bool):
+    if not is_integer(layers):
         raise TypeError("layers must be an integer")
     if layers < 0:
         raise ValueError("layers must be nonnegative")

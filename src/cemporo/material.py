@@ -128,6 +128,8 @@ def synth_channels(grid, background, contrast, n_channels=4, n_inclusions=8,
     """
     if background <= 0.0 or contrast < 1.0:
         raise ValueError("need positive background and contrast >= 1")
+    if n_channels < 0 or n_inclusions < 0:
+        raise ValueError("channel and inclusion counts must be nonnegative")
     rng = np.random.default_rng(seed)
     E = np.full((grid.nfy, grid.nfx), float(background))
     high = background * contrast

@@ -3,10 +3,12 @@
 After a time step the discrete residuals of both equations are localized to
 coarse regions (node neighborhoods by default, single coarse cells in the
 element variant). Regions are picked by a bulk criterion on local dual norms,
-one penalized patch solve per picked region turns the localized residual into
-a new basis function, and the step is re-solved in the enlarged space. All
-solves of one iteration use the residual snapshot taken at its start. Both
-families run through one loop; the operators and the space answer for each.
+and one penalized patch solve per picked region turns the localized residual
+into a candidate column. The coarse solver filters the candidates, appends
+the survivors to the space it owns (`CoarseSolver.append`), and the step is
+re-solved in the enlarged space. All solves of one iteration use the
+residual snapshot taken at its start. Both families run through one loop;
+the operators answer for each.
 """
 
 import math
@@ -15,10 +17,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
-from .grid import oversample_element, oversample_neighborhood
+from .grid import is_integer, oversample_element, oversample_neighborhood
 from .cembasis import (BandedCholesky, PatchSolver, patch_index,
                        patch_nodes)
 
@@ -28,10 +28,6 @@ class ResidualSet:
     """Interior-unknown covectors of the two equations at one time level."""
     r_u: np.ndarray
     r_p: np.ndarray
-
-
-def _is_int(v):
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass
@@ -60,14 +56,14 @@ class OnlineConfig:
             raise ValueError("bulk tolerances must lie in [0, 1]")
         if self.strategy not in ("neighborhood", "element"):
             raise ValueError("strategy must be 'neighborhood' or 'element'")
-        if not all(_is_int(v) for v in (self.layers, self.iterations)):
+        if not all(is_integer(v) for v in (self.layers, self.iterations)):
             raise TypeError("layers and iterations must be integers")
         if self.layers < 0 or self.iterations < 0:
             raise ValueError("layers and iterations must be nonnegative")
         s = self.schedule
         if not (s in ("none", "final-step")
                 or (isinstance(s, dict) and set(s) == {"every"}
-                    and _is_int(s["every"]) and s["every"] > 0)):
+                    and is_integer(s["every"]) and s["every"] > 0)):
             raise ValueError("schedule must be 'none', 'final-step' or "
                              "{'every': k} with a positive integer k")
 
@@ -176,7 +172,7 @@ class Enricher:
             eta_p[k] = self._dual_norm("p", res.r_p, int(region))
         return eta_u, eta_p
 
-    # ---- basis growth ----------------------------------------------------
+    # ---- candidate columns -----------------------------------------------
 
     def build_online_column(self, family, region, res):
         """One penalized patch solve against the localized residual: the
@@ -188,98 +184,26 @@ class Enricher:
         r = getattr(res, "r_" + family)
         return solver.index, solver.solve(weights * r[solver.index])
 
-    def _filter_and_append(self, space, family, columns, factor, current):
-        """Energy near-dependence filter, then append survivors in order,
-        each scaled to unit energy.
-
-        `columns` holds each candidate's (positions, values) on its patch.
-        `factor` is the coarse solver's factor of the stiffness projected
-        onto the family's current columns; it is not modified. Its rows stop
-        at the numerical rank, so the singular Gram of a redundant space
-        takes the same path. A candidate's energy left outside the span is
-        e2 - |z|^2, z = L^-1 g, one forward solve with the factor; an
-        accepted candidate appends its row to a copy of the factor instead
-        of growing the Gram. A candidate is dependent when that energy is at
-        most 1e-10 of e2, a cut well above the roundoff of the difference (up
-        to about 4e-14 of e2 for candidates in the span).
-
-        A candidate whose energy is at most 1e-18 of the energy of `current`,
-        the family's part of the state the residual was taken at, is
-        dropped: it corrects that state by a relative 1e-9 at most, and a
-        state that solves the step leaves only such roundoff candidates. The
-        floor scales with the loads, as the candidates do.
-        """
-        if not columns:
-            return 0
-        R = space.basis(family)
-        A = self.ops.stiffness(family)
-        floor = 1e-18 * float(current @ (A @ current))
-        index, values = zip(*columns)
-        cand = sp.csc_matrix((np.concatenate(values), (np.concatenate(index),
-                              np.repeat(np.arange(len(index)),
-                                        [i.size for i in index]))),
-                             shape=(A.shape[0], len(index)))
-        # dense: sparse-by-sparse products of wide patches' columns cost more
-        images = (A @ cand).toarray()
-        # energy products of the candidates with the space and each other
-        with_space = R.T @ images
-        with_cand = cand.T @ images
-        # the factor's rows: the space's columns in pivot order up to the
-        # rank, then the accepted candidates
-        keep = factor.pivots
-        rank = keep.size
-        L = np.zeros((rank + len(columns),) * 2)
-        L[:rank, :rank] = factor.L
-        accepted, scales = [], []
-        for j in range(len(columns)):
-            e2 = with_cand[j, j]
-            if e2 <= floor:
-                continue
-            k = rank + len(accepted)
-            g = np.concatenate([with_space[keep, j],
-                                np.multiply(scales, with_cand[accepted, j])])
-            z = sla.solve_triangular(L[:k, :k], g, lower=True,
-                                     check_finite=False)
-            resid2 = e2 - z @ z
-            if resid2 <= 1e-10 * e2:
-                continue
-            # scale to unit energy, so that the appended columns do not carry
-            # the residual's scale into the coarse block
-            s = 1.0 / np.sqrt(e2)
-            L[k, :k] = s * z
-            L[k, k] = s * np.sqrt(resid2)
-            accepted.append(j)
-            scales.append(s)
-        if accepted:
-            space.append(family, cand[:, accepted] @ sp.diags(scales))
-        return len(accepted)
-
     # ---- one adaptive iteration -------------------------------------------
 
     def enrich_once(self, solver, state, prev, load, level_k):
-        """Take the residual snapshot, enrich both families, re-solve the step.
+        """Take the residual snapshot, hand both families' candidate columns
+        to `solver.append`, re-solve the step.
 
         Returns (new_state, added_u, added_p). The incoming state is returned
-        unchanged when every candidate is filtered out. `level_k`, the
-        iteration's number within its level, does not enter the result.
+        unchanged when the solver's filter rejects every candidate.
+        `level_k`, the iteration's number within its level, does not enter
+        the result.
         """
         cfg = self.config
         res = compute_residuals(self.ops, solver.tau, state, prev, load)
         eta_u, eta_p = self.compute_indicators(res)
-        space = solver.space
-        added = []
-        # the solver's factors stay current until set_space: each family's
-        # columns change only in its own append
-        for family, eta, bulk in (("u", eta_u, cfg.theta),
-                                  ("p", eta_p, cfg.gamma)):
-            cols = [self.build_online_column(family, region, res)
+        columns = [[self.build_online_column(family, region, res)
                     for region in self.regions[select_regions(eta, bulk)]]
-            added.append(self._filter_and_append(
-                space, family, cols, getattr(solver, "factor_" + family),
-                getattr(state, family)))
-
+                   for family, eta, bulk in (("u", eta_u, cfg.theta),
+                                             ("p", eta_p, cfg.gamma))]
+        added = solver.append(columns, state)
         if any(added):
-            solver.set_space(space)
             state = solver.step(prev, load, state.n)
         return (state, *added)
 

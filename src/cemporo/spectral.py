@@ -7,13 +7,12 @@ The lowest J eigenfunctions per cell form the auxiliary space used to pin
 down the multiscale basis.
 """
 
-import numbers
-
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .assembly import check_family, layout
+from .grid import is_integer
 
 
 def _fix_signs(vecs):
@@ -104,8 +103,7 @@ class AuxBasis:
     def __init__(self, ops, n_u, n_p=None):
         if n_p is None:
             n_p = n_u
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                   for v in (n_u, n_p)):
+        if not all(is_integer(v) for v in (n_u, n_p)):
             raise TypeError("mode counts must be integers")
         if n_u < 1 or n_p < 1:
             raise ValueError("need at least one eigenfunction per family")

@@ -13,8 +13,9 @@ symmetric quasi-definite
 and factors it once per step size with SuperLU and diagonal pivots; it is
 exactly symmetric because assembly hands out A, B and C exactly symmetric.
 The initial state's SPD forms factor with `cembasis.BandedCholesky`.
-The coarse solver keeps its own projections of the forms and borders them
-when its space grows (`_project`). It eliminates the displacement,
+The coarse solver owns its space and its projections of the forms: `append`
+filters candidate columns against the space, and the projections are bordered
+with the survivors (`_project`). It eliminates the displacement,
 A u = D^T p, and solves the symmetric positive semidefinite pressure Schur
 complement C + tau B + D A^- D^T (A^- a generalized inverse); A, B and the
 Schur complement are factored once per space, and only there, by a Cholesky
@@ -33,7 +34,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_load
-from .cembasis import BandedCholesky, NumericalFailure
+from .cembasis import BandedCholesky, MultiscaleSpace, NumericalFailure
+from .grid import is_integer
 
 
 @dataclass
@@ -42,6 +44,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
+        if not is_integer(self.n_steps):
+            raise TypeError("step count must be an integer")
         if self.tau <= 0.0 or self.n_steps < 1:
             raise ValueError("need positive step size and step count")
 
@@ -186,38 +190,37 @@ class PivotedCholesky:
 
 
 class CoarseSolver:
-    """Galerkin solver on a multiscale space, rebuilt when the space changes.
+    """Galerkin solver on a multiscale space of its own, grown by `append`.
 
-    `set_space` projects the forms onto the space (`stiff_u`, `stiff_p`,
-    `mass_p`, `coupling`, dense) and eliminates the displacement: with
-    `factor_u` the pivoted Cholesky factor of `stiff_u` and W the solution
-    of stiff_u W = coupling^T it gives, the step's pressure solves the Schur
-    complement S = mass_p + tau stiff_p + coupling W, factored the same way,
-    and its displacement is W times the pressure. `factor_p` factors
-    `stiff_p` for the initial state and, with `factor_u`, for the online
-    filter. All three are factored once per space. A redundant space makes
-    `stiff_u` and S singular but every system consistent; their null spaces
-    are those of the bases, so the fine lifts do not depend on which
-    solution the factors pick.
+    Its space starts on the given bases' matrices, which `append` never
+    changes, so the caller's space never grows. `set_space` projects the
+    forms onto the space (`stiff_u`, `stiff_p`, `mass_p`, `coupling`, dense)
+    and eliminates the displacement: with `factor_u` the pivoted Cholesky
+    factor of `stiff_u` and W the solution of stiff_u W = coupling^T it
+    gives, the step's pressure solves the Schur complement S = mass_p + tau
+    stiff_p + coupling W, factored the same way, and its displacement is W
+    times the pressure. `factor_p` factors `stiff_p` for the initial state
+    and, with `factor_u`, for the filter of `append`. All three are factored
+    once per space. A redundant space makes `stiff_u` and S singular but
+    every system consistent; their null spaces are those of the bases, so
+    the fine lifts do not depend on which solution the factors pick.
     """
 
     def __init__(self, ops, space, tau):
         self.ops = ops
         self.tau = float(tau)
-        self.space = None
-        self.set_space(space)
+        self.space = MultiscaleSpace(space.basis_u, space.basis_p)
+        self.stiff_u = self.stiff_p = self.mass_p = self.coupling = \
+            np.empty((0, 0))
+        self.set_space()
 
-    def set_space(self, space):
-        """Project onto `space` and factor the displacement block, the
-        pressure Schur complement and the pressure stiffness. Handed the
-        current space again, after `append` grew it, only the appended rows
-        and columns are projected, and all three are factored anew."""
-        if space is not self.space:
-            self.stiff_u = self.stiff_p = self.mass_p = self.coupling = \
-                np.empty((0, 0))
-        self.space = space
+    def set_space(self):
+        """Project the space and factor the displacement block, the pressure
+        Schur complement and the pressure stiffness. Only the rows and
+        columns appended since the last call are projected, and all three
+        are factored anew."""
         ops = self.ops
-        Ru, Rp = space.basis_u, space.basis_p
+        Ru, Rp = self.space.basis_u, self.space.basis_p
         self.stiff_u = _project(ops.stiff_u, Ru, Ru, self.stiff_u)
         self.stiff_p = _project(ops.stiff_p, Rp, Rp, self.stiff_p)
         self.mass_p = _project(ops.mass_p, Rp, Rp, self.mass_p)
@@ -227,6 +230,84 @@ class CoarseSolver:
         self._factor_s = PivotedCholesky(
             self.mass_p + self.tau * self.stiff_p + self.coupling @ self._W)
         self.factor_p = PivotedCholesky(self.stiff_p)
+
+    def append(self, columns, state):
+        """Filter the candidates of "u" and "p", each a list of (positions,
+        values) on its patch, against the state they were built at; append
+        the survivors and re-project once. Returns (added_u, added_p)."""
+        added = tuple(self._filter_and_append(family, cols,
+                                              getattr(state, family))
+                      for family, cols in zip("up", columns))
+        if any(added):
+            self.set_space()
+        return added
+
+    def _filter_and_append(self, family, columns, current):
+        """Energy near-dependence filter, then append survivors in order,
+        each scaled to unit energy.
+
+        The filter starts from the family's factor of the stiffness
+        projected onto its columns, which the other family's append leaves
+        current; it is not modified. Its rows stop at the numerical rank, so
+        the singular Gram of a redundant space takes the same path. A
+        candidate's energy left outside the span is e2 - |z|^2, z = L^-1 g,
+        one forward solve with the factor; an accepted candidate appends its
+        row to a copy of the factor instead of growing the Gram. A candidate
+        is dependent when that energy is at most 1e-10 of e2, a cut well
+        above the roundoff of the difference (up to about 4e-14 of e2 for
+        candidates in the span).
+
+        A candidate whose energy is at most 1e-18 of the energy of `current`,
+        the family's part of the state the residual was taken at, is
+        dropped: it corrects that state by a relative 1e-9 at most, and a
+        state that solves the step leaves only such roundoff candidates. The
+        floor scales with the loads, as the candidates do.
+        """
+        if not columns:
+            return 0
+        R = self.space.basis(family)
+        factor = getattr(self, "factor_" + family)
+        A = self.ops.stiffness(family)
+        floor = 1e-18 * float(current @ (A @ current))
+        index, values = zip(*columns)
+        cand = sp.csc_matrix((np.concatenate(values), (np.concatenate(index),
+                              np.repeat(np.arange(len(index)),
+                                        [i.size for i in index]))),
+                             shape=(A.shape[0], len(index)))
+        # dense: sparse-by-sparse products of wide patches' columns cost more
+        images = (A @ cand).toarray()
+        # energy products of the candidates with the space and each other
+        with_space = R.T @ images
+        with_cand = cand.T @ images
+        # the factor's rows: the space's columns in pivot order up to the
+        # rank, then the accepted candidates
+        keep = factor.pivots
+        rank = keep.size
+        L = np.zeros((rank + len(columns),) * 2)
+        L[:rank, :rank] = factor.L
+        accepted, scales = [], []
+        for j in range(len(columns)):
+            e2 = with_cand[j, j]
+            if e2 <= floor:
+                continue
+            k = rank + len(accepted)
+            g = np.concatenate([with_space[keep, j],
+                                np.multiply(scales, with_cand[accepted, j])])
+            z = sla.solve_triangular(L[:k, :k], g, lower=True,
+                                     check_finite=False)
+            resid2 = e2 - z @ z
+            if resid2 <= 1e-10 * e2:
+                continue
+            # scale to unit energy, so that the appended columns do not carry
+            # the residual's scale into the coarse block
+            s = 1.0 / np.sqrt(e2)
+            L[k, :k] = s * z
+            L[k, k] = s * np.sqrt(resid2)
+            accepted.append(j)
+            scales.append(s)
+        if accepted:
+            self.space.append(family, cand[:, accepted] @ sp.diags(scales))
+        return len(accepted)
 
     @property
     def block(self):

@@ -104,7 +104,7 @@ def test_criterion_03_basis_defining_identities(frozen):
 
     # online columns built from the final-step residual of the plain
     # offline-space trajectory
-    solver = cp.CoarseSolver(ops, space.copy(), frozen.time_grid.tau)
+    solver = cp.CoarseSolver(ops, space, frozen.time_grid.tau)
     coarse = cp.run(ops, frozen.time_grid, frozen.source, frozen.p0,
                     solver=solver)
     load = _load_at(ops, frozen.source,
@@ -193,7 +193,7 @@ def test_criterion_05_fine_solution_is_a_fixed_point(frozen):
     eta = gu + gp
     assert eta <= 1e-10
 
-    solver = cp.CoarseSolver(ops, frozen.space.copy(), tau)
+    solver = cp.CoarseSolver(ops, frozen.space, tau)
     n_u, n_p = solver.space.n_u, solver.space.n_p
     out, added_u, added_p = enr.enrich_once(solver, frozen.fine[10],
                                             frozen.fine[9], load, 1)
@@ -234,7 +234,7 @@ def test_criterion_06_online_error_decay(cli_runs, frozen):
     # three enrichments the CLI runs at the final step
     ops = frozen.ops
     tau = frozen.time_grid.tau
-    solver = cp.CoarseSolver(ops, frozen.space.copy(), tau)
+    solver = cp.CoarseSolver(ops, frozen.space, tau)
     coarse = cp.run(ops, frozen.time_grid, frozen.source, frozen.p0,
                     solver=solver)
     load = _load_at(ops, frozen.source,
@@ -296,7 +296,7 @@ def test_criterion_07_smaller_bulk_never_needs_more_iterations(frozen):
     resolved = cp.FineSolver(ops, tg.tau).step(prev, load, 5)
 
     def iterations_to_target(theta):
-        solver = cp.CoarseSolver(ops, frozen.space.copy(), tg.tau)
+        solver = cp.CoarseSolver(ops, frozen.space, tg.tau)
         cfg = OnlineConfig(theta=theta, gamma=theta, layers=2,
                            strategy="neighborhood")
         enr = Enricher(ops, frozen.aux, cfg)
@@ -332,14 +332,13 @@ def test_criterion_08_recurrent_enrichment_dominates_final_only(frozen):
                            layers=onl["layers"], strategy=onl["strategy"],
                            iterations=onl["iterations"])
         enr = Enricher(ops, frozen.aux, cfg)
-        space = frozen.space.copy()
 
         def hook(n, solver, state, prev, load):
             if n in steps:
                 return enr.adaptive_loop(solver, state, prev, load)
             return state
 
-        solver = cp.CoarseSolver(ops, space, frozen.time_grid.tau)
+        solver = cp.CoarseSolver(ops, frozen.space, frozen.time_grid.tau)
         states = cp.run(ops, frozen.time_grid, frozen.source, frozen.p0,
                         hook=hook, solver=solver)
         return energy_errors(ops, states[10], frozen.fine[10])

@@ -7,6 +7,7 @@ object. Every sparse SPD form, global or on a patch, is factored only by `cembas
 quasi-definite block only in `timestepping.FineSolver._factorize` (SuperLU)
 and a projected coarse matrix only in
 `timestepping.CoarseSolver.set_space` (`PivotedCholesky`, LAPACK pstrf),
+only `CoarseSolver` reads those factors or appends to a space,
 a local eigenproblem is solved only by `spectral._deflated_eigh`, and only
 `assembly` takes a triangle of a sparse form. README's library quick start
 runs as written, on a smaller mesh, and its configuration block lists the
@@ -277,6 +278,43 @@ def test_coarse_factors_go_through_set_space():
     callers = {caller for caller, callee in _calls()
                if callee.rpartition(".")[2] == "PivotedCholesky"}
     assert callers == {"timestepping.CoarseSolver.set_space"}
+
+
+def _module_trees():
+    for module in MODULES:
+        with open(os.path.join(PKG, module + ".py")) as fh:
+            yield module, ast.parse(fh.read())
+
+
+def test_only_the_coarse_solver_grows_a_space():
+    # the near-dependence filter reads the coarse factors, and a grown space
+    # is re-projected from the projections the solver holds: both stay in
+    # CoarseSolver, which owns its space. The package calls a space `space`
+    # wherever it holds one.
+    factor_reads = sorted(
+        "%s.py:%d" % (module, node.lineno)
+        for module, tree in _module_trees() if module != "timestepping"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr in ("L", "pivots", "factor_u", "factor_p"))
+        or (isinstance(node, ast.Constant) and node.value == "factor_"))
+    assert not factor_reads, factor_reads
+    appenders = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "append"
+              and ast.unparse(node.func.value).endswith("space")):
+            appenders.add(".".join(scope[:2]))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for module, tree in _module_trees():
+        visit(tree, (module,))
+    assert appenders == {"timestepping.CoarseSolver"}, appenders
 
 
 def test_eigensolves_go_through_deflated_eigh():

@@ -134,6 +134,9 @@ BAD_INPUTS = {
     "reference-string": {"reference": "no"},
     "snapshots-int": {"snapshots": 1},
     "synth-channels-bool": {"material": {"synth": {"n_channels": True}}},
+    # a negative count draws nothing: the field would come out homogeneous
+    "synth-channels-negative": {"material": {"synth": {"n_channels": -2}}},
+    "synth-inclusions-negative": {"material": {"synth": {"n_inclusions": -5}}},
     "synth-contrast-bool": {"material": {"synth": {"contrast": True}}},
     "scalars-poisson-string": {"scalars": {"poisson": "0.2"}},
     "scalars-alpha-bool": {"scalars": {"alpha": True}},

@@ -125,6 +125,10 @@ def test_synth_rejects_bad_parameters():
         synth_channels(g, 0.0, 10.0)
     with pytest.raises(ValueError):
         synth_channels(g, 1.0, 0.5)
+    # a negative count would draw nothing and leave the field homogeneous
+    for counts in ({"n_channels": -2}, {"n_inclusions": -5}):
+        with pytest.raises(ValueError, match="nonnegative"):
+            synth_channels(g, 1.0, 1e4, **counts)
 
 
 def test_synth_rejects_grid_too_small_for_channels():

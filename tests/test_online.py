@@ -15,8 +15,7 @@ from cemporo.material import MaterialField, synth_channels
 from cemporo.online import (Enricher, OnlineConfig, ResidualSet,
                             compute_residuals, select_regions)
 from cemporo.spectral import build_aux_basis
-from cemporo.timestepping import (CoarseSolver, PivotedCholesky, State,
-                                  TimeGrid, run)
+from cemporo.timestepping import CoarseSolver, State, TimeGrid, run
 
 from oracles import patch_residual
 
@@ -76,7 +75,7 @@ def test_fine_solution_has_zero_residual(setup):
 
 def test_enrichment_is_noop_on_fine_solution(setup):
     ops, aux, space, tg, fine, loads = setup
-    solver = CoarseSolver(ops, space.copy(), tg.tau)
+    solver = CoarseSolver(ops, space, tg.tau)
     enr = Enricher(ops, aux, OnlineConfig(theta=0.3, gamma=0.3, layers=1))
     n_u, n_p = solver.space.n_u, solver.space.n_p
     out, added_u, added_p = enr.enrich_once(
@@ -90,7 +89,7 @@ def test_enrich_once_on_zero_data_keeps_the_state(setup):
     # a zero state with zero loads leaves no residual, so no region is
     # picked and nothing reaches the filter
     ops, aux, space, tg, fine, loads = setup
-    solver = CoarseSolver(ops, space.copy(), tg.tau)
+    solver = CoarseSolver(ops, space, tg.tau)
     prev, zero = (State(n, np.zeros(ops.dofs.n_u), np.zeros(ops.dofs.n_p))
                   for n in (0, 1))
     out, added_u, added_p = Enricher(ops, aux, OnlineConfig()).enrich_once(
@@ -180,7 +179,7 @@ def test_global_norms_dense_oracle(setup):
 def test_indicator_regions_by_strategy(setup):
     ops, aux, space, tg, fine, loads = setup
     coarse = run(ops, tg, _source, _p0,
-                 solver=CoarseSolver(ops, space.copy(), tg.tau))
+                 solver=CoarseSolver(ops, space, tg.tau))
     for strategy, expected in (
             ("neighborhood", ops.grid.interior_coarse_nodes),
             ("element", np.arange(ops.grid.n_coarse_cells))):
@@ -199,7 +198,7 @@ def test_indicator_regions_by_strategy(setup):
 def test_online_column_defining_equation(setup):
     ops, aux, space, tg, fine, loads = setup
     coarse = run(ops, tg, _source, _p0,
-                 solver=CoarseSolver(ops, space.copy(), tg.tau))
+                 solver=CoarseSolver(ops, space, tg.tau))
     res = compute_residuals(ops, tg.tau, coarse[1], coarse[0], loads[1])
     for strategy, region in (("neighborhood",
                               int(ops.grid.interior_coarse_nodes[0])),
@@ -223,7 +222,7 @@ def test_online_column_defining_equation(setup):
 def test_online_column_deterministic(setup):
     ops, aux, space, tg, fine, loads = setup
     coarse = run(ops, tg, _source, _p0,
-                 solver=CoarseSolver(ops, space.copy(), tg.tau))
+                 solver=CoarseSolver(ops, space, tg.tau))
     res = compute_residuals(ops, tg.tau, coarse[1], coarse[0], loads[1])
     cfg = OnlineConfig(layers=1)
     region = int(ops.grid.interior_coarse_nodes[1])
@@ -252,7 +251,7 @@ def test_online_column_reads_only_its_patch(setup, monkeypatch, strategy):
                         recorded(PartitionOfUnity.values))
     monkeypatch.setattr(Patch, "covers", recorded(Patch.covers))
     coarse = run(ops, tg, _source, _p0,
-                 solver=CoarseSolver(ops, space.copy(), tg.tau))
+                 solver=CoarseSolver(ops, space, tg.tau))
     res = compute_residuals(ops, tg.tau, coarse[1], coarse[0], loads[1])
     enr = Enricher(ops, aux, OnlineConfig(strategy=strategy, layers=0))
     for region in enr.regions:
@@ -269,7 +268,7 @@ def test_online_column_reads_only_its_patch(setup, monkeypatch, strategy):
 
 def test_enrich_once_decreases_dual_norms(setup):
     ops, aux, space, tg, fine, loads = setup
-    solver = CoarseSolver(ops, space.copy(), tg.tau)
+    solver = CoarseSolver(ops, space, tg.tau)
     states = run(ops, tg, _source, _p0, solver=solver)
     enr = Enricher(ops, aux,
                    OnlineConfig(theta=0.5, gamma=0.5, layers=1))
@@ -295,10 +294,10 @@ def test_online_columns_have_unit_energy_at_any_load_scale(setup):
     # one bit, down to a residual 2^-40 times that of the unit load
     ops, aux, space, tg, fine, loads = setup
     states = run(ops, tg, _source, _p0,
-                 solver=CoarseSolver(ops, space.copy(), tg.tau))
+                 solver=CoarseSolver(ops, space, tg.tau))
     appended = []
     for c in [2.0 ** k for k in range(-3, 4)] + [2.0 ** -40]:
-        solver = CoarseSolver(ops, space.copy(), tg.tau)
+        solver = CoarseSolver(ops, space, tg.tau)
         state, prev = (State(st.n, c * st.u, c * st.p)
                        for st in (states[1], states[0]))
         enr = Enricher(ops, aux, OnlineConfig(layers=1))
@@ -338,8 +337,7 @@ def _dense_filter(A, R, columns, current):
 def test_filter_matches_dense_least_squares(setup):
     ops, aux, space, tg, fine, loads = setup
     rng = np.random.default_rng(3)
-    enr = Enricher(ops, aux, OnlineConfig())
-    for family in "up":
+    for k, family in enumerate("up"):
         A = ops.stiffness(family)
         R = space.basis(family).toarray()
         a, b = rng.standard_normal((2, R.shape[0]))
@@ -348,29 +346,48 @@ def test_filter_matches_dense_least_squares(setup):
                       a + 1e-9 * np.linalg.norm(a) * rng.standard_normal(
                           R.shape[0])]
         current = getattr(fine[1], family)
-        # the second space holds a duplicated column: its Gram is singular
-        redundant = space.copy()
-        redundant.append(family, space.basis(family)[:, [2]])
+        # the second solver's space holds a duplicated column: its Gram is
+        # singular
+        redundant = CoarseSolver(ops, space, tg.tau)
+        redundant.space.append(family, space.basis(family)[:, [2]])
+        redundant.set_space()
         everywhere = np.arange(R.shape[0])
-        for base in (space, redundant):
-            grown = base.copy()
-            factor = PivotedCholesky(getattr(CoarseSolver(ops, base, tg.tau),
-                                             "stiff_" + family))
-            added = enr._filter_and_append(
-                grown, family, [(everywhere, c) for c in candidates], factor,
-                current)
-            decisions, accepted = _dense_filter(
-                A, base.basis(family), candidates, current)
+        columns = [[], []]
+        columns[k] = [(everywhere, c) for c in candidates]
+        for solver in (CoarseSolver(ops, space, tg.tau), redundant):
+            base = solver.space.basis(family)
+            added = solver.append(columns, fine[1])
+            decisions, accepted = _dense_filter(A, base, candidates, current)
             assert decisions == [False, False, False, True, True, False]
-            assert added == len(accepted)
-            new = grown.basis(family)[:, base.basis(family).shape[1]:]
+            assert added[k] == len(accepted) and added[1 - k] == 0
+            new = solver.space.basis(family)[:, base.shape[1]:]
             npt.assert_allclose(new.toarray(), np.column_stack(accepted),
                                 rtol=1e-14, atol=0)
 
 
+def test_enriching_run_leaves_the_callers_space(setup):
+    # the solver grows a space of its own: it starts on the caller's basis
+    # matrices, copies none of them and changes none of them
+    ops, aux, space, tg, fine, loads = setup
+    bases = space.basis_u, space.basis_p
+    n_u, n_p = space.n_u, space.n_p
+    last = space.basis_p[:, -1].toarray()
+    solver = CoarseSolver(ops, space, tg.tau)
+    assert solver.space.basis_u is bases[0]
+    assert solver.space.basis_p is bases[1]
+    enr = Enricher(ops, aux, OnlineConfig(layers=1))
+    run(ops, tg, _source, _p0, solver=solver,
+        hook=lambda n, s, state, prev, load: enr.adaptive_loop(
+            s, state, prev, load))
+    assert solver.space.n_u > n_u and solver.space.n_p > n_p
+    assert (space.n_u, space.n_p) == (n_u, n_p)
+    assert space.basis_u is bases[0] and space.basis_p is bases[1]
+    assert np.array_equal(space.basis_p[:, -1].toarray(), last)
+
+
 def test_adaptive_loop_zero_iterations(setup):
     ops, aux, space, tg, fine, loads = setup
-    solver = CoarseSolver(ops, space.copy(), tg.tau)
+    solver = CoarseSolver(ops, space, tg.tau)
     states = run(ops, tg, _source, _p0, solver=solver)
     enr = Enricher(ops, aux, OnlineConfig(iterations=0))
     history = []
@@ -385,7 +402,7 @@ def test_adaptive_loop_zero_iterations(setup):
 
 def test_adaptive_loop_history_and_tolerance(setup):
     ops, aux, space, tg, fine, loads = setup
-    solver = CoarseSolver(ops, space.copy(), tg.tau)
+    solver = CoarseSolver(ops, space, tg.tau)
     states = run(ops, tg, _source, _p0, solver=solver)
     enr = Enricher(ops, aux,
                    OnlineConfig(theta=0.5, gamma=0.5, layers=1, iterations=2))
@@ -401,7 +418,7 @@ def test_adaptive_loop_history_and_tolerance(setup):
     assert history[2]["n_u"] >= history[1]["n_u"]
 
     # a tolerance above the starting dual norm stops immediately
-    solver2 = CoarseSolver(ops, space.copy(), tg.tau)
+    solver2 = CoarseSolver(ops, space, tg.tau)
     states2 = run(ops, tg, _source, _p0, solver=solver2)
     lazy = Enricher(ops, aux,
                     OnlineConfig(layers=1, iterations=5, tol=10 * etas[0]))
@@ -414,7 +431,7 @@ def test_adaptive_loop_history_and_tolerance(setup):
 
 def test_adaptive_loop_stagnation_guard_stops_fixed_loop(setup):
     ops, aux, space, tg, fine, loads = setup
-    solver = CoarseSolver(ops, space.copy(), tg.tau)
+    solver = CoarseSolver(ops, space, tg.tau)
     states = run(ops, tg, _source, _p0, solver=solver)
     res = compute_residuals(ops, tg.tau, states[1], states[0], loads[1])
     eta0 = sum(Enricher(ops, aux, OnlineConfig()).global_norms(res))
@@ -432,7 +449,7 @@ def test_adaptive_loop_stagnation_guard_stops_fixed_loop(setup):
 def test_adaptive_loop_caches_region_factors_only(setup, strategy):
     # the whole-interior factors of the history's dual norms are not kept
     ops, aux, space, tg, fine, loads = setup
-    solver = CoarseSolver(ops, space.copy(), tg.tau)
+    solver = CoarseSolver(ops, space, tg.tau)
     states = run(ops, tg, _source, _p0, solver=solver)
     enr = Enricher(ops, aux, OnlineConfig(strategy=strategy, layers=1,
                                           iterations=2))
@@ -449,7 +466,7 @@ def test_adaptive_loop_tolerance_loop_iterates_to_tol(setup):
     ops, aux, space, tg, fine, loads = setup
 
     def loop(cfg):
-        solver = CoarseSolver(ops, space.copy(), tg.tau)
+        solver = CoarseSolver(ops, space, tg.tau)
         states = run(ops, tg, _source, _p0, solver=solver)
         history = []
         Enricher(ops, aux, cfg).adaptive_loop(

@@ -56,6 +56,11 @@ def test_time_grid():
         TimeGrid(-0.1, 5)
     with pytest.raises(ValueError):
         TimeGrid(0.1, 0)
+    # 2.5 would fail later, inside run's range; True would run one step
+    for n_steps in (2.5, True, "3"):
+        with pytest.raises(TypeError, match="step count"):
+            TimeGrid(0.1, n_steps)
+    assert TimeGrid(0.1, np.int64(3)).n_steps == 3
 
 
 def test_coarse_run_skips_the_fine_elastic_solve(setup, monkeypatch):
@@ -225,6 +230,7 @@ def test_set_space_borders_appended_columns_exactly(setup, monkeypatch):
     space = build_offline_basis(ops, aux, 1)
     tau = 0.1
     solver = CoarseSolver(ops, space, tau)
+    space = solver.space  # the solver grows a space of its own
     bordered = []
     project = timestepping._project
 
@@ -239,7 +245,7 @@ def test_set_space_borders_appended_columns_exactly(setup, monkeypatch):
             space.append(family, build_element_basis(ops, aux, family,
                                                      element, 2))
         del bordered[:]
-        solver.set_space(space)
+        solver.set_space()
         assert bordered == [True] * 4
         fresh = CoarseSolver(ops, space, tau)
         for name in ("stiff_u", "stiff_p", "mass_p", "coupling"):
@@ -276,6 +282,7 @@ def test_set_space_multiplies_forms_only_by_appended_columns(setup,
     aux = build_aux_basis(ops, 2)
     space = build_offline_basis(ops, aux, 1)
     solver = CoarseSolver(ops, space, 0.1)
+    space = solver.space  # the solver grows a space of its own
     for element, families in ((3, ("u",)), (4, ("p",)), (5, ("u", "p"))):
         columns = {family: build_element_basis(ops, aux, family, element, 2)
                    for family in families}
@@ -286,7 +293,7 @@ def test_set_space_multiplies_forms_only_by_appended_columns(setup,
             for name in ("stiff_u", "stiff_p", "mass_p", "coupling"):
                 m.setattr(ops, name,
                           _RecordingForm(getattr(ops, name), widths))
-            solver.set_space(space)
+            solver.set_space()
         assert widths, families
         assert max(widths) <= max(c.shape[1] for c in columns.values()), \
             (families, widths)
@@ -365,6 +372,7 @@ def test_coarse_block_is_factored_once_per_space(setup, monkeypatch):
 
     monkeypatch.setattr(timestepping, "PivotedCholesky", counted)
     solver = CoarseSolver(ops, space, tg.tau)
+    space = solver.space  # the solver grows a space of its own
     states = run(ops, tg, _source, _p0, solver=solver)
     # the displacement block, the Schur complement and the flow form once
     # for all ten steps and the initial state, all in set_space
@@ -392,7 +400,7 @@ def test_coarse_block_is_factored_once_per_space(setup, monkeypatch):
         space.append(family, build_element_basis(ops, aux, family,
                                                  element, 2))
         del factored[:]
-        solver.set_space(space)
+        solver.set_space()
         assert factored == [(space.n_u,) * 2, (space.n_p,) * 2,
                             (space.n_p,) * 2], family
 
@@ -424,6 +432,7 @@ def test_non_finite_coarse_solve_raises(setup):
     space = build_offline_basis(ops, aux, 1)
     tau = 0.1
     solver = CoarseSolver(ops, space, tau)
+    space = solver.space  # the solver grows a space of its own
     prev = solver.initial_state(_initial_pressure(ops, _p0))
     load = ops.dofs.restrict_p(assemble_load(ops.grid, _source, tau))
     # a finite block, factored, and a non-finite previous state
@@ -435,5 +444,5 @@ def test_non_finite_coarse_solve_raises(setup):
     column[0] = np.nan
     space.append("u", sp.csc_matrix(column[:, None]))
     with pytest.raises(NumericalFailure):
-        solver.set_space(space)
+        solver.set_space()
     assert np.isnan(solver.block).any()
