@@ -16,14 +16,24 @@ gives
 
     (A + U U^T)^-1 = L^-T (I - Z C^-1 Z^T) L^-1,
 
-two banded triangular sweeps around a rank-k correction. Each solve is
+two banded triangular sweeps around a rank-k correction. Forming Z takes k
+sweeps, but C = I + U^T A^-1 U depends on nothing but the family and the
+patch rectangle. A solver handed the C of an earlier solver on the same
+rectangle forms no Z and applies
+
+    (A + U U^T)^-1 b = A^-1 (b - U C^-1 U^T A^-1 b),
+
+four band sweeps; Z exists only in the solver that formed C. Each solve is
 followed by one step of iterative refinement on the defining equation.
 `PatchSolver.solve` takes a vector or the columns of a matrix. The offline
-basis factorizes each distinct patch rectangle once, solves every column
-seeded in it in one batch and frees the factorization before the next one
-is built. Both families take this path, with their forms and columns from
-the operators and the auxiliary basis; an online column, seeded by a
-residual, is one `PatchSolver.solve` of its own.
+basis factorizes each distinct patch rectangle once, forms Z, solves every
+column seeded in it in one batch and frees the factorization before the
+next one is built: through U each of its right-hand sides would pay two
+more sweeps. Both families take this path, with their forms and columns
+from the operators and the auxiliary basis; an online column, seeded by a
+residual, is one `PatchSolver.solve` of its own, with the capacitance the
+enricher keeps for its (family, rectangle) once the first column there has
+formed it.
 
 `BandedCholesky` factors the global SPD forms too (the initial state, the
 online loop's global dual norms) in the grid's x-fastest numbering, whose
@@ -122,9 +132,14 @@ def patch_index(dofs, patch, family):
 
 
 class PatchSolver:
-    """Penalized local solver for one family on one patch."""
+    """Penalized local solver for one family on one patch.
 
-    def __init__(self, ops, aux, patch, family):
+    `capacitance`, an earlier solver's `cho_factor` of C for the same
+    family and patch rectangle, spares forming Z: `Z` is then None and the
+    solves go through U. Without it the solver forms Z and C itself.
+    """
+
+    def __init__(self, ops, aux, patch, family, capacitance=None):
         idx = patch_index(ops.dofs, patch, family)
         self.index = idx
         cols = aux.columns_in_cells(family, patch.cells)
@@ -133,12 +148,21 @@ class PatchSolver:
                   @ aux.columns(family)[idx][:, cols]).tocsc()
         self.aux_cols = cols
         self.factor = BandedCholesky(self.A)
-        self.Z = self.factor.solve_lower(self.U.toarray())
-        self.capacitance = sla.cho_factor(
-            np.identity(self.Z.shape[1]) + self.Z.T @ self.Z, lower=True)
+        self.Z = None
+        if capacitance is None:
+            self.Z = self.factor.solve_lower(self.U.toarray())
+            capacitance = sla.cho_factor(
+                np.identity(self.Z.shape[1]) + self.Z.T @ self.Z, lower=True)
+        self.capacitance = capacitance
 
     def _apply(self, b):
-        """(A + U U^T)^-1 b = L^-T (w - Z C^-1 Z^T w), w = L^-1 b."""
+        """(A + U U^T)^-1 b: L^-T (w - Z C^-1 Z^T w), w = L^-1 b, with Z;
+        without it A^-1 (b - U C^-1 U^T A^-1 b), four band sweeps."""
+        if self.Z is None:
+            y = self.factor.solve(b)
+            return self.factor.solve(
+                b - self.U @ sla.cho_solve(self.capacitance, self.U.T @ y,
+                                           check_finite=False))
         w = self.factor.solve_lower(b)
         w -= self.Z @ sla.cho_solve(self.capacitance, self.Z.T @ w,
                                     check_finite=False)

@@ -115,7 +115,12 @@ class Enricher:
 
     The strategy fixes the regions, interior coarse nodes or coarse cells,
     their patches and their residual weights: the node's hat or the cell's
-    closed mask, evaluated on a column's own patch only.
+    closed mask, evaluated on a column's own patch only. Two caches live as
+    long as the enricher: `_riesz`, the stiffness factor of each (family,
+    region) patch without oversampling, for the indicators, and
+    `_capacitance`, the patch solver's capacitance factor of each (family,
+    oversampled patch rectangle), formed by the first online column there
+    and handed to every later one.
     """
 
     def __init__(self, ops, aux, config):
@@ -132,6 +137,7 @@ class Enricher:
             self._patch = oversample_element
             self._weights = self._cell_mask
         self._riesz = {}
+        self._capacitance = {}
 
     # ---- plumbing ------------------------------------------------------
 
@@ -176,9 +182,14 @@ class Enricher:
 
     def build_online_column(self, family, region, res):
         """One penalized patch solve against the localized residual: the
-        column's interior positions on the patch and its values there."""
+        column's interior positions on the patch and its values there. The
+        solver reuses the capacitance of its (family, patch rectangle) when
+        an earlier column has formed it."""
         patch = self._patch(self.ops.grid, int(region), self.config.layers)
-        solver = PatchSolver(self.ops, self.aux, patch, family)
+        key = (family, patch.rect)
+        solver = PatchSolver(self.ops, self.aux, patch, family,
+                             self._capacitance.get(key))
+        self._capacitance[key] = solver.capacitance
         weights = self.ops.dofs.spread(
             self._weights(int(region), patch_nodes(patch)), family)
         r = getattr(res, "r_" + family)
@@ -198,10 +209,12 @@ class Enricher:
         cfg = self.config
         res = compute_residuals(self.ops, solver.tau, state, prev, load)
         eta_u, eta_p = self.compute_indicators(res)
-        columns = [[self.build_online_column(family, region, res)
+        # a generator: the "p" candidates are built only once the solver has
+        # filtered and dropped the "u" ones
+        columns = ([self.build_online_column(family, region, res)
                     for region in self.regions[select_regions(eta, bulk)]]
                    for family, eta, bulk in (("u", eta_u, cfg.theta),
-                                             ("p", eta_p, cfg.gamma))]
+                                             ("p", eta_p, cfg.gamma)))
         added = solver.append(columns, state)
         if any(added):
             state = solver.step(prev, load, state.n)

@@ -14,8 +14,9 @@ and factors it once per step size with SuperLU and diagonal pivots; it is
 exactly symmetric because assembly hands out A, B and C exactly symmetric.
 The initial state's SPD forms factor with `cembasis.BandedCholesky`.
 The coarse solver owns its space and its projections of the forms: `append`
-filters candidate columns against the space, and the projections are bordered
-with the survivors (`_project`). It eliminates the displacement,
+filters candidate columns against the space and borders the projected
+stiffness with the survivors from the filter's energy products;
+`_project` borders the other projections. It eliminates the displacement,
 A u = D^T p, and solves the symmetric positive semidefinite pressure Schur
 complement C + tau B + D A^- D^T (A^- a generalized inverse); A, B and the
 Schur complement are factored once per space, and only there, by a Cholesky
@@ -217,8 +218,9 @@ class CoarseSolver:
     def set_space(self):
         """Project the space and factor the displacement block, the pressure
         Schur complement and the pressure stiffness. Only the rows and
-        columns appended since the last call are projected, and all three
-        are factored anew."""
+        columns appended since the last call are projected, save those of a
+        stiffness `append` has bordered already, and all three are factored
+        anew."""
         ops = self.ops
         Ru, Rp = self.space.basis_u, self.space.basis_p
         self.stiff_u = _project(ops.stiff_u, Ru, Ru, self.stiff_u)
@@ -232,12 +234,16 @@ class CoarseSolver:
         self.factor_p = PivotedCholesky(self.stiff_p)
 
     def append(self, columns, state):
-        """Filter the candidates of "u" and "p", each a list of (positions,
-        values) on its patch, against the state they were built at; append
-        the survivors and re-project once. Returns (added_u, added_p)."""
-        added = tuple(self._filter_and_append(family, cols,
+        """Filter the candidates of "u", then of "p", each a list of
+        (positions, values) on its patch, against the state they were built
+        at; append the survivors and re-project once. `columns` yields the
+        two lists in that order, and each is dropped once filtered, before
+        the next is drawn: a generator holds one family's candidates at a
+        time. Returns (added_u, added_p)."""
+        columns = iter(columns)
+        added = tuple(self._filter_and_append(family, next(columns),
                                               getattr(state, family))
-                      for family, cols in zip("up", columns))
+                      for family in "up")
         if any(added):
             self.set_space()
         return added
@@ -262,6 +268,10 @@ class CoarseSolver:
         dropped: it corrects that state by a relative 1e-9 at most, and a
         state that solves the step leaves only such roundoff candidates. The
         floor scales with the loads, as the candidates do.
+
+        The survivors' energy products with the space and with each other
+        are the filter's own, scaled, so they border the family's projected
+        stiffness here and `set_space` multiplies the stiffness by no column.
         """
         if not columns:
             return 0
@@ -279,6 +289,8 @@ class CoarseSolver:
         # energy products of the candidates with the space and each other
         with_space = R.T @ images
         with_cand = cand.T @ images
+        # the filter's largest array: gone before the stiffness grows
+        del images
         # the factor's rows: the space's columns in pivot order up to the
         # rank, then the accepted candidates
         keep = factor.pivots
@@ -307,6 +319,16 @@ class CoarseSolver:
             scales.append(s)
         if accepted:
             self.space.append(family, cand[:, accepted] @ sp.diags(scales))
+            name = "stiff_" + family
+            old = getattr(self, name)
+            n = old.shape[0]
+            stiff = np.empty((n + len(accepted),) * 2)
+            stiff[:n, :n] = old
+            stiff[:n, n:] = with_space[:, accepted] * scales
+            stiff[n:, :n] = stiff[:n, n:].T
+            stiff[n:, n:] = (with_cand[np.ix_(accepted, accepted)]
+                             * np.outer(scales, scales))
+            setattr(self, name, stiff)
         return len(accepted)
 
     @property

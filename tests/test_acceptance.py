@@ -11,7 +11,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 import cemporo as cp
 from cemporo.cembasis import PatchSolver, patch_nodes

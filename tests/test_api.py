@@ -9,8 +9,9 @@ and a projected coarse matrix only in
 `timestepping.CoarseSolver.set_space` (`PivotedCholesky`, LAPACK pstrf),
 only `CoarseSolver` reads those factors or appends to a space,
 a local eigenproblem is solved only by `spectral._deflated_eigh`, and only
-`assembly` takes a triangle of a sparse form. README's library quick start
-runs as written, on a smaller mesh, and its configuration block lists the
+`assembly` takes a triangle of a sparse form. No module of the package or
+the tests imports a name it never uses. README's library quick start runs
+as written, on a smaller mesh, and its configuration block lists the
 defaults the program uses."""
 
 import ast
@@ -332,6 +333,35 @@ def test_forms_are_symmetrized_only_in_assembly():
                if callee in ("scipy.sparse.tril", "scipy.sparse.triu")}
     assert {caller.split(".")[0] for caller in callers} == {"assembly"}, \
         sorted(callers)
+
+
+def _unused_imports(path):
+    """(line, name) of every name the module at `path` imports and never
+    reads."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # `import a.b` binds `a`
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_every_imported_name_is_used():
+    # no linter runs on the repository, and an import nothing reads is dead
+    # weight; the package's `__init__` imports are its exports
+    unused = ["%s:%d %s" % (os.path.relpath(path, ROOT), line, name)
+              for directory in (PKG, os.path.join(ROOT, "tests"))
+              for path in sorted(os.path.join(directory, f)
+                                 for f in os.listdir(directory)
+                                 if f.endswith(".py") and f != "__init__.py")
+              for line, name in _unused_imports(path)]
+    assert not unused, unused
 
 
 def test_readme_quick_start_runs():

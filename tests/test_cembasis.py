@@ -11,7 +11,7 @@ from cemporo import cembasis, spectral, timestepping
 from cemporo.assembly import assemble_operators
 from cemporo.cembasis import (BandedCholesky, NumericalFailure, PatchSolver,
                               build_offline_basis)
-from cemporo.grid import build_grids, oversample_element
+from cemporo.grid import Patch, build_grids, oversample_element
 from cemporo.material import synth_channels
 from cemporo.spectral import build_aux_basis, spectral_diagnostics
 from cemporo.timestepping import CoarseSolver
@@ -242,6 +242,29 @@ def test_patch_solver_refinement_accuracy(setup, family, element, cells):
     expected = np.linalg.solve(solver.A.toarray() + U @ U.T, rhs)
     npt.assert_allclose(psi, expected, rtol=0,
                         atol=1e-10 * np.linalg.norm(expected))
+
+
+@pytest.mark.parametrize("element", [5, 0])
+@pytest.mark.parametrize("family", ["u", "p"])
+def test_patch_solver_reuses_an_earlier_capacitance(setup, family, element):
+    # a second solver on the same rectangle, handed the first one's
+    # capacitance, forms no Z and applies the inverse through U instead
+    grid, ops, aux = setup
+    patch = oversample_element(grid, element, 1)
+    fresh = PatchSolver(ops, aux, patch, family)
+    reused = PatchSolver(ops, aux, Patch(grid, *patch.rect), family,
+                         fresh.capacitance)
+    assert fresh.Z is not None and reused.Z is None
+    assert reused.capacitance is fresh.capacitance
+    rng = np.random.default_rng(3)
+    for rhs in (rng.normal(size=reused.index.size), reused.U.toarray()):
+        psi = reused.solve(rhs)
+        expected = fresh.solve(rhs)
+        for x, b, want in zip(psi.reshape(psi.shape[0], -1).T,
+                              rhs.reshape(rhs.shape[0], -1).T,
+                              expected.reshape(expected.shape[0], -1).T):
+            assert patch_residual(reused, x, b) <= 1e-12 * np.linalg.norm(b)
+            assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("family", ["u", "p"])

@@ -1,11 +1,14 @@
 """Residual computation, region selection, and online basis growth."""
 
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cemporo import cli, online, timestepping
 from cemporo.assembly import assemble_load, assemble_operators
 from cemporo.cembasis import (BandedCholesky, PatchSolver, build_offline_basis,
                               patch_nodes)
@@ -17,6 +20,7 @@ from cemporo.online import (Enricher, OnlineConfig, ResidualSet,
 from cemporo.spectral import build_aux_basis
 from cemporo.timestepping import CoarseSolver, State, TimeGrid, run
 
+from conftest import FROZEN
 from oracles import patch_residual
 
 
@@ -460,6 +464,100 @@ def test_adaptive_loop_caches_region_factors_only(setup, strategy):
     regions = set(enr.regions.tolist())
     assert all(family in ("u", "p") and region in regions
                for family, region in enr._riesz)
+
+
+@pytest.fixture(scope="module")
+def every_step():
+    """The FROZEN physics on 6x6 cells of refinement 6, without the fine
+    reference."""
+    return cli.Experiment(cli.resolve_config(
+        dict(FROZEN, mesh={"ncx": 6, "ncy": 6, "refinement": 6},
+             reference=False)))
+
+
+@pytest.mark.parametrize("strategy", ["element", "neighborhood"])
+def test_online_columns_form_one_capacitance_per_patch(every_step, monkeypatch,
+                                                       strategy):
+    # enriching after every step picks regions again; only the first solver
+    # on each (family, rectangle) forms Z and the capacitance, and the
+    # enricher keeps that capacitance for the later ones
+    built, enrichers = [], []
+
+    class Recorded(PatchSolver):
+        def __init__(self, ops, aux, patch, family, capacitance=None):
+            built.append(((family, patch.rect), capacitance is None))
+            super().__init__(ops, aux, patch, family, capacitance)
+
+    class Kept(Enricher):
+        def __init__(self, *args):
+            super().__init__(*args)
+            enrichers.append(self)
+
+    monkeypatch.setattr(online, "PatchSolver", Recorded)
+    monkeypatch.setattr(cli, "Enricher", Kept)
+    every_step.run_multiscale({"strategy": strategy, "iterations": 2,
+                               "schedule": {"every": 1}})
+    (enr,) = enrichers
+    keys = [key for key, _ in built]
+    formed = [key for key, fresh in built if fresh]
+    assert len(keys) > len(set(keys))
+    assert formed == list(dict.fromkeys(keys))
+    assert len(formed) == len(enr._capacitance)
+    assert set(enr._capacitance) == set(keys)
+
+
+def test_p_candidates_are_built_after_the_u_ones_are_dropped(setup,
+                                                            monkeypatch):
+    # one family's candidates at a time: when the first "p" column is
+    # built, the "u" columns have been filtered and released
+    ops, aux, space, tg, fine, loads = setup
+    solver = CoarseSolver(ops, space, tg.tau)
+    states = run(ops, tg, _source, _p0, solver=solver)
+    build = Enricher.build_online_column
+    built = {"u": [], "p": []}
+    u_alive = []
+
+    def recorded(self, family, region, res):
+        if family == "p" and not built["p"]:
+            u_alive.append(sum(ref() is not None for ref in built["u"]))
+        index, values = build(self, family, region, res)
+        built[family].append(weakref.ref(values))
+        return index, values
+
+    monkeypatch.setattr(Enricher, "build_online_column", recorded)
+    enr = Enricher(ops, aux, OnlineConfig(theta=0.5, gamma=0.5, layers=1))
+    enr.enrich_once(solver, states[1], states[0], loads[1], 1)
+    assert built["u"] and built["p"]
+    assert u_alive == [0]
+
+
+def test_append_borders_the_stiffness_from_the_filter(setup, monkeypatch):
+    # the filter's energy products border the projected stiffness, so
+    # re-projecting the grown space multiplies only the mass and the
+    # coupling by its new columns
+    ops, aux, space, tg, fine, loads = setup
+    solver = CoarseSolver(ops, space, tg.tau)
+    states = run(ops, tg, _source, _p0, solver=solver)
+    project = timestepping._project
+    complete = []
+
+    def recording(A, R_row, R_col, old):
+        complete.append(old.shape == (R_row.shape[1], R_col.shape[1]))
+        return project(A, R_row, R_col, old)
+
+    monkeypatch.setattr(timestepping, "_project", recording)
+    enr = Enricher(ops, aux, OnlineConfig(theta=0.5, gamma=0.5, layers=1))
+    _, added_u, added_p = enr.enrich_once(solver, states[1], states[0],
+                                          loads[1], 1)
+    assert added_u > 0 and added_p > 0
+    # stiff_u, stiff_p, mass_p, coupling
+    assert complete == [True, True, False, False]
+    for family in "up":
+        R = solver.space.basis(family)
+        want = project(ops.stiffness(family), R, R, np.empty((0, 0)))
+        got = getattr(solver, "stiff_" + family)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_adaptive_loop_tolerance_loop_iterates_to_tol(setup):

@@ -10,7 +10,7 @@ from cemporo.assembly import assemble_load, assemble_operators
 from cemporo import timestepping
 from cemporo.cembasis import build_offline_basis
 from cemporo.grid import build_grids
-from cemporo.material import MaterialField, synth_channels
+from cemporo.material import synth_channels
 from cemporo.online import compute_residuals
 from cemporo.report import energy_errors
 from cemporo.spectral import build_aux_basis
