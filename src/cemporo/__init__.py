@@ -14,10 +14,10 @@ from .assembly import OperatorSet, DofMap, assemble_operators, assemble_load
 from .spectral import (AuxBasis, solve_local_spectral, build_aux_basis,
                        spectral_diagnostics, SpectralDiagnostics)
 from .cembasis import MultiscaleSpace, PatchSolver, build_offline_basis
-from .timestepping import (TimeGrid, State, FineSolver, CoarseSolver,
-                           NumericalFailure, run)
-from .online import (ResidualSet, OnlineConfig, Enricher, compute_residuals,
-                     select_regions)
+from .timestepping import (TimeGrid, State, ResidualSet, FineSolver,
+                           CoarseSolver, NumericalFailure, compute_residuals,
+                           run)
+from .online import OnlineConfig, Enricher, select_regions
 from .report import (EnrichmentHistory, energy_errors,
                      export_field_snapshots, render_percent)
 

@@ -133,7 +133,7 @@ def resolve_config(raw):
     if min(off["layers"], syn["n_channels"], syn["n_inclusions"]) < 0:
         raise ConfigError("offline.layers, material.synth.n_channels and "
                           "n_inclusions must be nonnegative")
-    _online_config(cfg["online"])
+    online = {"online": _online_config(cfg["online"])}
     variants = cfg.get("variants", [])
     if not isinstance(variants, list):
         raise ConfigError("variants must be a list")
@@ -146,7 +146,18 @@ def resolve_config(raw):
                               "other variant has" % k)
         names.add(variant["name"])
         overrides = {key: v for key, v in variant.items() if key != "name"}
-        _online_config(dict(cfg["online"], **overrides), "variants[%d]" % k)
+        where = "variants[%d]" % k
+        online[where] = _online_config(dict(cfg["online"], **overrides), where)
+    # at refinement 1 a zero-layer patch is one fine cell, with no interior
+    # unknowns: the offline patches and the element indicators need more
+    if mesh["refinement"] == 1:
+        if off["layers"] < 1:
+            raise ConfigError("offline.layers must be at least 1 at "
+                              "mesh.refinement 1")
+        for where, ocfg in online.items():
+            if ocfg.strategy == "element" and ocfg.schedule != "none":
+                raise ConfigError("%s.strategy 'element' needs "
+                                  "mesh.refinement above 1" % where)
     nfx = mesh["ncx"] * mesh["refinement"]
     nfy = mesh["ncy"] * mesh["refinement"]
     for where, kinds, size, entity in (

@@ -1,14 +1,17 @@
 """Residual-driven online enrichment of the multiscale spaces.
 
-After a time step the discrete residuals of both equations are localized to
-coarse regions (node neighborhoods by default, single coarse cells in the
-element variant). Regions are picked by a bulk criterion on local dual norms,
-and one penalized patch solve per picked region turns the localized residual
-into a candidate column. The coarse solver filters the candidates, appends
-the survivors to the space it owns (`CoarseSolver.append`), and the step is
-re-solved in the enlarged space. All solves of one iteration use the
-residual snapshot taken at its start. Both families run through one loop;
-the operators answer for each.
+After a time step the residuals of both equations, which `timestepping`
+states with the step (`compute_residuals`), are localized to coarse regions
+(node neighborhoods by default, single coarse cells in the element variant).
+Regions are picked by a bulk criterion on local dual norms, and one
+penalized patch solve per picked region turns the localized residual into a
+candidate column. The coarse solver filters the candidates, appends the
+survivors to the space it owns, borders its projections by them
+(`CoarseSolver.append`), and the step is re-solved in the enlarged space.
+This module states no equation of the step: of the forms it reads only the
+stiffness, for the dual norms and the patch solves. All solves of one
+iteration use the residual snapshot taken at its start. Both families run
+through one loop; the operators answer for each.
 """
 
 import math
@@ -21,13 +24,8 @@ import numpy as np
 from .grid import is_integer, oversample_element, oversample_neighborhood
 from .cembasis import (BandedCholesky, PatchSolver, patch_index,
                        patch_nodes)
-
-
-@dataclass
-class ResidualSet:
-    """Interior-unknown covectors of the two equations at one time level."""
-    r_u: np.ndarray
-    r_p: np.ndarray
+from .timestepping import compute_residuals
+from .report import energy_errors
 
 
 @dataclass
@@ -73,15 +71,6 @@ class OnlineConfig:
             every = self.schedule["every"]
             return set(range(every, n_steps + 1, every))
         return {n_steps} if self.schedule == "final-step" else set()
-
-
-def compute_residuals(ops, tau, state, prev, load):
-    """Residual covectors of the equilibrium and flow equations."""
-    r_u = ops.coupling.T @ state.p - ops.stiff_u @ state.u
-    r_p = load - ops.stiff_p @ state.p \
-        - (ops.mass_p @ (state.p - prev.p)
-           + ops.coupling @ (state.u - prev.u)) / tau
-    return ResidualSet(r_u, r_p)
 
 
 def select_regions(indicators, bulk):
@@ -228,8 +217,6 @@ class Enricher:
         Appends one record per iterate, the incoming state included, to the
         history (a list of dicts) and returns the final state.
         """
-        from .report import energy_errors
-
         cfg = self.config
         records = history if history is not None else []
 

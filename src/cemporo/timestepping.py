@@ -1,27 +1,30 @@
 """Implicit time stepping of the coupled flow/mechanics system.
 
-One backward difference step solves the monolithic block system
+This module alone states the discrete step. One backward difference step
+solves the monolithic block system
 
     [[A, -D^T], [D, C + tau B]] (u, p) = (0, tau f + D u_prev + C p_prev)
 
 on interior unknowns, either on the fine grid or projected onto a multiscale
-space. The fine solver negates the flow row, which turns the block into the
-symmetric quasi-definite
+space, and `compute_residuals` gives the residuals of the same two equations
+for any state, which online enrichment localizes. The fine solver negates
+the flow row, which turns the block into the symmetric quasi-definite
 
     [[A, -D^T], [-D, -(C + tau B)]],
 
 and factors it once per step size with SuperLU and diagonal pivots; it is
 exactly symmetric because assembly hands out A, B and C exactly symmetric.
 The initial state's SPD forms factor with `cembasis.BandedCholesky`.
-The coarse solver owns its space and its projections of the forms: `append`
-filters candidate columns against the space and borders the projected
-stiffness with the survivors from the filter's energy products;
-`_project` borders the other projections. It eliminates the displacement,
-A u = D^T p, and solves the symmetric positive semidefinite pressure Schur
-complement C + tau B + D A^- D^T (A^- a generalized inverse); A, B and the
-Schur complement are factored once per space, and only there, by a Cholesky
-with complete pivoting that stops at the numerical rank (`PivotedCholesky`),
-so deliberately redundant spaces, whose projected matrices are singular but
+The coarse solver owns its space and its projections of the forms. They are
+projected once, when the solver is built, and grow only in `append`: the
+filter borders the projected stiffness with the survivors from its energy
+products, and `_project` borders the mass and the coupling. `set_space` only
+factors. The solver eliminates the displacement, A u = D^T p, and solves the
+symmetric positive semidefinite pressure Schur complement
+C + tau B + D A^- D^T (A^- a generalized inverse); A, B and the Schur
+complement are factored once per space, and only there, by a Cholesky with
+complete pivoting that stops at the numerical rank (`PivotedCholesky`), so
+deliberately redundant spaces, whose projected matrices are singular but
 consistent, take the same path.
 Previous-step terms always enter through fine-grid lifts, so the right-hand
 side stays meaningful when the space is enriched between steps.
@@ -68,6 +71,27 @@ class State:
     n: int
     u: np.ndarray
     p: np.ndarray
+
+
+@dataclass
+class ResidualSet:
+    """Interior-unknown covectors of the two equations at one time level."""
+    r_u: np.ndarray
+    r_p: np.ndarray
+
+
+def _step_load(ops, tau, load, prev):
+    """The flow row's right-hand side, tau f + D u_prev + C p_prev."""
+    return tau * load + ops.coupling @ prev.u + ops.mass_p @ prev.p
+
+
+def compute_residuals(ops, tau, state, prev, load):
+    """Residual covectors of the equilibrium and flow equations."""
+    r_u = ops.coupling.T @ state.p - ops.stiff_u @ state.u
+    r_p = load - ops.stiff_p @ state.p \
+        - (ops.mass_p @ (state.p - prev.p)
+           + ops.coupling @ (state.u - prev.u)) / tau
+    return ResidualSet(r_u, r_p)
 
 
 def _initial_pressure(ops, p0):
@@ -125,39 +149,37 @@ class FineSolver:
 
     def step(self, prev, load, n):
         self._factorize()
-        ops = self.ops
-        rhs = np.concatenate([
-            np.zeros(self.n_u),
-            -(self.tau * load + ops.coupling @ prev.u + ops.mass_p @ prev.p)])
+        rhs = np.concatenate([np.zeros(self.n_u),
+                              -_step_load(self.ops, self.tau, load, prev)])
         x = self._lu.solve(rhs)
         x += self._lu.solve(rhs - self._block @ x)
         return State(n, x[:self.n_u], x[self.n_u:])
 
 
-def _project(A, R_row, R_col, old):
+def _project(A, R_row, R_col, old=None):
     """Dense R_row^T A R_col.
 
-    `old` is the projection onto leading columns of R_row and R_col (0 x 0
-    for a new space, which is projected by one sparse product). Bordering
+    Without `old`, the whole projection, by one sparse product. `old` is the
+    projection onto leading columns of R_row and R_col, and bordering it
     multiplies the form only by the appended columns: their images are the
     new-columns rectangle's factors, and a symmetric form (`R_row is R_col`)
     takes its new-rows x old-columns rectangle as that rectangle's
     transpose, while the coupling form multiplies its transpose by the
     appended rows. The result equals the full product to round-off.
+    `CoarseSolver.append` borders the mass and the coupling here; the
+    filter borders the stiffness itself.
     """
-    m, n = old.shape
-    if not old.size:
+    if old is None:
         return (R_row.T @ (A @ R_col)).toarray()
+    m, n = old.shape
     out = np.empty((R_row.shape[1], R_col.shape[1]))
     out[:m, :n] = old
-    if out.shape[1] > n:
-        out[:, n:] = R_row.T @ (A @ R_col[:, n:].toarray())
-    if out.shape[0] > m:
-        if R_row is R_col:
-            out[m:, :n] = out[:m, n:].T
-        else:
-            out[m:, :n] = (R_col[:, :n].T
-                           @ (A.T @ R_row[:, m:].toarray())).T
+    # a form without appended columns or rows multiplies an empty block
+    out[:, n:] = R_row.T @ (A @ R_col[:, n:].toarray())
+    if R_row is R_col:
+        out[m:, :n] = out[:m, n:].T
+    else:
+        out[m:, :n] = (R_col[:, :n].T @ (A.T @ R_row[:, m:].toarray())).T
     return out
 
 
@@ -194,39 +216,36 @@ class CoarseSolver:
     """Galerkin solver on a multiscale space of its own, grown by `append`.
 
     Its space starts on the given bases' matrices, which `append` never
-    changes, so the caller's space never grows. `set_space` projects the
-    forms onto the space (`stiff_u`, `stiff_p`, `mass_p`, `coupling`, dense)
-    and eliminates the displacement: with `factor_u` the pivoted Cholesky
-    factor of `stiff_u` and W the solution of stiff_u W = coupling^T it
-    gives, the step's pressure solves the Schur complement S = mass_p + tau
-    stiff_p + coupling W, factored the same way, and its displacement is W
-    times the pressure. `factor_p` factors `stiff_p` for the initial state
-    and, with `factor_u`, for the filter of `append`. All three are factored
-    once per space. A redundant space makes `stiff_u` and S singular but
-    every system consistent; their null spaces are those of the bases, so
-    the fine lifts do not depend on which solution the factors pick.
+    changes, so the caller's space never grows. The forms are projected
+    onto the space once, here (`stiff_u`, `stiff_p`, `mass_p`, `coupling`,
+    dense), and `append` borders them with the columns it appends.
+    `set_space` factors them and eliminates the displacement: with
+    `factor_u` the pivoted Cholesky factor of `stiff_u` and W the solution
+    of stiff_u W = coupling^T it gives, the step's pressure solves the Schur
+    complement S = mass_p + tau stiff_p + coupling W, factored the same
+    way, and its displacement is W times the pressure. `factor_p` factors
+    `stiff_p` for the initial state and, with `factor_u`, for the filter of
+    `append`. All three are factored once per space. A redundant space
+    makes `stiff_u` and S singular but every system consistent; their null
+    spaces are those of the bases, so the fine lifts do not depend on which
+    solution the factors pick.
     """
 
     def __init__(self, ops, space, tau):
         self.ops = ops
         self.tau = float(tau)
         self.space = MultiscaleSpace(space.basis_u, space.basis_p)
-        self.stiff_u = self.stiff_p = self.mass_p = self.coupling = \
-            np.empty((0, 0))
+        Ru, Rp = self.space.basis_u, self.space.basis_p
+        self.stiff_u = _project(ops.stiff_u, Ru, Ru)
+        self.stiff_p = _project(ops.stiff_p, Rp, Rp)
+        self.mass_p = _project(ops.mass_p, Rp, Rp)
+        self.coupling = _project(ops.coupling, Rp, Ru)
         self.set_space()
 
     def set_space(self):
-        """Project the space and factor the displacement block, the pressure
-        Schur complement and the pressure stiffness. Only the rows and
-        columns appended since the last call are projected, save those of a
-        stiffness `append` has bordered already, and all three are factored
-        anew."""
-        ops = self.ops
-        Ru, Rp = self.space.basis_u, self.space.basis_p
-        self.stiff_u = _project(ops.stiff_u, Ru, Ru, self.stiff_u)
-        self.stiff_p = _project(ops.stiff_p, Rp, Rp, self.stiff_p)
-        self.mass_p = _project(ops.mass_p, Rp, Rp, self.mass_p)
-        self.coupling = _project(ops.coupling, Rp, Ru, self.coupling)
+        """Factor the displacement block, the pressure Schur complement and
+        the pressure stiffness of the space as projected; it multiplies no
+        fine form."""
         self.factor_u = PivotedCholesky(self.stiff_u)
         self._W = self.factor_u.solve(self.coupling.T)
         self._factor_s = PivotedCholesky(
@@ -236,15 +255,20 @@ class CoarseSolver:
     def append(self, columns, state):
         """Filter the candidates of "u", then of "p", each a list of
         (positions, values) on its patch, against the state they were built
-        at; append the survivors and re-project once. `columns` yields the
-        two lists in that order, and each is dropped once filtered, before
-        the next is drawn: a generator holds one family's candidates at a
-        time. Returns (added_u, added_p)."""
+        at; append the survivors, border the projections by them and factor
+        once. The filter borders the stiffness, and `_project` the mass and
+        the coupling, so no projection multiplies a form by an old column.
+        `columns` yields the two lists in that order, and each is dropped
+        once filtered, before the next is drawn: a generator holds one
+        family's candidates at a time. Returns (added_u, added_p)."""
         columns = iter(columns)
         added = tuple(self._filter_and_append(family, next(columns),
                                               getattr(state, family))
                       for family in "up")
         if any(added):
+            Ru, Rp = self.space.basis_u, self.space.basis_p
+            self.mass_p = _project(self.ops.mass_p, Rp, Rp, self.mass_p)
+            self.coupling = _project(self.ops.coupling, Rp, Ru, self.coupling)
             self.set_space()
         return added
 
@@ -271,7 +295,7 @@ class CoarseSolver:
 
         The survivors' energy products with the space and with each other
         are the filter's own, scaled, so they border the family's projected
-        stiffness here and `set_space` multiplies the stiffness by no column.
+        stiffness here, and no column of the space is multiplied by it.
         """
         if not columns:
             return 0
@@ -339,22 +363,23 @@ class CoarseSolver:
             [self.stiff_u, -self.coupling.T],
             [self.coupling, self.mass_p + self.tau * self.stiff_p]])
 
+    def _lift(self, n, pc):
+        """The state at level n of the pressure coefficients pc, with its
+        balancing displacement W pc, as fine vectors."""
+        return State(n, self.space.basis_u @ (self._W @ pc),
+                     self.space.basis_p @ pc)
+
     def initial_state(self, p0_fine):
         """Flow-form projection of the fine initial pressure, then the elastic solve."""
-        space = self.space
-        rhs_p = space.basis_p.T @ (self.ops.stiff_p @ p0_fine)
-        pc = self.factor_p.solve(rhs_p)
-        return State(0, space.basis_u @ (self._W @ pc), space.basis_p @ pc)
+        rhs_p = self.space.basis_p.T @ (self.ops.stiff_p @ p0_fine)
+        return self._lift(0, self.factor_p.solve(rhs_p))
 
     def step(self, prev, load, n):
         """Advance one step with the space's factors; previous-step data is
         read from the fine lifts."""
-        ops = self.ops
-        space = self.space
-        rhs_p = space.basis_p.T @ (
-            self.tau * load + ops.coupling @ prev.u + ops.mass_p @ prev.p)
-        pc = self._factor_s.solve(rhs_p)
-        return State(n, space.basis_u @ (self._W @ pc), space.basis_p @ pc)
+        rhs_p = self.space.basis_p.T @ _step_load(self.ops, self.tau, load,
+                                                  prev)
+        return self._lift(n, self._factor_s.solve(rhs_p))
 
 
 def run(ops, time_grid, source, p0, hook=None, solver=None):

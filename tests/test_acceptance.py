@@ -15,9 +15,9 @@ import numpy as np
 import cemporo as cp
 from cemporo.cembasis import PatchSolver, patch_nodes
 from cemporo.grid import oversample_element, oversample_neighborhood
-from cemporo.online import (Enricher, OnlineConfig, compute_residuals,
-                            select_regions)
+from cemporo.online import Enricher, OnlineConfig, select_regions
 from cemporo.report import EnrichmentHistory, energy_errors
+from cemporo.timestepping import compute_residuals
 
 from conftest import FROZEN, bump_pressure, constant_source
 from oracles import (build_element_basis, build_global_basis_oracle,

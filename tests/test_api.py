@@ -8,8 +8,10 @@ quasi-definite block only in `timestepping.FineSolver._factorize` (SuperLU)
 and a projected coarse matrix only in
 `timestepping.CoarseSolver.set_space` (`PivotedCholesky`, LAPACK pstrf),
 only `CoarseSolver` reads those factors or appends to a space,
-a local eigenproblem is solved only by `spectral._deflated_eigh`, and only
-`assembly` takes a triangle of a sparse form. No module of the package or
+a local eigenproblem is solved only by `spectral._deflated_eigh`, only
+`assembly` takes a triangle of a sparse form, and only `assembly`, which
+builds them, and `timestepping`, which states the step, read the step's
+mass and coupling forms. No module of the package or
 the tests imports a name it never uses. README's library quick start runs
 as written, on a smaller mesh, and its configuration block lists the
 defaults the program uses."""
@@ -316,6 +318,21 @@ def test_only_the_coarse_solver_grows_a_space():
     for module, tree in _module_trees():
         visit(tree, (module,))
     assert appenders == {"timestepping.CoarseSolver"}, appenders
+
+
+def test_only_timestepping_states_the_step():
+    # the mass and coupling forms enter only the step and its residuals;
+    # read anywhere else, they would state the step's equation a second time
+    forms = ("mass_p", "mass_p_full", "coupling")
+    reads = sorted(
+        "%s.py:%d" % (module, node.lineno)
+        for module, tree in _module_trees()
+        if module not in ("assembly", "timestepping")
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr in forms)
+        or (isinstance(node, ast.Constant) and node.value in forms))
+    assert not reads, reads
 
 
 def test_eigensolves_go_through_deflated_eigh():

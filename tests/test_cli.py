@@ -31,6 +31,11 @@ TINY = {
 }
 
 
+# a 4x4-cell mesh with one fine cell per coarse cell and a homogeneous field
+REFINEMENT_1 = {"mesh": {"ncx": 4, "ncy": 4, "refinement": 1},
+                "material": {"synth": {"n_channels": 0, "n_inclusions": 0}}}
+
+
 def _write(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -160,6 +165,13 @@ BAD_INPUTS = {
     # a negative tol is never met and a negative eps never stops the loop
     "online-tol-negative": {"online": {"tol": -1.0}},
     "online-eps-negative": {"online": {"tol": 1e-3, "eps": -5.0}},
+    # at refinement 1 a zero-layer patch is a single fine cell with no
+    # interior unknowns: the offline element patches at 0 layers, and the
+    # cells of the element indicators wherever the loop runs
+    "refinement-1-offline-layers-0": dict(REFINEMENT_1,
+                                          offline={"modes": 2, "layers": 0}),
+    "refinement-1-variant-element-strategy": dict(
+        REFINEMENT_1, variants=[{"name": "cells", "strategy": "element"}]),
 }
 
 
@@ -299,6 +311,18 @@ def test_exit_code_grid_too_small_for_field(tmp_path, capsys):
         assert rc == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and "2 x 2" in err
+
+
+def test_refinement_1_runs_with_one_offline_layer(tmp_path, capsys):
+    # the zero-layer neighborhood of an interior coarse node holds one
+    # interior fine node, so the neighborhood indicators need no more
+    cfg = dict(TINY, **REFINEMENT_1)
+    rc = main(["run", "--config", _write(tmp_path, cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 0, capsys.readouterr().err
+    # element cells are refused only where the loop runs
+    resolve_config(dict(cfg, online={"strategy": "element",
+                                     "schedule": "none"}))
 
 
 @pytest.mark.parametrize("patch", [

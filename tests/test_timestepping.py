@@ -11,12 +11,11 @@ from cemporo import timestepping
 from cemporo.cembasis import build_offline_basis
 from cemporo.grid import build_grids
 from cemporo.material import synth_channels
-from cemporo.online import compute_residuals
 from cemporo.report import energy_errors
 from cemporo.spectral import build_aux_basis
 from cemporo.timestepping import (CoarseSolver, FineSolver, NumericalFailure,
                                   PivotedCholesky, State, TimeGrid,
-                                  _initial_pressure, run)
+                                  _initial_pressure, compute_residuals, run)
 
 from oracles import build_element_basis, build_global_basis_oracle
 
@@ -32,6 +31,17 @@ def _p0(x, y):
 def _fine_initial(ops, p0):
     """The fine solver's initial state, as `run` starts it."""
     return FineSolver(ops, 0.1).initial_state(_initial_pressure(ops, p0))
+
+
+def _candidates(blocks):
+    """Column blocks by family as `CoarseSolver.append` takes them: a list
+    of (positions, values) per family, empty for a family not in `blocks`."""
+    out = []
+    for family in "up":
+        b = sp.csc_matrix(blocks.get(family, (0, 0)))
+        out.append([(b.indices[i:j], b.data[i:j])
+                    for i, j in zip(b.indptr, b.indptr[1:])])
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -222,31 +232,37 @@ def test_coarse_step_galerkin_orthogonality(setup):
 
 
 def test_set_space_borders_appended_columns_exactly(setup, monkeypatch):
-    """Re-projecting an appended-to space only borders the old blocks. The
-    bordered blocks equal a projection from scratch to round-off, and each
-    symmetric form's two appended rectangles are exact transposes."""
+    """Growing a solver's space only borders the old blocks: `append`
+    borders the mass and the coupling with `_project` and the stiffness
+    from the filter. The bordered blocks equal a projection from scratch to
+    round-off, and each symmetric form's two appended rectangles are exact
+    transposes."""
     _, ops = setup
     aux = build_aux_basis(ops, 2)
     space = build_offline_basis(ops, aux, 1)
     tau = 0.1
     solver = CoarseSolver(ops, space, tau)
     space = solver.space  # the solver grows a space of its own
+    state = solver.initial_state(_initial_pressure(ops, _p0))
     bordered = []
     project = timestepping._project
 
-    def recording(A, R_row, R_col, old):
-        bordered.append(old.size > 0)
+    def recording(A, R_row, R_col, old=None):
+        bordered.append(old is not None and old.size > 0)
         return project(A, R_row, R_col, old)
 
     monkeypatch.setattr(timestepping, "_project", recording)
-    for element, families in ((3, ("u",)), (4, ("p",)), (5, ("u", "p"))):
+    # a cell's 2-layer columns are new to the 1-layer offline space, save
+    # the centre cell's, whose 1-layer patch is the whole 3x3 domain already
+    for element, families in ((3, ("u",)), (1, ("p",)), (5, ("u", "p"))):
         old = {"u": space.n_u, "p": space.n_p}
-        for family in families:
-            space.append(family, build_element_basis(ops, aux, family,
-                                                     element, 2))
+        columns = {family: build_element_basis(ops, aux, family, element, 2)
+                   for family in families}
         del bordered[:]
-        solver.set_space()
-        assert bordered == [True] * 4
+        added = solver.append(_candidates(columns), state)
+        assert [n > 0 for n in added] == [f in families for f in "up"]
+        # mass_p and coupling; the filter borders the stiffness
+        assert bordered == [True] * 2
         fresh = CoarseSolver(ops, space, tau)
         for name in ("stiff_u", "stiff_p", "mass_p", "coupling"):
             want = getattr(fresh, name)
@@ -261,7 +277,8 @@ def test_set_space_borders_appended_columns_exactly(setup, monkeypatch):
 
 
 class _RecordingForm:
-    """A sparse form that logs the column count of every right operand."""
+    """A sparse form that logs the column count of every right operand, a
+    vector counting as one column."""
 
     def __init__(self, form, widths):
         self.form = form
@@ -271,32 +288,47 @@ class _RecordingForm:
     def T(self):
         return _RecordingForm(self.form.T, self.widths)
 
+    @property
+    def shape(self):
+        return self.form.shape
+
     def __matmul__(self, other):
-        self.widths.append(other.shape[1])
+        self.widths.append(other.shape[1] if other.ndim == 2 else 1)
         return self.form @ other
+
+
+def _recording_forms(m, ops, widths):
+    for name in ("stiff_u", "stiff_p", "mass_p", "coupling"):
+        m.setattr(ops, name, _RecordingForm(getattr(ops, name), widths))
 
 
 def test_set_space_multiplies_forms_only_by_appended_columns(setup,
                                                              monkeypatch):
+    # `append` multiplies the forms only by its candidates, and `set_space`
+    # multiplies no form at all: it only factors
     _, ops = setup
     aux = build_aux_basis(ops, 2)
     space = build_offline_basis(ops, aux, 1)
     solver = CoarseSolver(ops, space, 0.1)
-    space = solver.space  # the solver grows a space of its own
-    for element, families in ((3, ("u",)), (4, ("p",)), (5, ("u", "p"))):
+    state = solver.initial_state(_initial_pressure(ops, _p0))
+    # a cell's 2-layer columns are new to the 1-layer offline space, save
+    # the centre cell's, whose 1-layer patch is the whole 3x3 domain already
+    for element, families in ((3, ("u",)), (1, ("p",)), (5, ("u", "p"))):
         columns = {family: build_element_basis(ops, aux, family, element, 2)
                    for family in families}
-        for family in families:
-            space.append(family, columns[family])
         widths = []
         with monkeypatch.context() as m:
-            for name in ("stiff_u", "stiff_p", "mass_p", "coupling"):
-                m.setattr(ops, name,
-                          _RecordingForm(getattr(ops, name), widths))
-            solver.set_space()
+            _recording_forms(m, ops, widths)
+            added = solver.append(_candidates(columns), state)
+        assert [n > 0 for n in added] == [f in families for f in "up"]
         assert widths, families
         assert max(widths) <= max(c.shape[1] for c in columns.values()), \
             (families, widths)
+    widths = []
+    with monkeypatch.context() as m:
+        _recording_forms(m, ops, widths)
+        solver.set_space()
+    assert widths == []
 
 
 def test_coarse_initial_state_projection(setup):
@@ -375,7 +407,8 @@ def test_coarse_block_is_factored_once_per_space(setup, monkeypatch):
     space = solver.space  # the solver grows a space of its own
     states = run(ops, tg, _source, _p0, solver=solver)
     # the displacement block, the Schur complement and the flow form once
-    # for all ten steps and the initial state, all in set_space
+    # for all ten steps and the initial state, all in set_space; growing the
+    # space with `append` factors each once more
     assert factored == [(space.n_u,) * 2, (space.n_p,) * 2,
                         (space.n_p,) * 2]
 
@@ -396,11 +429,12 @@ def test_coarse_block_is_factored_once_per_space(setup, monkeypatch):
         for x, y in ((st.u, ref.u), (st.p, ref.p)):
             assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)
 
-    for element, family in ((3, "u"), (4, "p"), (5, "u")):
-        space.append(family, build_element_basis(ops, aux, family,
-                                                 element, 2))
+    # not the centre cell, whose 2-layer columns the 1-layer offline space
+    # already holds: the filter would refuse them
+    for element, family in ((3, "u"), (1, "p"), (5, "u")):
         del factored[:]
-        solver.set_space()
+        solver.append(_candidates({family: build_element_basis(
+            ops, aux, family, element, 2)}), states[-1])
         assert factored == [(space.n_u,) * 2, (space.n_p,) * 2,
                             (space.n_p,) * 2], family
 
@@ -432,17 +466,15 @@ def test_non_finite_coarse_solve_raises(setup):
     space = build_offline_basis(ops, aux, 1)
     tau = 0.1
     solver = CoarseSolver(ops, space, tau)
-    space = solver.space  # the solver grows a space of its own
     prev = solver.initial_state(_initial_pressure(ops, _p0))
     load = ops.dofs.restrict_p(assemble_load(ops.grid, _source, tau))
     # a finite block, factored, and a non-finite previous state
     bad = State(0, prev.u, np.full_like(prev.p, np.nan))
     with pytest.raises(NumericalFailure):
         solver.step(bad, load, 1)
-    # a block with a NaN raises when set_space factors it
+    # a block with a NaN raises when append factors it
     column = np.zeros(ops.dofs.n_u)
     column[0] = np.nan
-    space.append("u", sp.csc_matrix(column[:, None]))
     with pytest.raises(NumericalFailure):
-        solver.set_space()
+        solver.append(_candidates({"u": column[:, None]}), prev)
     assert np.isnan(solver.block).any()
