@@ -11,7 +11,8 @@ leaves this module exactly symmetric, so no later layer symmetrizes or
 mirrors one. The split into the displacement ("u") and pressure ("p")
 families lives here alone: `layout` places a family's unknowns, and
 `DofMap` and `OperatorSet` answer for either family, rejecting any other
-with a ValueError.
+with a ValueError. `DofMap.columns` is the one place where dense patch
+blocks become a family's sparse columns.
 """
 
 import numpy as np
@@ -83,6 +84,20 @@ class DofMap:
     def size(self, family):
         """Number of the family's interior unknowns."""
         return self.n_p * _WIDTH[check_family(family)]
+
+    def columns(self, blocks, family, width):
+        """The family's CSC matrix of `width` columns over interior unknowns,
+        placed from dense blocks (positions, column ids, values): values[i, j]
+        sits at row positions[i] of column ids[j]. A vector is the values of
+        a single id."""
+        rows, cols, vals = [], [], []
+        for positions, ids, values in blocks:
+            rows.append(np.tile(positions, len(ids)))
+            cols.append(np.repeat(ids, len(positions)))
+            vals.append(values.T.ravel())
+        return sp.csc_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.size(family), width))
 
     def spread(self, values, family):
         """One value per interior node, repeated on each of the family's

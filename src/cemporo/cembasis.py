@@ -17,9 +17,9 @@ gives
     (A + U U^T)^-1 = L^-T (I - Z C^-1 Z^T) L^-1,
 
 two banded triangular sweeps around a rank-k correction. Forming Z takes k
-sweeps, but C = I + U^T A^-1 U depends on nothing but the family and the
-patch rectangle. A solver handed the C of an earlier solver on the same
-rectangle forms no Z and applies
+sweeps, each from its column's first nonzero row, but C = I + U^T A^-1 U
+depends on nothing but the family and the patch rectangle. A solver handed
+the C of an earlier solver on the same rectangle forms no Z and applies
 
     (A + U U^T)^-1 b = A^-1 (b - U C^-1 U^T A^-1 b),
 
@@ -29,7 +29,8 @@ followed by one step of iterative refinement on the defining equation.
 basis factorizes each distinct patch rectangle once, forms Z, solves every
 column seeded in it in one batch and frees the factorization before the
 next one is built: through U each of its right-hand sides would pay two
-more sweeps. Both families take this path, with their forms and columns
+more sweeps. `DofMap.columns` places the batches' patch values into the
+family's basis. Both families take this path, with their forms and columns
 from the operators and the auxiliary basis; an online column, seeded by a
 residual, is one `PatchSolver.solve` of its own, with the capacitance the
 enricher keeps for its (family, rectangle) once the first column there has
@@ -84,22 +85,14 @@ class BandedCholesky:
         """L^-1 b for a vector or the columns of a matrix.
 
         The leading zeros of a column stay zero, so each column is swept
-        from its first nonzero row on, with the trailing block of L; columns
-        whose first nonzero rows lie within one band width share a sweep.
+        from its own first nonzero row on, with the trailing block of L, in
+        one tbtrs call of its own; a zero column is swept from row 0.
         """
         x = np.array(b, dtype=float)
         cols = x.reshape(x.shape[0], -1)
-        first = (cols != 0).argmax(axis=0)
-        order = np.argsort(first, kind="stable")
-        starts = first[order]
-        heads = [0]
-        for i in range(1, order.size):
-            if starts[i] > starts[heads[-1]] + self.kd:
-                heads.append(i)
-        for head, end in zip(heads, heads[1:] + [order.size]):
-            s, at = starts[head], order[head:end]
-            cols[s:, at] = sla.lapack.dtbtrs(self.ab[:, s:], cols[s:, at],
-                                             uplo="L")[0]
+        for j, s in enumerate((cols != 0).argmax(axis=0)):
+            cols[s:, j:j + 1] = sla.lapack.dtbtrs(
+                self.ab[:, s:], cols[s:, j:j + 1], uplo="L")[0]
         return x
 
     def solve_upper(self, b):
@@ -227,18 +220,14 @@ def build_offline_basis(ops, aux, layers):
         groups.setdefault(patch.rect, []).append(e)
     bases = []
     for family in ("u", "p"):
-        rows, cols, vals = [], [], []
+        blocks = []
         for elements in groups.values():
             solver = PatchSolver(ops, aux, patches[elements[0]], family)
             seeds = aux.columns_in_cells(family, elements)
-            x = solver.solve(
-                solver.U[:, np.searchsorted(solver.aux_cols, seeds)].toarray())
-            rows.append(np.tile(solver.index, seeds.size))
-            cols.append(np.repeat(seeds, solver.index.size))
-            vals.append(x.T.ravel())
+            blocks.append((solver.index, seeds, solver.solve(
+                solver.U[:, np.searchsorted(solver.aux_cols, seeds)].toarray())))
             # free this factorization before the next one is built
             del solver
-        bases.append(sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=aux.columns(family).shape))
+        bases.append(ops.dofs.columns(blocks, family,
+                                      aux.columns(family).shape[1]))
     return MultiscaleSpace(*bases)

@@ -148,6 +148,10 @@ def resolve_config(raw):
         overrides = {key: v for key, v in variant.items() if key != "name"}
         where = "variants[%d]" % k
         online[where] = _online_config(dict(cfg["online"], **overrides), where)
+    # a mesh one fine cell across has no interior fine node at all
+    if min(mesh["ncx"], mesh["ncy"]) * mesh["refinement"] < 2:
+        raise ConfigError("mesh.ncx and mesh.ncy times mesh.refinement must "
+                          "be at least 2, or the mesh has no interior node")
     # at refinement 1 a zero-layer patch is one fine cell, with no interior
     # unknowns: the offline patches and the element indicators need more
     if mesh["refinement"] == 1:

@@ -9,7 +9,6 @@ down the multiscale basis.
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .assembly import check_family, layout
 from .grid import is_integer
@@ -117,21 +116,15 @@ class AuxBasis:
         return getattr(self, "R_" + check_family(family))
 
     def _collect(self, d, family):
-        rows, cols, vals, owner = [], [], [], []
+        blocks, owner = [], []
         for e, spec in enumerate(self.spectra):
             pos = d.node_positions(spec.nodes)
             keep = np.flatnonzero(pos >= 0)
-            dof = layout(pos[keep], family)
             vecs = getattr(spec, "vecs_" + family)[layout(keep, family)]
-            count = vecs.shape[1]
-            rows.append(np.tile(dof, count))
-            cols.append(np.repeat(len(owner) + np.arange(count), dof.size))
-            vals.append(vecs.T.ravel())
-            owner += [e] * count
-        R = sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(d.size(family), len(owner)))
-        return R, np.array(owner)
+            blocks.append((layout(pos[keep], family),
+                           len(owner) + np.arange(vecs.shape[1]), vecs))
+            owner += [e] * vecs.shape[1]
+        return d.columns(blocks, family, len(owner)), np.array(owner)
 
     def columns_in_cells(self, family, cell_set):
         """Column indices, ascending, of the eigenfunctions whose coarse cell

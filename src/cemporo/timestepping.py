@@ -16,9 +16,10 @@ and factors it once per step size with SuperLU and diagonal pivots; it is
 exactly symmetric because assembly hands out A, B and C exactly symmetric.
 The initial state's SPD forms factor with `cembasis.BandedCholesky`.
 The coarse solver owns its space and its projections of the forms. They are
-projected once, when the solver is built, and grow only in `append`: the
-filter borders the projected stiffness with the survivors from its energy
-products, and `_project` borders the mass and the coupling. `set_space` only
+projected once, by `_project`, when the solver is built, and grow only in
+`append`, each by `_border`: the filter borders the projected stiffness
+with the survivors' energy products, and `append` the mass and the
+coupling with their products with the appended columns. `set_space` only
 factors. The solver eliminates the displacement, A u = D^T p, and solves the
 symmetric positive semidefinite pressure Schur complement
 C + tau B + D A^- D^T (A^- a generalized inverse); A, B and the Schur
@@ -156,30 +157,23 @@ class FineSolver:
         return State(n, x[:self.n_u], x[self.n_u:])
 
 
-def _project(A, R_row, R_col, old=None):
-    """Dense R_row^T A R_col.
+def _project(A, R_row, R_col):
+    """Dense R_row^T A R_col, by one sparse product: `CoarseSolver` projects
+    each form once, when it is built, and `_border` grows the projections."""
+    return (R_row.T @ (A @ R_col)).toarray()
 
-    Without `old`, the whole projection, by one sparse product. `old` is the
-    projection onto leading columns of R_row and R_col, and bordering it
-    multiplies the form only by the appended columns: their images are the
-    new-columns rectangle's factors, and a symmetric form (`R_row is R_col`)
-    takes its new-rows x old-columns rectangle as that rectangle's
-    transpose, while the coupling form multiplies its transpose by the
-    appended rows. The result equals the full product to round-off.
-    `CoarseSolver.append` borders the mass and the coupling here; the
-    filter borders the stiffness itself.
-    """
-    if old is None:
-        return (R_row.T @ (A @ R_col)).toarray()
+
+def _border(old, right, bottom):
+    """The dense block [[old, right[:m]], [bottom, right[m:]]], m the rows
+    of `old`: a projection grown by appended columns (`right`, every row)
+    and appended rows (`bottom`, the old columns). A symmetric form's
+    caller passes `bottom` as the transpose of right[:m], so the two
+    rectangles are exact transposes."""
     m, n = old.shape
-    out = np.empty((R_row.shape[1], R_col.shape[1]))
+    out = np.empty((m + bottom.shape[0], n + right.shape[1]))
     out[:m, :n] = old
-    # a form without appended columns or rows multiplies an empty block
-    out[:, n:] = R_row.T @ (A @ R_col[:, n:].toarray())
-    if R_row is R_col:
-        out[m:, :n] = out[:m, n:].T
-    else:
-        out[m:, :n] = (R_col[:, :n].T @ (A.T @ R_row[:, m:].toarray())).T
+    out[:, n:] = right
+    out[m:, :n] = bottom
     return out
 
 
@@ -256,8 +250,9 @@ class CoarseSolver:
         """Filter the candidates of "u", then of "p", each a list of
         (positions, values) on its patch, against the state they were built
         at; append the survivors, border the projections by them and factor
-        once. The filter borders the stiffness, and `_project` the mass and
-        the coupling, so no projection multiplies a form by an old column.
+        once. The filter borders the stiffness, and here `_border` takes the
+        mass and the coupling times the appended columns, so no projection
+        multiplies a form by an old column.
         `columns` yields the two lists in that order, and each is dropped
         once filtered, before the next is drawn: a generator holds one
         family's candidates at a time. Returns (added_u, added_p)."""
@@ -267,8 +262,14 @@ class CoarseSolver:
                       for family in "up")
         if any(added):
             Ru, Rp = self.space.basis_u, self.space.basis_p
-            self.mass_p = _project(self.ops.mass_p, Rp, Rp, self.mass_p)
-            self.coupling = _project(self.ops.coupling, Rp, Ru, self.coupling)
+            mass, coupling = self.ops.mass_p, self.ops.coupling
+            m, n = self.coupling.shape
+            # a form without appended columns or rows multiplies an empty block
+            right = Rp.T @ (mass @ Rp[:, m:].toarray())
+            self.mass_p = _border(self.mass_p, right, right[:m].T)
+            self.coupling = _border(
+                self.coupling, Rp.T @ (coupling @ Ru[:, n:].toarray()),
+                (Ru[:, :n].T @ (coupling.T @ Rp[:, m:].toarray())).T)
             self.set_space()
         return added
 
@@ -293,9 +294,11 @@ class CoarseSolver:
         state that solves the step leaves only such roundoff candidates. The
         floor scales with the loads, as the candidates do.
 
+        The candidates are placed as one sparse block by `DofMap.columns`.
         The survivors' energy products with the space and with each other
-        are the filter's own, scaled, so they border the family's projected
-        stiffness here, and no column of the space is multiplied by it.
+        are the filter's own, scaled, so `_border` grows the family's
+        projected stiffness by them here, and no column of the space is
+        multiplied by it.
         """
         if not columns:
             return 0
@@ -303,11 +306,9 @@ class CoarseSolver:
         factor = getattr(self, "factor_" + family)
         A = self.ops.stiffness(family)
         floor = 1e-18 * float(current @ (A @ current))
-        index, values = zip(*columns)
-        cand = sp.csc_matrix((np.concatenate(values), (np.concatenate(index),
-                              np.repeat(np.arange(len(index)),
-                                        [i.size for i in index]))),
-                             shape=(A.shape[0], len(index)))
+        cand = self.ops.dofs.columns(
+            [(index, [j], values) for j, (index, values) in enumerate(columns)],
+            family, len(columns))
         # dense: sparse-by-sparse products of wide patches' columns cost more
         images = (A @ cand).toarray()
         # energy products of the candidates with the space and each other
@@ -343,16 +344,12 @@ class CoarseSolver:
             scales.append(s)
         if accepted:
             self.space.append(family, cand[:, accepted] @ sp.diags(scales))
+            right = np.vstack([with_space[:, accepted] * scales,
+                               with_cand[np.ix_(accepted, accepted)]
+                               * np.outer(scales, scales)])
             name = "stiff_" + family
-            old = getattr(self, name)
-            n = old.shape[0]
-            stiff = np.empty((n + len(accepted),) * 2)
-            stiff[:n, :n] = old
-            stiff[:n, n:] = with_space[:, accepted] * scales
-            stiff[n:, :n] = stiff[:n, n:].T
-            stiff[n:, n:] = (with_cand[np.ix_(accepted, accepted)]
-                             * np.outer(scales, scales))
-            setattr(self, name, stiff)
+            setattr(self, name, _border(getattr(self, name), right,
+                                        right[:R.shape[1]].T))
         return len(accepted)
 
     @property

@@ -9,7 +9,8 @@ and a projected coarse matrix only in
 `timestepping.CoarseSolver.set_space` (`PivotedCholesky`, LAPACK pstrf),
 only `CoarseSolver` reads those factors or appends to a space,
 a local eigenproblem is solved only by `spectral._deflated_eigh`, only
-`assembly` takes a triangle of a sparse form, and only `assembly`, which
+`assembly` takes a triangle of a sparse form or hands a sparse constructor
+(data, (rows, cols)) triplets, and only `assembly`, which
 builds them, and `timestepping`, which states the step, read the step's
 mass and coupling forms. No module of the package or
 the tests imports a name it never uses. README's library quick start runs
@@ -228,9 +229,9 @@ def test_stored_attributes_have_readers_outside_tests():
 
 
 def _calls():
-    """(caller, callee) of every call in the package: the caller as
-    `module.Qualified.name`, the callee as written, with an imported name at
-    its head spelled out (`sp.tril` is `scipy.sparse.tril`)."""
+    """(caller, callee, call node) of every call in the package: the caller
+    as `module.Qualified.name`, the callee as written, with an imported name
+    at its head spelled out (`sp.tril` is `scipy.sparse.tril`)."""
     calls = set()
 
     def visit(node, module, scope, imported):
@@ -239,7 +240,7 @@ def _calls():
         elif isinstance(node, ast.Call):
             head, dot, rest = ast.unparse(node.func).partition(".")
             calls.add((".".join((module,) + scope),
-                       imported.get(head, head) + dot + rest))
+                       imported.get(head, head) + dot + rest, node))
         for child in ast.iter_child_nodes(node):
             visit(child, module, scope, imported)
 
@@ -261,7 +262,7 @@ def _calls():
 def test_splu_factors_only_the_fine_step():
     # the fine step's quasi-definite block is the one sparse form that is
     # not SPD; an splu call elsewhere would factor an SPD form a second way
-    callers = {caller for caller, callee in _calls()
+    callers = {caller for caller, callee, _ in _calls()
                if callee.rpartition(".")[2] == "splu"}
     assert callers == {"timestepping.FineSolver._factorize"}
 
@@ -269,7 +270,7 @@ def test_splu_factors_only_the_fine_step():
 def test_band_factors_go_through_banded_cholesky():
     # every sparse SPD form, global or on a patch, is banded; one owner of
     # pbtrf keeps its failure check in one place
-    callers = {caller for caller, callee in _calls()
+    callers = {caller for caller, callee, _ in _calls()
                if callee.rpartition(".")[2] == "dpbtrf"}
     assert callers == {"cembasis.BandedCholesky.__init__"}
 
@@ -278,7 +279,7 @@ def test_coarse_factors_go_through_set_space():
     # the coarse solver factors each projected matrix once per space, and
     # the initial state and the online filter read those factors; a factor
     # built elsewhere would repeat that work for every call
-    callers = {caller for caller, callee in _calls()
+    callers = {caller for caller, callee, _ in _calls()
                if callee.rpartition(".")[2] == "PivotedCholesky"}
     assert callers == {"timestepping.CoarseSolver.set_space"}
 
@@ -338,7 +339,7 @@ def test_only_timestepping_states_the_step():
 def test_eigensolves_go_through_deflated_eigh():
     # the local kernels are deflated exactly and only the kept vectors are
     # computed in one place; a second eigh would do neither
-    callers = {caller for caller, callee in _calls()
+    callers = {caller for caller, callee, _ in _calls()
                if callee.rpartition(".")[2] == "eigh"}
     assert callers == {"spectral._deflated_eigh"}
 
@@ -346,10 +347,25 @@ def test_eigensolves_go_through_deflated_eigh():
 def test_forms_are_symmetrized_only_in_assembly():
     # assembly hands out every square form exactly symmetric; a triangle of
     # a sparse form taken anywhere else would symmetrize one a second time
-    callers = {caller for caller, callee in _calls()
+    callers = {caller for caller, callee, _ in _calls()
                if callee in ("scipy.sparse.tril", "scipy.sparse.triu")}
     assert {caller.split(".")[0] for caller in callers} == {"assembly"}, \
         sorted(callers)
+
+
+def test_only_assembly_places_triplets():
+    # `DofMap.columns` places dense blocks into a family's sparse matrix and
+    # `OperatorSet` sums element matrices; a (data, (rows, cols)) tuple
+    # handed to a sparse constructor anywhere else is a second scatter
+    places = {(caller.split(".")[0], node.lineno)
+              for caller, callee, node in _calls()
+              if callee.startswith("scipy.sparse.") and node.args
+              and isinstance(node.args[0], ast.Tuple)
+              and len(node.args[0].elts) == 2
+              and isinstance(node.args[0].elts[1], ast.Tuple)}
+    assert any(module == "assembly" for module, _ in places)
+    outside = sorted("%s.py:%d" % p for p in places if p[0] != "assembly")
+    assert not outside, outside
 
 
 def _unused_imports(path):

@@ -296,6 +296,34 @@ def test_dofmap_roundtrip():
         d.index(nodes, "q")
 
 
+@pytest.mark.parametrize("family", ["u", "p"])
+def test_dofmap_columns_places_dense_blocks(family):
+    # ragged blocks, positions out of order and column ids neither sorted
+    # nor contiguous, against a placement by explicit loops; the last
+    # column is left empty
+    d = DofMap(build_grids(3, 3, 2))
+    n = d.size(family)
+    rng = np.random.default_rng(2)
+    blocks = [(rng.permutation(n)[:7], np.array([4, 0]),
+               rng.normal(size=(7, 2))),
+              (rng.permutation(n)[:3], np.array([2]), rng.normal(size=(3, 1))),
+              (rng.permutation(n)[:5], np.array([5, 1, 3]),
+               rng.normal(size=(5, 3)))]
+    want = np.zeros((n, 7))
+    for positions, ids, values in blocks:
+        for i, row in enumerate(positions):
+            for j, col in enumerate(ids):
+                want[row, col] = values[i, j]
+    got = d.columns(blocks, family, 7)
+    assert got.format == "csc" and got.shape == (n, 7)
+    npt.assert_array_equal(got.toarray(), want)
+    # a vector is the values of a single id
+    positions, ids, values = blocks[1]
+    single = d.columns([(positions, ids, values[:, 0])], family, 7)
+    npt.assert_array_equal(single.toarray()[:, 2], want[:, 2])
+    assert single.nnz == positions.size
+
+
 def test_patch_restriction_submatrix(setup):
     grid, _, _, ops = setup
     patch = oversample_element(grid, 0, 1)

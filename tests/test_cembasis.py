@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from cemporo import cembasis, spectral, timestepping
@@ -288,6 +289,29 @@ def test_wide_patch_is_banded_across_its_short_side(setup, family):
         expected = np.linalg.solve(dense, rhs)
         npt.assert_allclose(col, expected, rtol=0,
                             atol=1e-10 * np.linalg.norm(expected))
+
+
+def test_solve_lower_sweeps_each_column_from_its_first_nonzero(setup):
+    # columns whose leading zeros end at different rows, within one band
+    # width of each other and far apart, a zero column and a vector: the
+    # same bits as a full-band sweep from row 0, and a dense triangular
+    # solve to round-off
+    _, ops, _ = setup
+    factor = BandedCholesky(ops.stiff_u)
+    n, kd = ops.stiff_u.shape[0], factor.kd
+    b = np.random.default_rng(3).normal(size=(n, 6))
+    for j, first in enumerate((0, 3, kd, n // 2, n - 1)):
+        b[:first, j] = 0.0
+    b[:, 5] = 0.0
+    full = sla.lapack.dtbtrs(factor.ab, b, uplo="L")[0]
+    x = factor.solve_lower(b)
+    assert x.tobytes() == full.tobytes()
+    assert factor.solve_lower(b[:, 3]).tobytes() == full[:, 3].tobytes()
+    L = np.zeros((n, n))
+    for d in range(kd + 1):
+        L[np.arange(d, n), np.arange(n - d)] = factor.ab[d, :n - d]
+    want = sla.solve_triangular(L, b, lower=True)
+    npt.assert_allclose(x, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_indefinite_matrix_raises_numerical_failure():

@@ -172,6 +172,11 @@ BAD_INPUTS = {
                                           offline={"modes": 2, "layers": 0}),
     "refinement-1-variant-element-strategy": dict(
         REFINEMENT_1, variants=[{"name": "cells", "strategy": "element"}]),
+    # one fine cell across: no fine node is interior, so no patch has an
+    # unknown
+    "mesh-one-fine-cell-across": dict(
+        REFINEMENT_1, mesh={"ncx": 1, "ncy": 4, "refinement": 1},
+        offline={"modes": 1, "layers": 1}),
 }
 
 
@@ -323,6 +328,17 @@ def test_refinement_1_runs_with_one_offline_layer(tmp_path, capsys):
     # element cells are refused only where the loop runs
     resolve_config(dict(cfg, online={"strategy": "element",
                                      "schedule": "none"}))
+
+
+def test_one_coarse_cell_across_runs_at_refinement_2(tmp_path, capsys):
+    # two fine cells across leave one interior fine node across: the
+    # smallest mesh `resolve_config` accepts
+    cfg = dict(TINY, mesh={"ncx": 1, "ncy": 4, "refinement": 2},
+               material=REFINEMENT_1["material"],
+               offline={"modes": 1, "layers": 1})
+    rc = main(["run", "--config", _write(tmp_path, cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("patch", [

@@ -233,9 +233,10 @@ def test_coarse_step_galerkin_orthogonality(setup):
 
 def test_set_space_borders_appended_columns_exactly(setup, monkeypatch):
     """Growing a solver's space only borders the old blocks: `append`
-    borders the mass and the coupling with `_project` and the stiffness
-    from the filter. The bordered blocks equal a projection from scratch to
-    round-off, and each symmetric form's two appended rectangles are exact
+    borders the mass and the coupling with their products with the appended
+    columns and the stiffness from the filter, and calls `_project` not at
+    all. The bordered blocks equal a projection from scratch to round-off,
+    and each symmetric form's two appended rectangles are exact
     transposes."""
     _, ops = setup
     aux = build_aux_basis(ops, 2)
@@ -244,12 +245,12 @@ def test_set_space_borders_appended_columns_exactly(setup, monkeypatch):
     solver = CoarseSolver(ops, space, tau)
     space = solver.space  # the solver grows a space of its own
     state = solver.initial_state(_initial_pressure(ops, _p0))
-    bordered = []
+    projected = []
     project = timestepping._project
 
-    def recording(A, R_row, R_col, old=None):
-        bordered.append(old is not None and old.size > 0)
-        return project(A, R_row, R_col, old)
+    def recording(A, R_row, R_col):
+        projected.append(A)
+        return project(A, R_row, R_col)
 
     monkeypatch.setattr(timestepping, "_project", recording)
     # a cell's 2-layer columns are new to the 1-layer offline space, save
@@ -258,11 +259,10 @@ def test_set_space_borders_appended_columns_exactly(setup, monkeypatch):
         old = {"u": space.n_u, "p": space.n_p}
         columns = {family: build_element_basis(ops, aux, family, element, 2)
                    for family in families}
-        del bordered[:]
+        del projected[:]
         added = solver.append(_candidates(columns), state)
         assert [n > 0 for n in added] == [f in families for f in "up"]
-        # mass_p and coupling; the filter borders the stiffness
-        assert bordered == [True] * 2
+        assert projected == []
         fresh = CoarseSolver(ops, space, tau)
         for name in ("stiff_u", "stiff_p", "mass_p", "coupling"):
             want = getattr(fresh, name)
