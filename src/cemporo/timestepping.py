@@ -14,6 +14,10 @@ the flow row, which turns the block into the symmetric quasi-definite
 
 and factors it once per step size with SuperLU and diagonal pivots; it is
 exactly symmetric because assembly hands out A, B and C exactly symmetric.
+The block is stored in the one order its factor takes: the interior nodes
+in nested-dissection order (`_dissection`), each node's two displacement
+unknowns and its pressure together, so the step permutes its right-hand
+side in and its solution out.
 The initial state's SPD forms factor with `cembasis.BandedCholesky`.
 The coarse solver owns its space and its projections of the forms. They are
 projected once, by `_project`, when the solver is built, and grow only in
@@ -38,7 +42,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import assemble_load
+from .assembly import assemble_load, layout
 from .cembasis import BandedCholesky, MultiscaleSpace, NumericalFailure
 from .grid import is_integer
 
@@ -108,32 +112,69 @@ def _initial_pressure(ops, p0):
     return BandedCholesky(mass).solve(ops.dofs.restrict_p(load))
 
 
+def _dissection(nx, ny):
+    """The positions of an nx x ny grid of nodes, numbered x fastest, in
+    nested-dissection order: the longer side (x on a tie) is split at its
+    middle grid line, and the first half, the second half and then the
+    separating line are listed, until both sides are shorter than 3 (George,
+    SIAM J. Numer. Anal. 10, 1973)."""
+    parts = []
+
+    def split(block):
+        rows, cols = block.shape
+        if max(rows, cols) < 3:
+            parts.append(block.ravel())
+        elif cols >= rows:
+            mid = cols // 2
+            split(block[:, :mid])
+            split(block[:, mid + 1:])
+            parts.append(block[:, mid])
+        else:
+            mid = rows // 2
+            split(block[:mid])
+            split(block[mid + 1:])
+            parts.append(block[mid])
+
+    split(np.arange(nx * ny).reshape(ny, nx))
+    return np.concatenate(parts)
+
+
 class FineSolver:
     """Reference solver on the fine grid.
 
     A and C + tau B are SPD and, as assembled, exactly symmetric, so the step
     matrix with its flow row negated is symmetric quasi-definite, which has a
     factorization with diagonal pivots under every symmetric ordering. Its
-    SuperLU factor, built on first use, takes a symmetric fill-reducing
-    ordering and no pivoting; LAPACK has no pivot-free band LDL^T.
+    SuperLU factor, built on first use, takes no pivoting and the order of
+    the stored block: the interior nodes in `_dissection` order, each with
+    its two displacement unknowns and its pressure together. LAPACK has no
+    pivot-free band LDL^T.
     """
 
     def __init__(self, ops, tau):
         self.ops = ops
         self.tau = float(tau)
         self.n_u = ops.dofs.n_u
+        self._order = None
         self._block = None
         self._lu = None
 
     def _factorize(self):
         if self._lu is None:
             ops = self.ops
-            self._block = sp.bmat(
+            grid = ops.grid
+            nodes = _dissection(grid.nfx - 1, grid.nfy - 1)
+            self._order = np.column_stack(
+                [layout(nodes[:, None], "u"), self.n_u + nodes]).ravel()
+            block = sp.bmat(
                 [[ops.stiff_u, -ops.coupling.T],
                  [-ops.coupling, -(ops.mass_p + self.tau * ops.stiff_p)]],
-                format="csc")
+                format="csr")
+            self._block = block[self._order][:, self._order].tocsc()
+            # the unpermuted copy is gone before the factor grows
+            del block
             try:
-                self._lu = spla.splu(self._block, permc_spec="MMD_AT_PLUS_A",
+                self._lu = spla.splu(self._block, permc_spec="NATURAL",
                                      diag_pivot_thresh=0.0,
                                      options={"SymmetricMode": True})
             except RuntimeError as err:
@@ -149,11 +190,16 @@ class FineSolver:
         return State(0, u, p0_fine)
 
     def step(self, prev, load, n):
+        """Solve the step in the block's order, with one refinement pass,
+        and return the solution in the interior numbering."""
         self._factorize()
         rhs = np.concatenate([np.zeros(self.n_u),
                               -_step_load(self.ops, self.tau, load, prev)])
-        x = self._lu.solve(rhs)
-        x += self._lu.solve(rhs - self._block @ x)
+        rhs = rhs[self._order]
+        y = self._lu.solve(rhs)
+        y += self._lu.solve(rhs - self._block @ y)
+        x = np.empty_like(y)
+        x[self._order] = y
         return State(n, x[:self.n_u], x[self.n_u:])
 
 

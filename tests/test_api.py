@@ -4,10 +4,10 @@ traces. Every public method, and every function the package exports, has a
 caller outside the tests, and every attribute the package stores has a
 reader outside them: a load on `self` in its own class, or on another
 object. Every sparse SPD form, global or on a patch, is factored only by `cembasis.BandedCholesky` (LAPACK pbtrf), the fine step's
-quasi-definite block only in `timestepping.FineSolver._factorize` (SuperLU)
-and a projected coarse matrix only in
-`timestepping.CoarseSolver.set_space` (`PivotedCholesky`, LAPACK pstrf),
-only `CoarseSolver` reads those factors or appends to a space,
+quasi-definite block only in `timestepping.FineSolver._factorize` (SuperLU,
+in the order `timestepping._dissection` gives it) and a projected coarse
+matrix only in `timestepping.CoarseSolver.set_space` (`PivotedCholesky`,
+LAPACK pstrf), only `CoarseSolver` reads those factors or appends to a space,
 a local eigenproblem is solved only by `spectral._deflated_eigh`, only
 `assembly` takes a triangle of a sparse form or hands a sparse constructor
 (data, (rows, cols)) triplets, and only `assembly`, which
@@ -265,6 +265,15 @@ def test_splu_factors_only_the_fine_step():
     callers = {caller for caller, callee, _ in _calls()
                if callee.rpartition(".")[2] == "splu"}
     assert callers == {"timestepping.FineSolver._factorize"}
+
+
+def test_fine_step_order_has_one_owner():
+    # the fine block comes to SuperLU already in `_dissection` order; an
+    # ordering of SuperLU's own would order it a second way
+    specs = [ast.unparse(kw.value) for _, callee, node in _calls()
+             if callee.rpartition(".")[2] == "splu"
+             for kw in node.keywords if kw.arg == "permc_spec"]
+    assert specs == ["'NATURAL'"]
 
 
 def test_band_factors_go_through_banded_cholesky():

@@ -15,7 +15,8 @@ from cemporo.report import energy_errors
 from cemporo.spectral import build_aux_basis
 from cemporo.timestepping import (CoarseSolver, FineSolver, NumericalFailure,
                                   PivotedCholesky, State, TimeGrid,
-                                  _initial_pressure, compute_residuals, run)
+                                  _dissection, _initial_pressure,
+                                  compute_residuals, run)
 
 from oracles import build_element_basis, build_global_basis_oracle
 
@@ -191,6 +192,30 @@ def test_fine_step_factor_keeps_diagonal_pivots(setup):
          [ops.coupling, ops.mass_p + tau * ops.stiff_p]], format="csc")
     colamd = spla.splu(unsymmetric)
     assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 7), (7, 1), (2, 2), (3, 7),
+                                    (9, 4), (99, 99)])
+def test_dissection_is_a_permutation(nx, ny):
+    order = _dissection(nx, ny)
+    assert order.dtype.kind == "i"
+    assert np.array_equal(np.sort(order), np.arange(nx * ny))
+
+
+def test_fine_factor_fills_less_than_minimum_degree(frozen):
+    """On the FROZEN mesh the dissection-ordered factor keeps at most 0.85
+    of the nonzeros of SuperLU's minimum-degree factor of the same block in
+    the interior numbering (0.79 measured)."""
+    ops, tau = frozen.ops, frozen.time_grid.tau
+    solver = FineSolver(ops, tau)
+    solver._factorize()
+    block = sp.bmat([[ops.stiff_u, -ops.coupling.T],
+                     [-ops.coupling, -(ops.mass_p + tau * ops.stiff_p)]],
+                    format="csc")
+    mmd = spla.splu(block, permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    ours = solver._lu.L.nnz + solver._lu.U.nnz
+    assert ours <= 0.85 * (mmd.L.nnz + mmd.U.nnz)
 
 
 def test_full_auxiliary_space_reproduces_fine():
