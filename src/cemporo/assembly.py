@@ -6,12 +6,14 @@ at 2*n+1 for fine node n). Assembled matrices are kept restricted to
 interior (Dirichlet-eliminated) unknowns, the stiffnesses and the pressure
 mass over all nodes as well. Element matrices are not kept: the local
 Neumann problems of a coarse cell recompute theirs from the field and the
-reference blocks, which depend only on the fine cell size. Every square form
-leaves this module exactly symmetric, so no later layer symmetrizes or
-mirrors one. The split into the displacement ("u") and pressure ("p")
-families lives here alone: `layout` places a family's unknowns, and
-`DofMap` and `OperatorSet` answer for either family, rejecting any other
-with a ValueError. `DofMap.columns` is the one place where dense patch
+reference blocks, which depend only on the fine cell size. The spectral
+weight is never assembled over the grid: CEM states it cell by cell,
+s(u, v) = sum over coarse cells K of s_K(u, v), so only `local_matrices`
+forms it, over the fine cells it is given. Every square form leaves this
+module exactly symmetric, so no later layer symmetrizes or mirrors one. The
+split into the displacement ("u") and pressure ("p") families lives here
+alone: `layout` places a family's unknowns, and `DofMap` and `OperatorSet`
+answer for either family, rejecting any other with a ValueError. `DofMap.columns` is the one place where dense patch
 blocks become a family's sparse columns.
 """
 
@@ -162,16 +164,18 @@ def _reference_blocks(hx, hy):
 
 
 class OperatorSet:
-    """Assembled forms of the coupled system plus spectral weight masses.
+    """Assembled forms of the coupled system.
 
     The short names act on interior unknowns only. Of the forms over all
     nodes, only the stiffnesses (`stiff_u_full`, `stiff_p_full`) and the
     pressure mass (`mass_p_full`, which maps a nodal initial pressure to its
     load) are kept. `pou` is the grid's partition of unity, which the
     spectral weights and the online residual weights are taken from. No
-    element matrix outlives the assembly: `local_matrices` recomputes those
-    of the fine cells it is given. Each square form keeps the lower triangle
-    of its assembly, mirrored (`_mirror_lower`), so it is exactly symmetric.
+    element matrix outlives the assembly: `local_matrices` recomputes the
+    stiffness and spectral weight matrices of the fine cells it is given,
+    and no weight form is assembled over the grid. Each square form keeps
+    the lower triangle of its assembly, mirrored (`_mirror_lower`), so it is
+    exactly symmetric.
     A field built for another grid is refused with a ValueError.
     """
 
@@ -187,7 +191,7 @@ class OperatorSet:
         self._ref = _reference_blocks(grid.hx, grid.hy)
 
         nc = grid.n_fine_cells
-        cell = self._element_matrices(np.arange(nc))
+        cell = self._stiffness_matrices(np.arange(nc))
         cell_mass_p = np.broadcast_to(
             self._ref["mass"] / field.biot_modulus, (nc, 4, 4)).copy()
         cell_coupling = field.alpha * np.broadcast_to(
@@ -200,30 +204,29 @@ class OperatorSet:
         self.stiff_p_full = _mirror_lower(
             self._scalar_csr(cell["stiff_p"], p, p))
         self.mass_p_full = _mirror_lower(self._scalar_csr(cell_mass_p, p, p))
-        aux_p_full = _mirror_lower(self._scalar_csr(cell["aux_p"], p, p))
         self.stiff_u_full = _mirror_lower(
             self._scalar_csr(cell["stiff_u"], u, u))
-        aux_u_full = _mirror_lower(self._scalar_csr(cell["aux_u"], u, u))
         coupling_full = self._scalar_csr(cell_coupling, p, u)
 
         d = self.dofs
         self.stiff_u = self.stiff_u_full[d.u_dofs][:, d.u_dofs].tocsr()
         self.stiff_p = self.stiff_p_full[d.p_nodes][:, d.p_nodes].tocsr()
         self.mass_p = self.mass_p_full[d.p_nodes][:, d.p_nodes].tocsr()
-        self.aux_u = aux_u_full[d.u_dofs][:, d.u_dofs].tocsr()
-        self.aux_p = aux_p_full[d.p_nodes][:, d.p_nodes].tocsr()
         self.coupling = coupling_full[d.p_nodes][:, d.u_dofs].tocsr()
 
-    def _element_matrices(self, cells):
-        """Stiffness and spectral weight element matrices of the given fine
-        cells, keyed "stiff_u", "stiff_p", "aux_u" and "aux_p"."""
-        grid, field, ref = self.grid, self.field, self._ref
-        mu = field.mu[cells]
-        mob = field.mobility[cells]
-        out = {"stiff_u": (2.0 * mu)[:, None, None] * ref["k_shear"]
-               + field.lam[cells][:, None, None] * ref["k_div"],
-               "stiff_p": mob[:, None, None] * ref["lap"]}
+    def _stiffness_matrices(self, cells):
+        """Stiffness element matrices of the given fine cells, keyed
+        "stiff_u" and "stiff_p"."""
+        field, ref = self.field, self._ref
+        mu, lam = field.mu[cells], field.lam[cells]
+        return {"stiff_u": (2.0 * mu)[:, None, None] * ref["k_shear"]
+                + lam[:, None, None] * ref["k_div"],
+                "stiff_p": field.mobility[cells][:, None, None] * ref["lap"]}
 
+    def _weight_matrices(self, cells):
+        """Spectral weight element matrices of the given fine cells, keyed
+        "aux_u" and "aux_p"."""
+        grid, field, ref = self.grid, self.field, self._ref
         # spectral weight = coefficient * sum over hats of |grad chi|^2,
         # periodic over the coarse cell, sampled at each quadrature point
         hx, hy = grid.hx, grid.hy
@@ -231,23 +234,15 @@ class OperatorSet:
         qy = ((cells // grid.nfx) * hy)[:, None] + _QY[None, :] * hy
         # avoid the periodic seam: quadrature points are strictly inside cells
         w_aux = ref["wd"][None, :] * self.pou.grad_sq_sum(qx, qy)
-        N = ref["N"]
-        aux_p_ref = np.einsum("cq,qa,qb->cab", w_aux, N, N)
-        out["aux_p"] = mob[:, None, None] * aux_p_ref
-        aux_u = np.zeros((cells.size, 8, 8))
-        scal = field.p_wave_modulus[cells][:, None, None] * aux_p_ref
-        aux_u[:, 0::2, 0::2] = scal
-        aux_u[:, 1::2, 1::2] = scal
-        out["aux_u"] = aux_u
-        return out
+        scal = np.einsum("cq,qa,qb->cab", w_aux, ref["N"], ref["N"])
+        # each displacement component carries the scalar weight alone
+        return {"aux_u": np.kron(field.p_wave_modulus[cells][:, None, None]
+                                 * scal, np.eye(2)),
+                "aux_p": field.mobility[cells][:, None, None] * scal}
 
     def stiffness(self, family):
         """The family's stiffness form over interior unknowns."""
         return getattr(self, "stiff_" + check_family(family))
-
-    def weight(self, family):
-        """The family's spectral weight mass over interior unknowns."""
-        return getattr(self, "aux_" + check_family(family))
 
     @staticmethod
     def _scalar_csr(cell_mats, rows, cols):
@@ -272,7 +267,8 @@ class OperatorSet:
         cell_nodes = self.grid.fine_cell_nodes(cells)
         nodes = np.unique(cell_nodes)
         loc = np.searchsorted(nodes, cell_nodes)
-        cell = self._element_matrices(cells)
+        cell = {**self._stiffness_matrices(cells),
+                **self._weight_matrices(cells)}
         out = {}
         for family in ("u", "p"):
             dofs = (layout(loc, family), _WIDTH[family] * nodes.size)

@@ -3,10 +3,12 @@
 Each auxiliary eigenfunction of a coarse cell seeds one basis function,
 computed on the oversampled patch around the cell with zero trace on the
 patch boundary. The local system couples the stiffness with a rank-k penalty
-built from the weighted mass applied to every auxiliary eigenvector living on
-the patch,
+built from the constraint columns of every auxiliary eigenfunction living on
+the patch, each its own cell's weight applied to it (`AuxBasis`),
 
-    (A + U U^T) psi = rhs,   U = M_patch R_patch.
+    (A + U U^T) psi = rhs,   U = C_patch,
+
+a slice of the auxiliary basis with no product.
 
 A patch is a rectangle of fine nodes. Numbered across its shorter side
 first, its forms are banded with a half-bandwidth set by that side, so
@@ -137,8 +139,7 @@ class PatchSolver:
         self.index = idx
         cols = aux.columns_in_cells(family, patch.cells)
         self.A = ops.stiffness(family)[idx][:, idx]
-        self.U = (ops.weight(family)[idx][:, idx].tocsc()
-                  @ aux.columns(family)[idx][:, cols]).tocsc()
+        self.U = aux.columns(family)[:, cols][idx]
         self.aux_cols = cols
         self.factor = BandedCholesky(self.A)
         self.Z = None

@@ -4,7 +4,11 @@ Each coarse cell carries two generalized eigenproblems over all of its fine
 nodes (no boundary conditions): elastic stiffness against the weighted
 displacement mass, and flow stiffness against the weighted pressure mass.
 The lowest J eigenfunctions per cell form the auxiliary space used to pin
-down the multiscale basis.
+down the multiscale basis. CEM writes the weight as a sum of cell terms,
+s(u, v) = sum over cells K of s_K(u, v) (Chung, Efendiev & Leung, CMAME 339,
+2018), so the constraint that eigenfunction phi of cell K puts on a basis
+function psi is s_K(psi, phi) = psi^T S_K phi: the column S_K phi, over K's
+own nodes, with S_K the cell's weight from its eigenproblem.
 """
 
 import numpy as np
@@ -60,21 +64,26 @@ def _deflated_eigh(A, S, kernel, count):
 
 class ElementSpectra:
     """Eigenpairs of one coarse cell: values for the whole local spectrum,
-    vectors for the retained leading block."""
+    vectors V for the retained leading block, and their constraint columns
+    S_K V, all over the cell's nodes."""
 
-    def __init__(self, nodes, eigvals_u, vecs_u, eigvals_p, vecs_p):
+    def __init__(self, nodes, eigvals_u, vecs_u, constraint_u,
+                 eigvals_p, vecs_p, constraint_p):
         self.nodes = nodes
         self.eigvals_u = eigvals_u
         self.vecs_u = vecs_u
+        self.constraint_u = constraint_u
         self.eigvals_p = eigvals_p
         self.vecs_p = vecs_p
+        self.constraint_p = constraint_p
 
 
 def solve_local_spectral(ops, element, n_u, n_p=None):
     """Solve both local eigenproblems on one coarse cell.
 
-    Returns an ElementSpectra with all eigenvalues (ascending) and the first
-    n_u / n_p eigenvectors, mass-orthonormal, signs fixed.
+    Returns an ElementSpectra with all eigenvalues (ascending), the first
+    n_u / n_p eigenvectors, mass-orthonormal, signs fixed, and the cell's
+    weight applied to them.
     """
     if n_p is None:
         n_p = n_u
@@ -84,19 +93,22 @@ def solve_local_spectral(ops, element, n_u, n_p=None):
         raise ValueError("requested eigenpair count outside the local dimension")
     out = []
     for family, count in (("u", n_u), ("p", n_p)):
-        w, v = _deflated_eigh(mats["stiff_" + family], mats["aux_" + family],
+        S = mats["aux_" + family]
+        w, v = _deflated_eigh(mats["stiff_" + family], S,
                               ops.kernel(family, nodes), count)
-        out += [w, _fix_signs(v)]
+        v = _fix_signs(v)
+        out += [w, v, S @ v]
     return ElementSpectra(nodes, *out)
 
 
 class AuxBasis:
     """Auxiliary space: the retained local eigenfunctions of every coarse cell.
 
-    R_u / R_p hold the zero-extended eigenvectors as columns over interior
-    unknowns, cell by cell, as many as each cell's eigensolve kept of the
-    n_u / n_p asked for; owner_u / owner_p hold the coarse cell of each
-    column. `columns(family)` and `columns_in_cells` read them by family.
+    C_u / C_p hold their constraint columns S_K V over interior unknowns,
+    each nonzero only at its own cell's nodes, cell by cell, as many as each
+    cell's eigensolve kept of the n_u / n_p asked for; owner_u / owner_p
+    hold the coarse cell of each column. `columns(family)` and
+    `columns_in_cells` read them by family.
     """
 
     def __init__(self, ops, n_u, n_p=None):
@@ -108,22 +120,22 @@ class AuxBasis:
             raise ValueError("need at least one eigenfunction per family")
         self.spectra = [solve_local_spectral(ops, e, n_u, n_p)
                         for e in range(ops.grid.n_coarse_cells)]
-        self.R_u, self.owner_u = self._collect(ops.dofs, "u")
-        self.R_p, self.owner_p = self._collect(ops.dofs, "p")
+        self.C_u, self.owner_u = self._collect(ops.dofs, "u")
+        self.C_p, self.owner_p = self._collect(ops.dofs, "p")
 
     def columns(self, family):
-        """The family's auxiliary columns, R_u or R_p."""
-        return getattr(self, "R_" + check_family(family))
+        """The family's constraint columns, C_u or C_p."""
+        return getattr(self, "C_" + check_family(family))
 
     def _collect(self, d, family):
         blocks, owner = [], []
         for e, spec in enumerate(self.spectra):
             pos = d.node_positions(spec.nodes)
             keep = np.flatnonzero(pos >= 0)
-            vecs = getattr(spec, "vecs_" + family)[layout(keep, family)]
+            cols = getattr(spec, "constraint_" + family)[layout(keep, family)]
             blocks.append((layout(pos[keep], family),
-                           len(owner) + np.arange(vecs.shape[1]), vecs))
-            owner += [e] * vecs.shape[1]
+                           len(owner) + np.arange(cols.shape[1]), cols))
+            owner += [e] * cols.shape[1]
         return d.columns(blocks, family, len(owner)), np.array(owner)
 
     def columns_in_cells(self, family, cell_set):

@@ -1,13 +1,13 @@
 """Reference constructions that only the tests use: one element's basis
 columns on their own patch, the basis with every patch the whole domain, the
-defect of a patch solve and the weighted-mass projection onto the auxiliary
-space."""
+defect of a patch solve, the cell-local constraint columns and the
+projection onto the auxiliary space in the cells' own weights."""
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from cemporo import cembasis
+from cemporo.assembly import check_family, layout
 from cemporo.grid import oversample_element
 
 
@@ -40,21 +40,36 @@ def patch_residual(solver, psi, rhs):
         solver.A @ psi + solver.U @ (solver.U.T @ psi) - rhs))
 
 
-def project_pi(ops, aux, family, v):
-    """Orthogonal projection onto the auxiliary space in the weighted mass product.
+def cell_weights(ops, family):
+    """Each coarse cell's spectral weight S_K over the cell's nodes, from
+    `local_matrices`, cell by cell."""
+    name = "aux_" + check_family(family)
+    return [ops.local_matrices(ops.grid.fine_cells_of_coarse_cell(e))[1][name]
+            for e in range(ops.grid.n_coarse_cells)]
 
-    Input and output are interior-unknown vectors. The projection is exact
-    (idempotent and self-adjoint in the weighted product) over the span of the
-    zero-extended eigenvectors.
+
+def constraint_columns(ops, aux, family):
+    """The dense constraint columns over interior unknowns, cell by cell:
+    column j of cell K is S_K phi_j on K's nodes, cut to the unknowns."""
+    width, interior = ((2, ops.dofs.u_dofs) if family == "u"
+                       else (1, ops.dofs.p_nodes))
+    blocks = []
+    for spec, S in zip(aux.spectra, cell_weights(ops, family)):
+        V = getattr(spec, "vecs_" + family)
+        full = np.zeros((width * ops.grid.n_fine_nodes, V.shape[1]))
+        full[layout(spec.nodes, family)] = S @ V
+        blocks.append(full[interior])
+    return np.hstack(blocks)
+
+
+def project_pi(ops, aux, family, v):
+    """pi = sum over cells K of V_K V_K^T S_K, the projection onto the
+    auxiliary space orthogonal in s = sum over K of s_K.
+
+    s is an inner product on functions that may jump across cell edges, so
+    input and output hold one vector per coarse cell, over the cell's nodes
+    in `local_matrices` order. Each V_K is S_K-orthonormal.
     """
-    R = aux.columns(family)
-    M = ops.weight(family)
-    gram = (R.T @ (M @ R)).toarray()
-    rhs = R.T @ (M @ v)
-    try:
-        coeff = sla.cho_solve(sla.cho_factor(gram), rhs)
-    except np.linalg.LinAlgError:
-        # redundant auxiliary sets (full local dimension) make the Gram
-        # singular; the projection onto the span is still well defined
-        coeff = np.linalg.pinv(gram, rcond=1e-12) @ rhs
-    return R @ coeff
+    return [V @ (V.T @ (S @ x)) for V, S, x in zip(
+        (getattr(spec, "vecs_" + family) for spec in aux.spectra),
+        cell_weights(ops, family), v)]

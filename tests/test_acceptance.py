@@ -210,10 +210,10 @@ def test_criterion_06_online_error_decay(cli_runs, frozen):
     same coarse state at level 9: the fixed point of enrichment at that step
     (criterion 05). `history.csv` measures against the fine trajectory, which
     also holds what the unenriched steps 1..9 carried in. No enrichment at
-    step 10 can remove that part (the floor, err_u about 8 %), and it keeps
-    the trajectory ratio of err_u at 0.157 or more. Measured under one and two BLAS
-    threads, the ratios against the resolved step are 0.156 / 0.159 (u) and
-    0.101 / 0.100 (p).
+    step 10 can remove that part (the floor, err_u about 5.8 %), and it
+    keeps the trajectory ratio of err_u at 0.145 or more. Measured under one
+    and two BLAS threads, the ratios against the resolved step are 0.135 (u)
+    and 0.080 (p).
     """
     run1 = cli_runs.by_threads[1]
     history = EnrichmentHistory.from_csv(os.path.join(str(run1.dir),
@@ -280,10 +280,10 @@ def test_criterion_07_smaller_bulk_never_needs_more_iterations(frozen):
     As in criterion 06, the error is measured against the fine solution of
     the enriched step (level 5) taken from the same coarse state at level 4.
     Against the fine trajectory the error cannot go below the floor carried
-    in by the unenriched steps 1..4, err_u 4.97 % / 4.70 % under one / two
-    BLAS threads, which leaves no room under the 5 % target. Measured
-    against the resolved step, theta=0.3 takes 4 iterations and theta=0.7
-    takes 10 / 11 of the 12 allowed.
+    in by the unenriched steps 1..4, err_u 3.48 % under one and two BLAS
+    threads, and the last iterates stay at 6.1 %, above the 5 % target.
+    Measured against the resolved step, theta=0.3 takes 3 iterations and
+    theta=0.7 takes 8 of the 12 allowed.
     """
     ops = frozen.ops
     tg = cp.TimeGrid(0.2, 5)

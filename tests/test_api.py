@@ -12,7 +12,8 @@ a local eigenproblem is solved only by `spectral._deflated_eigh`, only
 `assembly` takes a triangle of a sparse form or hands a sparse constructor
 (data, (rows, cols)) triplets, and only `assembly`, which
 builds them, and `timestepping`, which states the step, read the step's
-mass and coupling forms. No module of the package or
+mass and coupling forms, and only `assembly` and `spectral` read a spectral
+weight form. No module of the package or
 the tests imports a name it never uses. README's library quick start runs
 as written, on a smaller mesh, and its configuration block lists the
 defaults the program uses."""
@@ -338,6 +339,23 @@ def test_only_timestepping_states_the_step():
         "%s.py:%d" % (module, node.lineno)
         for module, tree in _module_trees()
         if module not in ("assembly", "timestepping")
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr in forms)
+        or (isinstance(node, ast.Constant) and node.value in forms))
+    assert not reads, reads
+
+
+def test_only_the_spectral_stage_reads_a_weight_form():
+    # CEM states the constraint from each cell's own weight: `assembly`
+    # forms it over one cell's fine cells and `spectral` applies it to that
+    # cell's eigenfunctions. A weight form read anywhere else would state
+    # the constraint a second time
+    forms = ("aux_u", "aux_p", "aux_")
+    reads = sorted(
+        "%s.py:%d" % (module, node.lineno)
+        for module, tree in _module_trees()
+        if module not in ("assembly", "spectral")
         for node in ast.walk(tree)
         if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
             and node.attr in forms)

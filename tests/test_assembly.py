@@ -104,15 +104,11 @@ def setup():
 
 def test_all_forms_match_oracle(setup):
     grid, field, pou, ops = setup
-    A_u, A_p, M_p, S_u, S_p, D = _oracle_matrices(grid, field, pou)
+    A_u, A_p, M_p, _, _, D = _oracle_matrices(grid, field, pou)
     npt.assert_allclose(ops.stiff_u_full.toarray(), A_u, atol=1e-12)
     npt.assert_allclose(ops.stiff_p_full.toarray(), A_p, atol=1e-13)
     npt.assert_allclose(ops.mass_p_full.toarray(), M_p, atol=1e-14)
     d = ops.dofs
-    npt.assert_allclose(ops.aux_u.toarray(), S_u[np.ix_(d.u_dofs, d.u_dofs)],
-                        atol=1e-10)
-    npt.assert_allclose(ops.aux_p.toarray(),
-                        S_p[np.ix_(d.p_nodes, d.p_nodes)], atol=1e-10)
     npt.assert_allclose(ops.coupling.toarray(),
                         D[np.ix_(d.p_nodes, d.u_dofs)], atol=1e-13)
 
@@ -162,9 +158,8 @@ def test_square_forms_are_exactly_symmetric_with_assembled_pattern(setup):
     grid, _, _, ops = setup
     cell_nodes = grid.fine_cell_nodes()
     d = ops.dofs
-    for family, index, names in (("p", d.p_nodes, ("stiff_p", "mass_p",
-                                                    "aux_p")),
-                                 ("u", d.u_dofs, ("stiff_u", "aux_u"))):
+    for family, index, names in (("p", d.p_nodes, ("stiff_p", "mass_p")),
+                                 ("u", d.u_dofs, ("stiff_u",))):
         dofs = layout(cell_nodes, family)
         k = dofs.shape[1]
         pattern = sp.csr_matrix(
@@ -172,10 +167,8 @@ def test_square_forms_are_exactly_symmetric_with_assembled_pattern(setup):
                                       np.tile(dofs, (1, k)).ravel())),
             shape=getattr(ops, names[0] + "_full").shape)
         for name in names:
-            forms = [(getattr(ops, name), pattern[index][:, index])]
-            if not name.startswith("aux"):  # no weight is kept on all nodes
-                forms.append((getattr(ops, name + "_full"), pattern))
-            for form, raw in forms:
+            for form, raw in ((getattr(ops, name), pattern[index][:, index]),
+                              (getattr(ops, name + "_full"), pattern)):
                 assert (form != form.T).nnz == 0, name
                 assert form.nnz == raw.nnz, name
 
@@ -196,7 +189,7 @@ def test_stiffness_kernels(setup):
 
 def test_interior_blocks_positive_definite(setup):
     _, _, _, ops = setup
-    for mat in (ops.stiff_u, ops.stiff_p, ops.mass_p, ops.aux_u, ops.aux_p):
+    for mat in (ops.stiff_u, ops.stiff_p, ops.mass_p):
         w = np.linalg.eigvalsh(mat.toarray())
         assert w.min() > 0.0
 

@@ -18,7 +18,7 @@ from cemporo.spectral import build_aux_basis, spectral_diagnostics
 from cemporo.timestepping import CoarseSolver
 
 from oracles import (build_element_basis, build_global_basis_oracle,
-                     patch_residual)
+                     constraint_columns, patch_residual)
 
 
 @pytest.fixture(scope="module")
@@ -31,15 +31,31 @@ def setup():
 
 
 def _dense_global_solve(ops, aux, family, rhs_col):
-    """Penalized global system assembled and solved densely."""
-    if family == "u":
-        A = ops.stiff_u.toarray()
-        U = (ops.aux_u @ aux.R_u).toarray()
-    else:
-        A = ops.stiff_p.toarray()
-        U = (ops.aux_p @ aux.R_p).toarray()
+    """Penalized global system assembled and solved densely, with U the
+    cell-local constraint columns of the oracle."""
+    A = ops.stiffness(family).toarray()
+    U = constraint_columns(ops, aux, family)
     rhs = U[:, rhs_col]
     return np.linalg.solve(A + U @ U.T, rhs), rhs
+
+
+# 4 layers make every patch the whole domain, so every column is checked
+@pytest.mark.parametrize("layers", [1, 4])
+def test_constraint_columns_are_each_cells_own_weight(setup, layers):
+    # a patch's U holds, for each eigenfunction phi of a cell K in the
+    # patch, S_K phi on the patch unknowns of K's nodes and nowhere else:
+    # nothing in the neighbouring cells' first fine layer
+    grid, ops, aux = setup
+    for family in ("u", "p"):
+        expected = constraint_columns(ops, aux, family)
+        for e in (0, 5):
+            solver = PatchSolver(ops, aux,
+                                 oversample_element(grid, e, layers), family)
+            want = expected[solver.index][:, solver.aux_cols]
+            got = solver.U.toarray()
+            npt.assert_allclose(got, want, rtol=0,
+                                atol=1e-13 * np.abs(want).max())
+            assert np.array_equal(got != 0.0, want != 0.0)
 
 
 def test_global_patch_matches_dense_solve(setup):

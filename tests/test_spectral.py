@@ -12,7 +12,7 @@ from cemporo.material import synth_channels
 from cemporo.spectral import (AuxBasis, build_aux_basis,
                               solve_local_spectral, spectral_diagnostics)
 
-from oracles import project_pi
+from oracles import cell_weights, project_pi
 
 
 @pytest.fixture(scope="module")
@@ -121,8 +121,8 @@ def test_aux_basis_needs_a_mode_per_family(setup):
 def test_aux_basis_shapes(setup):
     grid, ops = setup
     aux = build_aux_basis(ops, 2, 3)
-    assert aux.R_u.shape == (ops.dofs.n_u, 2 * grid.n_coarse_cells)
-    assert aux.R_p.shape == (ops.dofs.n_p, 3 * grid.n_coarse_cells)
+    assert aux.C_u.shape == (ops.dofs.n_u, 2 * grid.n_coarse_cells)
+    assert aux.C_p.shape == (ops.dofs.n_p, 3 * grid.n_coarse_cells)
     cols = aux.columns_in_cells("u", [0, 4])
     npt.assert_array_equal(cols, [0, 1, 8, 9])
 
@@ -131,27 +131,41 @@ def test_projection_is_exact(setup):
     _, ops = setup
     aux = build_aux_basis(ops, 2)
     rng = np.random.default_rng(8)
-    for fam, M, n in (("u", ops.aux_u, ops.dofs.n_u),
-                      ("p", ops.aux_p, ops.dofs.n_p)):
-        v = rng.normal(size=n)
+    for fam in ("u", "p"):
+        weights = cell_weights(ops, fam)
+
+        def product(a, b):
+            """s(a, b), the sum of each cell's weighted product."""
+            return sum(x @ (S @ y) for x, S, y in zip(a, weights, b))
+
+        def draw():
+            return [rng.normal(size=S.shape[0]) for S in weights]
+
+        v = draw()
         pv = project_pi(ops, aux, fam, v)
         ppv = project_pi(ops, aux, fam, pv)
-        scale = np.linalg.norm(pv)
-        assert np.linalg.norm(ppv - pv) <= 1e-12 * scale
-        # self-adjoint in the weighted mass product
-        w = rng.normal(size=n)
-        lhs = w @ (M @ pv)
-        rhs = project_pi(ops, aux, fam, w) @ (M @ v)
+        scale = np.linalg.norm(np.concatenate(pv))
+        assert (np.linalg.norm(np.concatenate(ppv) - np.concatenate(pv))
+                <= 1e-12 * scale)
+        # self-adjoint in s
+        w = draw()
+        lhs = product(w, pv)
+        rhs = product(project_pi(ops, aux, fam, w), v)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
-        # reproduces members of the auxiliary space
-        R = aux.R_u if fam == "u" else aux.R_p
-        member = np.asarray(R[:, 3].todense()).ravel()
-        npt.assert_allclose(project_pi(ops, aux, fam, member), member,
-                            atol=1e-11)
-        # annihilates the weighted-orthogonal complement
-        gram = (R.T @ (M @ R)).toarray()
-        v_orth = v - R @ np.linalg.solve(gram, R.T @ (M @ v))
-        npt.assert_allclose(project_pi(ops, aux, fam, v_orth), 0.0, atol=1e-10)
+        # reproduces members of the auxiliary space: the second
+        # eigenfunction of cell 1, zero on every other cell
+        vecs = [getattr(spec, "vecs_" + fam) for spec in aux.spectra]
+        member = [np.zeros(S.shape[0]) for S in weights]
+        member[1] = vecs[1][:, 1]
+        npt.assert_allclose(
+            np.concatenate(project_pi(ops, aux, fam, member)),
+            np.concatenate(member), atol=1e-11)
+        # annihilates the s-orthogonal complement
+        v_orth = [x - V @ np.linalg.solve(V.T @ S @ V, V.T @ (S @ x))
+                  for x, V, S in zip(v, vecs, weights)]
+        npt.assert_allclose(
+            np.concatenate(project_pi(ops, aux, fam, v_orth)), 0.0,
+            atol=1e-10)
 
 
 def test_projection_family_validation(setup):

@@ -23,13 +23,20 @@ the same under one and two BLAS threads.
 A heterogeneous medium has no closed form, so the frozen channel medium is
 checked by self-convergence instead: drawn once, then refined with each
 fine cell's coefficients copied, so that every level solves the same PDE.
+
+The multiscale space is checked against the fine solver in turn: on a fixed
+fine grid, the global CEM space's energy error must fall with the coarse
+cell size H, as the CEM bound O(H / sqrt(Lambda)) says it does.
 """
 
 import numpy as np
-from cemporo.assembly import assemble_operators
+import scipy.sparse.linalg as spla
+from cemporo.assembly import assemble_load, assemble_operators
+from cemporo.cembasis import build_offline_basis
 from cemporo.grid import build_grids
 from cemporo.material import MaterialField, synth_channels
 from cemporo.report import energy_errors
+from cemporo.spectral import build_aux_basis
 from cemporo.timestepping import State, TimeGrid, run
 
 from conftest import FROZEN
@@ -137,3 +144,42 @@ def test_heterogeneous_self_convergence():
     u, p = rates.T
     assert np.all((u > 3.0) & (u < 5.2)), rates
     assert np.all((p > 2.3) & (p < 4.2)), rates
+
+
+def _global_space_errors(ncx):
+    """(err_p, err_u) of the steady solves in the global space (every patch
+    the whole domain) on ncx x ncx coarse cells of a 48 x 48 fine grid,
+    E = kappa = 1: the flow problem with the unit source in the space of
+    one mode per cell, then elasticity driven by the fine pressure in the
+    space of two."""
+    grid = build_grids(ncx, ncx, 48 // ncx)
+    ones = np.ones(grid.n_fine_cells)
+    ops = assemble_operators(grid, MaterialField(
+        grid, ones, ones, SCALARS["poisson"], SCALARS["alpha"],
+        SCALARS["biot_modulus"], SCALARS["viscosity"]))
+    load = ops.dofs.restrict_p(
+        assemble_load(grid, lambda t, x, y: np.ones_like(x)))
+    p = spla.spsolve(ops.stiff_p.tocsc(), load)
+    drive = ops.coupling.T @ p
+    fine = State(0, spla.spsolve(ops.stiff_u.tocsc(), drive), p)
+    errors = []
+    for modes, family, rhs in ((1, "p", load), (2, "u", drive)):
+        space = build_offline_basis(ops, build_aux_basis(ops, modes), ncx)
+        B = space.basis(family).toarray()
+        A = ops.stiffness(family)
+        x = B @ np.linalg.solve(B.T @ (A @ B), B.T @ rhs)
+        coarse = State(0, x, p) if family == "u" else State(0, fine.u, x)
+        errors.append(energy_errors(ops, coarse, fine)["up".index(family)])
+    return errors
+
+
+def test_multiscale_space_converges_in_H():
+    # H = 1/4, 1/8, 1/16. Measured: err_p 0.0295, 0.0149, 0.0070 and err_u
+    # 0.1262, 0.0422, 0.0162, so 4.25x and 7.79x from H = 1/4 to 1/16, the
+    # same under one and two BLAS threads. With the constraint formed from
+    # the assembled weight and nodally zero-extended eigenvectors, which
+    # picks up neighbour-cell integrals, they fell 2.67x and 2.92x
+    errors = np.array([_global_space_errors(n) for n in (4, 8, 16)])
+    print("global-space errors, rows by H, columns p and u:")
+    print(errors)
+    assert np.all(errors[0] >= 3.5 * errors[-1]), errors
