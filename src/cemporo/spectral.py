@@ -9,6 +9,14 @@ s(u, v) = sum over cells K of s_K(u, v) (Chung, Efendiev & Leung, CMAME 339,
 2018), so the constraint that eigenfunction phi of cell K puts on a basis
 function psi is s_K(psi, phi) = psi^T S_K phi: the column S_K phi, over K's
 own nodes, with S_K the cell's weight from its eigenproblem.
+
+The outputs depend only on each cell's kept subspace. The projection
+sum over K of V_K V_K^T S_K and the patch penalty sum over K of
+S_K V_K V_K^T S_K are unchanged when an S_K-orthonormal V_K is rotated or
+has columns negated, so the kept vectors carry no sign convention: they
+leave this module as the eigensolver returns them.
+`tests/test_invariance.py::test_rotated_kept_vectors_give_the_same_results`
+and `test_negated_kept_vectors_give_the_same_states` check this.
 """
 
 import numpy as np
@@ -16,14 +24,6 @@ import scipy.linalg as sla
 
 from .assembly import check_family, layout
 from .grid import is_integer
-
-
-def _fix_signs(vecs):
-    """Flip columns so the entry of largest magnitude is positive."""
-    idx = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[idx, np.arange(vecs.shape[1])])
-    signs[signs == 0] = 1.0
-    return vecs * signs
 
 
 def _deflated_eigh(A, S, kernel, count):
@@ -82,8 +82,10 @@ def solve_local_spectral(ops, element, n_u, n_p=None):
     """Solve both local eigenproblems on one coarse cell.
 
     Returns an ElementSpectra with all eigenvalues (ascending), the first
-    n_u / n_p eigenvectors, mass-orthonormal, signs fixed, and the cell's
-    weight applied to them.
+    n_u / n_p eigenvectors, mass-orthonormal, and the cell's weight applied
+    to them. Only the span of each family's kept vectors is meant: their
+    signs and their basis within the span are whatever the eigensolver
+    gives, and no output depends on them (`tests/test_invariance.py`).
     """
     if n_p is None:
         n_p = n_u
@@ -96,7 +98,6 @@ def solve_local_spectral(ops, element, n_u, n_p=None):
         S = mats["aux_" + family]
         w, v = _deflated_eigh(mats["stiff_" + family], S,
                               ops.kernel(family, nodes), count)
-        v = _fix_signs(v)
         out += [w, v, S @ v]
     return ElementSpectra(nodes, *out)
 

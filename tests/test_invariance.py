@@ -16,6 +16,16 @@ which vectors of a cluster are kept depends on roundoff (ROADMAP item 1).
 The fine trajectories of the transformed media map onto the given one node
 by node, and `cemporo run` writes the same files under one and under two
 BLAS threads.
+
+Only the span of each cell's kept eigenvectors is meant: the projection
+sum over K of V_K V_K^T S_K and the patch penalty sum over K of
+S_K V_K V_K^T S_K do not change when an S_K-orthonormal V_K is rotated or
+has columns negated. So `spectral.solve_local_spectral` is wrapped to
+multiply each family's kept vectors and their constraint columns by one
+seeded matrix per cell, and the run is compared with the untransformed one,
+on the square mesh and on a 6x4 one, at two and three modes a cell. IEEE
+arithmetic is exactly sign-symmetric, so negated columns give the same fine
+states bit for bit; a rotation gives the same printed digits.
 """
 
 import json
@@ -26,7 +36,7 @@ import sys
 import numpy as np
 import pytest
 
-from cemporo import cli
+from cemporo import cli, spectral
 from cemporo.assembly import assemble_operators
 from cemporo.grid import build_grids
 from cemporo.material import MaterialField
@@ -35,6 +45,7 @@ from cemporo.timestepping import TimeGrid, run
 from conftest import FROZEN
 
 MESH = {"ncx": 6, "ncy": 6, "refinement": 6}
+MESHES = {"6x6": MESH, "6x4": {"ncx": 6, "ncy": 4, "refinement": 6}}
 # each transformation acts on the leading two axes of a (y, x, ...) array
 MEDIA = {"given": lambda a: a,
          "mirror-x": lambda a: a[:, ::-1],
@@ -56,10 +67,29 @@ def _transformed(field, medium):
                          field.biot_modulus, field.viscosity)
 
 
-def _run(modes, medium, scale):
-    """History rows (n_u, n_p, err_u, err_p) and per-step errors of one
-    multiscale run, each printed to 6 digits."""
-    cfg = dict(FROZEN, mesh=MESH,
+def _transform_kept(spec, kept, rng, negated):
+    """Multiply each family's kept vectors and their constraint columns by
+    one matrix drawn from `rng`: a +-1 diagonal ("negated", tallying the
+    negated and kept columns of each family in `negated`) or an orthogonal
+    matrix ("rotated")."""
+    for family in ("u", "p"):
+        m = getattr(spec, "vecs_" + family).shape[1]
+        if kept == "negated":
+            signs = rng.choice([-1.0, 1.0], size=m)
+            negated[family] += (np.sum(signs < 0), m)
+            matrix = np.diag(signs)
+        else:
+            matrix = np.linalg.qr(rng.normal(size=(m, m)))[0]
+        for name in ("vecs_", "constraint_"):
+            setattr(spec, name + family, getattr(spec, name + family) @ matrix)
+    return spec
+
+
+def _run(modes, medium, scale, mesh, kept):
+    """One multiscale run: its history rows and fine states, its history
+    rows (n_u, n_p, err_u, err_p) and per-step errors printed to 6 digits,
+    and the negated and kept column counts of each family."""
+    cfg = dict(FROZEN, mesh=MESHES[mesh],
                offline=dict(FROZEN["offline"], modes=modes),
                source=dict(FROZEN["source"],
                            value=scale * FROZEN["source"]["value"]),
@@ -67,32 +97,49 @@ def _run(modes, medium, scale):
                    FROZEN["initial_pressure"],
                    scale=scale * FROZEN["initial_pressure"]["scale"]))
     build = cli.build_field
+    solve = spectral.solve_local_spectral
+    negated = {"u": np.zeros(2, int), "p": np.zeros(2, int)}
 
     def build_field(cfg, grid):
         return _transformed(build(cfg, grid), medium)
 
+    def solve_local_spectral(ops, element, n_u, n_p=None):
+        spec = solve(ops, element, n_u, n_p)
+        if kept == "given":
+            return spec
+        return _transform_kept(spec, kept, np.random.default_rng(element),
+                               negated)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "build_field", build_field)
+        mp.setattr(spectral, "solve_local_spectral", solve_local_spectral)
         exp = cli.Experiment(cli.resolve_config(cfg))
     states, rows, _ = exp.run_multiscale()
     assert rows and np.isfinite(rows[-1]["err_u"])
-    return (["%d %d %.6g %.6g" % (r["n_u"], r["n_p"], r["err_u"], r["err_p"])
-             for r in rows],
-            ["%d %.6g %.6g" % (r["level"], r["err_u"], r["err_p"])
-             for r in exp.per_step_errors(states)])
+    printed = (["%d %d %.6g %.6g" % (r["n_u"], r["n_p"], r["err_u"],
+                                     r["err_p"]) for r in rows],
+               ["%d %.6g %.6g" % (r["level"], r["err_u"], r["err_p"])
+                for r in exp.per_step_errors(states)])
+    return rows, states, printed, negated
 
 
 @pytest.fixture(scope="module")
-def results():
-    runs = {}
+def runs():
+    cache = {}
 
-    def get(modes, medium="given", scale=1.0):
-        key = (modes, medium, scale)
-        if key not in runs:
-            runs[key] = _run(*key)
-        return runs[key]
+    def get(modes, medium="given", scale=1.0, mesh="6x6", kept="given"):
+        key = (modes, medium, scale, mesh, kept)
+        if key not in cache:
+            cache[key] = _run(*key)
+        return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="module")
+def results(runs):
+    """The printed history rows and per-step errors of a run."""
+    return lambda *args, **kwargs: runs(*args, **kwargs)[2]
 
 
 @pytest.mark.parametrize("medium", ["mirror-x", "mirror-y", "transpose"])
@@ -104,6 +151,30 @@ def test_symmetric_media_give_the_same_results(results, medium):
 @pytest.mark.parametrize("scale", [8.0, 0.125])
 def test_scaled_loads_give_the_same_results(results, modes, scale):
     assert results(modes, scale=scale) == results(modes)
+
+
+@pytest.mark.parametrize("mesh", list(MESHES))
+@pytest.mark.parametrize("modes", [2, 3])
+def test_negated_kept_vectors_give_the_same_states(runs, modes, mesh):
+    """Every fine state and every history row of the run whose kept columns
+    were negated at random equals the given run's exactly."""
+    rows, states, _, _ = runs(modes, mesh=mesh)
+    rows_t, states_t, _, negated = runs(modes, mesh=mesh, kept="negated")
+    # the relation is not vacuous: each family negated some columns and
+    # kept the sign of others
+    assert all(0 < n < total for n, total in negated.values())
+    assert rows_t == rows
+    assert len(states_t) == len(states)
+    for st, st_t in zip(states, states_t):
+        assert np.array_equal(st_t.u, st.u)
+        assert np.array_equal(st_t.p, st.p)
+
+
+@pytest.mark.parametrize("mesh", list(MESHES))
+@pytest.mark.parametrize("modes", [2, 3])
+def test_rotated_kept_vectors_give_the_same_results(results, modes, mesh):
+    assert (results(modes, mesh=mesh, kept="rotated")
+            == results(modes, mesh=mesh))
 
 
 def _fine(medium):
