@@ -214,18 +214,12 @@ def make_initial_pressure(cfg):
 
 
 def build_field(cfg, grid):
+    """The configured material field; `scalars` apply to both kinds."""
     mat = cfg["material"]
-    sc = cfg["scalars"]
-    syn = mat["synth"]
     try:
         if "file" in mat:
-            return load_field(mat["file"], grid)
-        return synth_channels(
-            grid, syn["background"], syn["contrast"],
-            n_channels=syn["n_channels"], n_inclusions=syn["n_inclusions"],
-            seed=syn["seed"],
-            poisson=sc["poisson"], alpha=sc["alpha"],
-            biot_modulus=sc["biot_modulus"], viscosity=sc["viscosity"])
+            return load_field(mat["file"], grid, **cfg["scalars"])
+        return synth_channels(grid, **mat["synth"], **cfg["scalars"])
     except (OSError, TypeError, ValueError) as err:
         raise ConfigError("material: %s" % err)
 

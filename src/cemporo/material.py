@@ -2,7 +2,10 @@
 
 Young's modulus and permeability are piecewise constant on the fine grid.
 The remaining physical parameters (Poisson ratio, coupling coefficient,
-storage modulus, fluid viscosity) are scalars.
+storage modulus, fluid viscosity) are scalars. A stored field holds its grid,
+E and kappa only: the scalars are arguments of both `synth_channels` and
+`load_field`, so that a configuration's `scalars` section is their one
+statement whichever kind of material it names.
 """
 
 import json
@@ -56,7 +59,6 @@ class MaterialField:
         self.grid = grid
         self.E = E
         self.kappa = kappa
-        self.poisson = float(poisson)
         self.alpha = float(alpha)
         self.biot_modulus = float(biot_modulus)
         self.viscosity = float(viscosity)
@@ -76,45 +78,44 @@ class MaterialField:
         return float(self.E.max() / self.E.min())
 
 
+def _header(grid):
+    """The header of a stored field: its grid, and nothing else."""
+    return {"ncx": grid.ncx, "ncy": grid.ncy, "refinement": grid.refinement}
+
+
 def save_field(field, stem):
-    """Write <stem>_E.csv, <stem>_kappa.csv and the <stem>.json header."""
+    """Write <stem>_E.csv, <stem>_kappa.csv and the <stem>.json header, which
+    records the grid only; the scalars are not stored."""
     grid = field.grid
     for name, arr in (("E", field.E), ("kappa", field.kappa)):
         np.savetxt("%s_%s.csv" % (stem, name),
                    arr.reshape(grid.nfy, grid.nfx), delimiter=",", fmt="%.17g")
-    header = {
-        "ncx": grid.ncx,
-        "ncy": grid.ncy,
-        "refinement": grid.refinement,
-        "poisson": field.poisson,
-        "alpha": field.alpha,
-        "biot_modulus": field.biot_modulus,
-        "viscosity": field.viscosity,
-    }
     with open(stem + ".json", "w") as fh:
-        json.dump(header, fh, indent=1)
+        json.dump(_header(grid), fh, indent=1)
         fh.write("\n")
 
 
-def load_field(stem, grid):
-    """Read a field written by save_field onto the grid its header names."""
+def load_field(stem, grid, poisson, alpha, biot_modulus, viscosity):
+    """Read a field written by save_field onto the grid its header names,
+    with the given scalars. A header with any entry besides the grid's, such
+    as one written while the scalars were still stored, is refused."""
     if not os.path.exists(stem + ".json"):
         raise FileNotFoundError("missing field header %s.json" % stem)
     with open(stem + ".json") as fh:
         header = json.load(fh)
-    for key in ("ncx", "ncy", "refinement", "poisson", "alpha",
-                "biot_modulus", "viscosity"):
-        if key not in header:
-            raise ValueError("field header missing entry '%s'" % key)
-    if (grid.ncx, grid.ncy, grid.refinement) != (
-            header["ncx"], header["ncy"], header["refinement"]):
+    expected = _header(grid)
+    for key in header:
+        if key not in expected:
+            raise ValueError("field header entry '%s' is refused: the "
+                             "scalars come from the configuration" % key)
+    if header != expected:
         raise ValueError("field header does not match the requested grid")
     E = np.loadtxt(stem + "_E.csv", delimiter=",", ndmin=2)
     kappa = np.loadtxt(stem + "_kappa.csv", delimiter=",", ndmin=2)
     if E.shape != (grid.nfy, grid.nfx) or kappa.shape != (grid.nfy, grid.nfx):
         raise ValueError("field array shape does not match the grid")
-    return MaterialField(grid, E, kappa, header["poisson"], header["alpha"],
-                         header["biot_modulus"], header["viscosity"])
+    return MaterialField(grid, E, kappa, poisson, alpha, biot_modulus,
+                         viscosity)
 
 
 def synth_channels(grid, background, contrast, n_channels=4, n_inclusions=8,

@@ -156,9 +156,16 @@ class SpectralDiagnostics:
     """Smallest first excluded eigenvalue over both families and the layer
     decay factor."""
 
-    def __init__(self, min_excluded, degenerate):
+    def __init__(self, min_excluded):
         self.min_excluded = float(min_excluded)
-        self.degenerate = bool(degenerate)
+
+    @property
+    def degenerate(self):
+        """Whether some cell's excluded block starts at a zero eigenvalue.
+        `_deflated_eigh` writes the local kernels (three rigid motions, one
+        constant) as exact zeros, so a cell keeping fewer modes than its
+        kernel has a 0 here."""
+        return self.min_excluded <= 0.0
 
     def decay_factor(self, layers):
         """Theoretical contraction bound for the given oversampling depth.
@@ -167,7 +174,7 @@ class SpectralDiagnostics:
         modes (the configuration is reported, not rejected).
         """
         lam = self.min_excluded
-        if self.degenerate or lam <= 0.0:
+        if lam <= 0.0:
             return np.inf
         base = 1.0 / (2.0 * (1.0 + np.sqrt(lam)))
         return (1.0 + 1.0 / lam) * (1.0 + base) ** (1 - layers)
@@ -178,8 +185,4 @@ def spectral_diagnostics(aux):
                 for spec in aux.spectra
                 for w, v in ((spec.eigvals_u, spec.vecs_u),
                              (spec.eigvals_p, spec.vecs_p))]
-    # the local kernels are three rigid motions and one constant; a cell
-    # keeping fewer modes leaves a zero in its excluded block
-    degenerate = (min(spec.vecs_u.shape[1] for spec in aux.spectra) < 3
-                  or min(excluded) <= 0.0)
-    return SpectralDiagnostics(min(excluded), degenerate)
+    return SpectralDiagnostics(min(excluded))

@@ -405,6 +405,45 @@ def test_make_field_artifacts_and_seed_override(tmp_path, capsys):
                                                 delimiter=","))
 
 
+def test_field_file_runs_under_the_configured_scalars(tmp_path, capsys):
+    # a field file stores its grid, E and kappa; a run reading it takes the
+    # scalars of its own configuration, as a run drawing the field does, and
+    # its manifest records the scalars it used
+    base = dict(TINY, mesh={"ncx": 3, "ncy": 3, "refinement": 4},
+                time={"tau": 0.1, "T": 0.2},
+                online={"layers": 1, "schedule": "none"}, snapshots=False)
+    stem = str(tmp_path / "field")
+    written = dict(base, scalars={"poisson": 0.3, "alpha": 0.5,
+                                  "biot_modulus": 2.0, "viscosity": 0.5})
+    assert main(["make-field", "--config", _write(tmp_path, written, "a.json"),
+                 "--out", stem]) == 0
+    with open(stem + ".json") as fh:
+        assert json.load(fh) == {"ncx": 3, "ncy": 3, "refinement": 4}
+    scalars = {"poisson": 0.25, "alpha": 0.7, "biot_modulus": 1.5,
+               "viscosity": 0.8}
+    drawn = dict(base, scalars=scalars)
+    read = dict(drawn, material={"file": stem})
+    outs = {}
+    for name, cfg in (("drawn", drawn), ("read", read)):
+        outs[name] = tmp_path / name
+        assert main(["run", "--config", _write(tmp_path, cfg, name + ".json"),
+                     "--out", str(outs[name])]) == 0
+    for name in ("history.csv", "errors.csv"):
+        assert ((outs["read"] / name).read_bytes()
+                == (outs["drawn"] / name).read_bytes())
+    with open(outs["read"] / "manifest.json") as fh:
+        assert json.load(fh)["config"]["scalars"] == scalars
+    capsys.readouterr()
+
+    # a header written while the file still stored the scalars is refused
+    with open(stem + ".json", "w") as fh:
+        json.dump({"ncx": 3, "ncy": 3, "refinement": 4, "alpha": 0.5}, fh)
+    assert main(["run", "--config", _write(tmp_path, read, "read.json"),
+                 "--out", str(tmp_path / "old")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "'alpha'" in err
+
+
 def test_seed_run_manifest_replays_the_same_history(tmp_path, capsys):
     # --seed draws the field, so the manifest must record it
     cfg = dict(TINY, mesh={"ncx": 3, "ncy": 3, "refinement": 4},

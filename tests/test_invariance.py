@@ -58,13 +58,13 @@ COMPONENTS = {"given": lambda u: u,
               "transpose": lambda u: u[..., ::-1]}
 
 
-def _transformed(field, medium):
-    """The material field with its cell arrays transformed."""
+def _transformed(field, medium, cfg):
+    """The material field with its cell arrays transformed, under the
+    scalars of `cfg`, which built it."""
     grid = field.grid
     E, kappa = (MEDIA[medium](a.reshape(grid.nfy, grid.nfx)).ravel()
                 for a in (field.E, field.kappa))
-    return MaterialField(grid, E, kappa, field.poisson, field.alpha,
-                         field.biot_modulus, field.viscosity)
+    return MaterialField(grid, E, kappa, **cfg["scalars"])
 
 
 def _transform_kept(spec, kept, rng, negated):
@@ -101,7 +101,7 @@ def _run(modes, medium, scale, mesh, kept):
     negated = {"u": np.zeros(2, int), "p": np.zeros(2, int)}
 
     def build_field(cfg, grid):
-        return _transformed(build(cfg, grid), medium)
+        return _transformed(build(cfg, grid), medium, cfg)
 
     def solve_local_spectral(ops, element, n_u, n_p=None):
         spec = solve(ops, element, n_u, n_p)
@@ -184,7 +184,7 @@ def _fine(medium):
     cfg = cli.resolve_config(dict(FROZEN, mesh=MESH))
     grid = build_grids(MESH["ncx"], MESH["ncy"], MESH["refinement"])
     ops = assemble_operators(grid, _transformed(cli.build_field(cfg, grid),
-                                                medium))
+                                                medium, cfg))
     states = run(ops, TimeGrid.from_horizon(cfg["time"]["tau"],
                                             cfg["time"]["T"]),
                  cli.make_source(cfg), cli.make_initial_pressure(cfg))

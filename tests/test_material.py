@@ -10,6 +10,9 @@ from cemporo.grid import build_grids
 from cemporo.material import (MaterialField, lame_from_E, load_field,
                               save_field, synth_channels)
 
+SCALARS = {"poisson": 0.2, "alpha": 0.9, "biot_modulus": 1.0,
+           "viscosity": 1.0}
+
 
 def test_lame_reference_values():
     lam, mu = lame_from_E(1.0, 0.2)
@@ -61,14 +64,13 @@ def test_field_rejects_non_finite_values(tmp_path, where, value):
     # here, it cannot reach a factorization, also when read from a file
     g = build_grids(2, 2, 2)
     args = {"E": np.ones(g.n_fine_cells), "kappa": np.ones(g.n_fine_cells),
-            "poisson": 0.2, "alpha": 0.9, "biot_modulus": 1.0,
-            "viscosity": 1.0}
+            **SCALARS}
     if where in ("E", "kappa"):
         f = MaterialField(g, **args)
         getattr(f, where)[3] = value
         save_field(f, str(tmp_path / "field"))
         with pytest.raises(ValueError, match="finite"):
-            load_field(str(tmp_path / "field"), g)
+            load_field(str(tmp_path / "field"), g, **SCALARS)
         value = np.where(np.arange(g.n_fine_cells) == 3, value, 1.0)
     with pytest.raises(ValueError, match="finite"):
         MaterialField(g, **dict(args, **{where: value}))
@@ -82,13 +84,18 @@ def test_save_load_roundtrip(tmp_path):
     f = MaterialField(g, E, kappa, 0.3, 0.7, 1.5, 2.5)
     stem = str(tmp_path / "field")
     save_field(f, stem)
-    back = load_field(stem, g)
+    with open(stem + ".json") as fh:
+        assert json.load(fh) == {"ncx": 3, "ncy": 2, "refinement": 2}
+    # the file stores no scalars: the loaded field carries the ones it is
+    # given, not the ones it was saved with
+    back = load_field(stem, g, **SCALARS)
     npt.assert_array_equal(back.E, f.E)
     npt.assert_array_equal(back.kappa, f.kappa)
-    assert back.poisson == f.poisson
-    assert back.alpha == f.alpha
-    assert back.biot_modulus == f.biot_modulus
-    assert back.viscosity == f.viscosity
+    assert back.alpha == SCALARS["alpha"]
+    assert back.biot_modulus == SCALARS["biot_modulus"]
+    assert back.viscosity == SCALARS["viscosity"]
+    given = MaterialField(g, E, kappa, **SCALARS)
+    npt.assert_array_equal(back.p_wave_modulus, given.p_wave_modulus)
 
 
 def test_load_field_grid_mismatch(tmp_path):
@@ -98,7 +105,7 @@ def test_load_field_grid_mismatch(tmp_path):
     save_field(f, stem)
     other = build_grids(3, 3, 2)
     with pytest.raises(ValueError):
-        load_field(stem, other)
+        load_field(stem, other, **SCALARS)
 
 
 def test_synth_deterministic():
@@ -167,8 +174,7 @@ def test_synth_seeded_fields_unchanged():
 def test_field_rejects_out_of_range_values(where, value, message):
     g = build_grids(2, 2, 2)
     args = {"E": np.ones(g.n_fine_cells), "kappa": np.ones(g.n_fine_cells),
-            "poisson": 0.2, "alpha": 0.9, "biot_modulus": 1.0,
-            "viscosity": 1.0}
+            **SCALARS}
     if where == "E":
         value = np.where(np.arange(g.n_fine_cells) == 3, value, 1.0)
     with pytest.raises(ValueError, match=message):
@@ -176,19 +182,20 @@ def test_field_rejects_out_of_range_values(where, value, message):
 
 
 @pytest.mark.parametrize("damage, message", [
-    ("header", "missing entry 'alpha'"), ("array", "shape")])
+    ("header", "entry 'alpha' is refused"), ("array", "shape")])
 def test_load_field_rejects_damaged_files(tmp_path, damage, message):
     g = build_grids(2, 2, 2)
     stem = str(tmp_path / "field")
     save_field(synth_channels(g, 1.0, 10.0, seed=1), stem)
     if damage == "header":
+        # a header written while the file still stored the scalars
         with open(stem + ".json") as fh:
             header = json.load(fh)
-        del header["alpha"]
+        header["alpha"] = 0.5
         with open(stem + ".json", "w") as fh:
             json.dump(header, fh)
     else:
         np.savetxt(stem + "_kappa.csv", np.ones((g.nfy, g.nfx + 1)),
                    delimiter=",")
     with pytest.raises(ValueError, match=message):
-        load_field(stem, g)
+        load_field(stem, g, **SCALARS)

@@ -129,9 +129,7 @@ def test_heterogeneous_self_convergence():
         grid = build_grids(4, 4, 4 * k)
         copy = [np.kron(v.reshape(base.nfy, base.nfx), np.ones((k, k)))
                 for v in (field.E, field.kappa)]
-        ops = assemble_operators(grid, MaterialField(
-            grid, *copy, field.poisson, field.alpha, field.biot_modulus,
-            field.viscosity))
+        ops = assemble_operators(grid, MaterialField(grid, *copy, **SCALARS))
         state = run(ops, TimeGrid(0.1, 5), lambda t, x, y: np.ones_like(x),
                     lambda x, y: 100.0 * x * (1 - x) * y * (1 - y))[-1]
         shape = (grid.nfy + 1, grid.nfx + 1)
